@@ -6,7 +6,6 @@ with exact minimum-weight enumeration, and screens them against every
 abelian code of the same length.
 """
 
-from ._kernels import BACKEND_ENV, active_backend
 from .algebra import (
     AlgebraElem,
     NotInvertibleError,
@@ -61,7 +60,6 @@ __all__ = [
     "AbelianCatalog",
     "AbelianGroup",
     "AlgebraElem",
-    "BACKEND_ENV",
     "BudgetExceededError",
     "CHECK_NAMES",
     "CentralCatalog",
@@ -77,7 +75,6 @@ __all__ = [
     "NotInvertibleError",
     "PrimeField",
     "SurveyRow",
-    "active_backend",
     "abelian_catalog",
     "central_idempotents",
     "check_admissible",

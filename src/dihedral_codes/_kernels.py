@@ -1,147 +1,45 @@
-"""Hot kernels for exhaustive codeword-weight scans.
+"""Exhaustive codeword-weight scan.
 
-Two interchangeable implementations of the same scan:
+`weight_histogram` walks all q^k messages in lexicographic order, CHUNK at
+a time: it writes each chunk's base-q digit vectors into an int64 array,
+multiplies by the generator matrix in int64, reduces mod q, and counts the
+nonzero coordinates of each codeword.
 
-* a numba @njit kernel walking the message counter incrementally, and
-* a pure-numpy fallback processing messages in vectorized chunks.
-
-The backend is selected by the DIHEDRAL_CODES_BACKEND environment variable
-("numba" or "numpy"); when unset, numba is used if importable.  Both produce
-bit-identical histograms; `benchmarks/bench_backends.py` compares them.
+Exactness: every entry of `digits @ G` is a sum of k products of residues
+below q, so it is at most k (q-1)^2.  The scan refuses any (G, q) for which
+that bound reaches 2^63, so no product or sum can wrap and every weight is
+exact.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-BACKEND_ENV = "DIHEDRAL_CODES_BACKEND"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    HAS_NUMBA = False
+CHUNK = 1 << 16  # messages per vectorized step
 
 
-def _scan_impl(G, q, start, stop):
-    """Weight histogram of codewords for message indices in [start, stop).
+def weight_histogram(G, q: int) -> np.ndarray:
+    """Counts A_0..A_n of codeword weights over all q^k messages of the k x n
+    generator matrix G over F_q.
 
-    Messages are base-q digit vectors of the index, most significant digit
-    first, so enumeration order is lexicographic.  The codeword is updated
-    incrementally as the counter steps.
+    Raises ValueError when k (q-1)^2 >= 2^63, the range where the int64
+    products could overflow.
     """
+    G = np.ascontiguousarray(G, dtype=np.int64) % q
     k, n = G.shape
+    if k * (q - 1) ** 2 >= 1 << 63:
+        raise ValueError(
+            f"k (q-1)^2 = {k * (q - 1) ** 2} reaches 2^63; an int64 scan would overflow"
+        )
+    total = q ** k
     hist = np.zeros(n + 1, dtype=np.int64)
-    digits = np.zeros(k, dtype=np.int64)
-    cw = np.zeros(n, dtype=np.int64)
-    r = start
-    for i in range(k - 1, -1, -1):
-        digits[i] = r % q
-        r //= q
-    for i in range(k):
-        d = digits[i]
-        if d != 0:
-            for c in range(n):
-                cw[c] = (cw[c] + d * G[i, c]) % q
-    idx = start
-    while idx < stop:
-        w = 0
-        for c in range(n):
-            if cw[c] != 0:
-                w += 1
-        hist[w] += 1
-        idx += 1
-        if idx == stop:
-            break
-        i = k - 1
-        while True:
-            if digits[i] == q - 1:
-                digits[i] = 0
-                # dropping q-1 copies of row i equals adding one copy mod q
-                for c in range(n):
-                    cw[c] = (cw[c] + G[i, c]) % q
-                i -= 1
-            else:
-                digits[i] += 1
-                for c in range(n):
-                    cw[c] = (cw[c] + G[i, c]) % q
-                break
-    return hist
-
-
-if HAS_NUMBA:
-    _scan_numba = njit(cache=True)(_scan_impl)
-else:  # pragma: no cover
-    _scan_numba = None
-
-
-def _scan_numpy(G, q, start, stop, chunk=1 << 16):
-    """Chunked vectorized scan.  Entries stay below k (q-1)^2, far inside
-    the float64 exact-integer range, so the BLAS matmul is exact."""
-    k, n = G.shape
-    hist = np.zeros(n + 1, dtype=np.int64)
-    Gf = G.astype(np.float64)
-    for s in range(start, stop, chunk):
-        e = min(s + chunk, stop)
+    for s in range(0, total, CHUNK):
+        e = min(s + CHUNK, total)
         r = np.arange(s, e, dtype=np.int64)
-        digits = np.empty((e - s, k), dtype=np.float64)
+        digits = np.empty((e - s, k), dtype=np.int64)
         for i in range(k - 1, -1, -1):
             digits[:, i] = r % q
-            r = r // q
-        cw = (digits @ Gf) % q
-        w = np.count_nonzero(cw, axis=1)
+            r //= q
+        w = np.count_nonzero(digits @ G % q, axis=1)
         hist += np.bincount(w, minlength=n + 1)
-    return hist
-
-
-def active_backend() -> str:
-    """Resolve the scan backend from the environment."""
-    choice = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        return "numba"
-    if choice:
-        raise ValueError(f"unknown {BACKEND_ENV} value {choice!r}")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def scan_range(G, q: int, start: int, stop: int, backend: str | None = None) -> np.ndarray:
-    """Histogram of codeword weights over one message-index range."""
-    G = np.ascontiguousarray(G, dtype=np.int64) % q
-    k, n = G.shape
-    hist = np.zeros(n + 1, dtype=np.int64)
-    if stop <= start:
-        return hist
-    if k == 0:
-        hist[0] = stop - start  # only the empty message
-        return hist
-    backend = backend or active_backend()
-    if backend == "numba":
-        return _scan_numba(G, q, start, stop)
-    if backend == "numpy":
-        return _scan_numpy(G, q, start, stop)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def weight_histogram(G, q: int, ranges: int = 1, backend: str | None = None) -> np.ndarray:
-    """Full message-space scan, optionally split into `ranges` disjoint
-    spans whose partial histograms are merged.  The merge is associative and
-    order-independent, so the result is bit-identical to a single span."""
-    G = np.ascontiguousarray(G, dtype=np.int64) % q
-    k = G.shape[0]
-    total = q ** k
-    if ranges < 1:
-        raise ValueError("ranges must be >= 1")
-    bounds = [total * i // ranges for i in range(ranges + 1)]
-    hist = np.zeros(G.shape[1] + 1, dtype=np.int64)
-    for s, e in zip(bounds, bounds[1:]):
-        if e > s:
-            hist += scan_range(G, q, s, e, backend=backend)
     return hist

@@ -6,9 +6,11 @@ Subcommands:
   verify      run the named verification checks
   compare     check constructed codes against a reference table `n k d_best`
 
-Exit codes: 0 success, 2 inadmissible parameters, 3 enumeration budget
-exceeded, 4 I/O failure, 5 malformed reference table.  Identical inputs
-produce byte-identical output files.
+Exit codes: 0 success, 1 a `verify` check failed, 2 inadmissible parameters
+or malformed input (a bad `--coeffs`, `--sub-h`/`--sub-k` or out-of-range
+`--j`, or an argument that argument parsing rejects, such as a negative
+`--budget`), 3 enumeration budget exceeded, 4 I/O failure, 5 malformed
+reference table.  Identical inputs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -33,21 +35,26 @@ EXIT_BAD_TABLE = 5
 _SUBGROUP_SPEC = re.compile(r"^(h|hstar)(\d+)$")
 
 
+def _budget(text: str) -> int:
+    """argparse type of --budget: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--q", type=int, required=True, help="field size (prime)")
     parser.add_argument("--p", type=int, required=True, help="odd prime p")
     parser.add_argument("--m", type=int, required=True, help="exponent m >= 1")
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=DEFAULT_BUDGET,
         help="enumeration budget on q^k (only gates whether a value is computed)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("numba", "numpy"),
-        default=None,
-        help="force a scan backend (default: DIHEDRAL_CODES_BACKEND or auto)",
     )
 
 
@@ -115,7 +122,7 @@ def cmd_construct(args) -> int:
         return EXIT_IO
 
     try:
-        d = code.min_weight(budget=args.budget, backend=args.backend)
+        d = code.min_weight(budget=args.budget)
     except BudgetExceededError as exc:
         print(f"{code.n} {code.k} ?")
         print(f"error: {exc}", file=sys.stderr)
@@ -134,9 +141,7 @@ def cmd_survey(args) -> int:
         return EXIT_INADMISSIBLE
     field = PrimeField(args.q)
     catalog = abelian_catalog(field, args.p, args.m)
-    rows = enumerate_abelian_codes(
-        catalog, dim_filter=args.dim, budget=args.budget, backend=args.backend
-    )
+    rows = enumerate_abelian_codes(catalog, dim_filter=args.dim, budget=args.budget)
     try:
         write_survey_table(rows, args.q, args.p, args.m, args.out)
     except OSError as exc:
@@ -166,7 +171,6 @@ def cmd_verify(args) -> int:
             names=names,
             budget=args.budget,
             seed=args.seed,
-            backend=args.backend,
         )
     except InadmissibleParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -221,7 +225,7 @@ def cmd_compare(args) -> int:
         ):
             code = left_ideal_code(gen)
             try:
-                d = code.min_weight(budget=args.budget, backend=args.backend)
+                d = code.min_weight(budget=args.budget)
             except BudgetExceededError:
                 print(f"{label} {code.n} {code.k} ? - unknown (budget)")
                 continue

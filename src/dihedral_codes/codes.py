@@ -61,12 +61,7 @@ class LinearCode:
         return self.q ** self.k
 
     # -- enumeration -------------------------------------------------------
-    def weight_distribution(
-        self,
-        budget: int = DEFAULT_BUDGET,
-        backend: str | None = None,
-        ranges: int = 1,
-    ) -> np.ndarray:
+    def weight_distribution(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """Exact counts A_0..A_n over all q^k codewords.
 
         The budget only decides whether the scan runs; it never changes a
@@ -84,42 +79,27 @@ class LinearCode:
         else:
             if self.size() > budget:
                 raise BudgetExceededError(self.size(), budget)
-            hist = weight_histogram(
-                self.generator_matrix, self.q, ranges=ranges, backend=backend
-            )
+            hist = weight_histogram(self.generator_matrix, self.q)
         if hist[0] != 1 or int(hist.sum()) != self.size():
             raise RuntimeError("weight distribution failed internal sanity check")
         hist.setflags(write=False)
         self._distribution = hist
         return hist
 
-    def min_weight(
-        self,
-        budget: int = DEFAULT_BUDGET,
-        backend: str | None = None,
-        ranges: int = 1,
-    ) -> int:
+    def min_weight(self, budget: int = DEFAULT_BUDGET) -> int:
         """Smallest weight of a nonzero codeword, by exhaustive enumeration."""
         if self.k == 0:
             raise ValueError("empty code has no minimum weight")
-        dist = self.weight_distribution(budget=budget, backend=backend, ranges=ranges)
+        dist = self.weight_distribution(budget=budget)
         for w in range(1, self.n + 1):
             if dist[w]:
                 return w
         raise RuntimeError("no nonzero codeword found in a k > 0 code")
 
-    def codeword_iter(self, start: int = 0, stop: int | None = None):
-        """Deterministic codeword stream in lexicographic message order.
-
-        Disjoint [start, stop) ranges partition the message space, so scans
-        may be distributed and merged without changing the result.
-        """
-        if stop is None:
-            stop = self.size()
-        if not 0 <= start <= stop <= self.size():
-            raise ValueError("bad enumeration range")
+    def codeword_iter(self):
+        """Deterministic codeword stream in lexicographic message order."""
         G = self.generator_matrix
-        for r in range(start, stop):
+        for r in range(self.size()):
             digits = np.zeros(self.k, dtype=np.int64)
             v = r
             for i in range(self.k - 1, -1, -1):

@@ -80,7 +80,6 @@ def enumerate_abelian_codes(
     catalog: AbelianCatalog,
     dim_filter: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    backend: str | None = None,
 ) -> list[SurveyRow]:
     """One row per nonempty subset of primitive idempotents, in bitmask
     order.  Rows whose enumeration exceeds the budget get min_weight None
@@ -101,7 +100,7 @@ def enumerate_abelian_codes(
                 f"survey row {mask}: rank {code.k} != sum of component dims {dim}"
             )
         try:
-            weight = code.min_weight(budget=budget, backend=backend)
+            weight = code.min_weight(budget=budget)
         except BudgetExceededError:
             weight = None
         rows.append(SurveyRow(mask, dim, weight))
@@ -150,16 +149,13 @@ def is_abelian_ideal(code: LinearCode) -> bool:
 
 
 def equivalence_necessary_check(
-    code_a: LinearCode,
-    code_b: LinearCode,
-    budget: int = DEFAULT_BUDGET,
-    backend: str | None = None,
+    code_a: LinearCode, code_b: LinearCode, budget: int = DEFAULT_BUDGET
 ) -> str:
     """'impossible' when length, dimension, or weight distribution rule out
     a combinatorial equivalence; 'possible' otherwise.  Never a proof of
     equivalence, only of its absence."""
     if code_a.n != code_b.n or code_a.k != code_b.k or code_a.q != code_b.q:
         return "impossible"
-    da = code_a.weight_distribution(budget=budget, backend=backend)
-    db = code_b.weight_distribution(budget=budget, backend=backend)
+    da = code_a.weight_distribution(budget=budget)
+    db = code_b.weight_distribution(budget=budget)
     return "possible" if np.array_equal(da, db) else "impossible"

@@ -59,13 +59,12 @@ class CheckResult:
 class VerifyContext:
     """Shared lazily-built objects for one (q, p, m) verification run."""
 
-    def __init__(self, q, p, m, budget=DEFAULT_BUDGET, seed=0, backend=None):
+    def __init__(self, q, p, m, budget=DEFAULT_BUDGET, seed=0):
         if not check_admissible(q, p, m):
             raise InadmissibleParameters(f"(q, p, m) = ({q}, {p}, {m}) is not admissible")
         self.q, self.p, self.m = q, p, m
         self.budget = budget
         self.seed = seed
-        self.backend = backend
 
     @cached_property
     def field(self):
@@ -307,7 +306,7 @@ def _all_nonzero_combos(q, d):
     return [c for c in combos if any(c)]
 
 
-def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET, backend=None):
+def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
     """Dimension, basis, and (within budget) weight checks over every nested
     pair of subgroups whose orders are invertible in the field.
 
@@ -332,7 +331,7 @@ def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET, backend=None):
                 raise CheckFailure("predicted basis has wrong cardinality")
             pairs += 1
             if code.size() <= budget:
-                w = code.min_weight(budget=budget, backend=backend)
+                w = code.min_weight(budget=budget)
                 if w != 2 * len(H):
                     raise CheckFailure(
                         f"min weight {w} != 2|H| = {2 * len(H)} for |H|={len(H)}, |K|={len(K)}"
@@ -342,9 +341,7 @@ def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET, backend=None):
 
 
 def check_subgroup_pairs(ctx: VerifyContext) -> str:
-    pairs, weights = subgroup_pair_suite(
-        ctx.field, ctx.dihedral, budget=ctx.budget, backend=ctx.backend
-    )
+    pairs, weights = subgroup_pair_suite(ctx.field, ctx.dihedral, budget=ctx.budget)
     return f"{pairs} nested pairs: dimension+basis exact; {weights} weights within budget"
 
 
@@ -417,8 +414,8 @@ def check_gamma_isometry(ctx: VerifyContext) -> str:
         image = gamma_image_code(code)
         _require(
             np.array_equal(
-                code.weight_distribution(budget=ctx.budget, backend=ctx.backend),
-                image.weight_distribution(budget=ctx.budget, backend=ctx.backend),
+                code.weight_distribution(budget=ctx.budget),
+                image.weight_distribution(budget=ctx.budget),
             ),
             "gamma changed a weight distribution",
         )
@@ -438,7 +435,7 @@ def check_central_codes(ctx: VerifyContext) -> str:
                 f"dim code({name}, j={j}) = {code.k}, expected {expect_dim}",
             )
             if code.size() <= ctx.budget:
-                w = code.min_weight(budget=ctx.budget, backend=ctx.backend)
+                w = code.min_weight(budget=ctx.budget)
                 _require(
                     w == expect_w,
                     f"weight of code({name}, j={j}) = {w}, expected {expect_w}",
@@ -452,7 +449,7 @@ def check_example_code(ctx: VerifyContext) -> str:
     _require(code.k == phi_prime_power(ctx.p, 1), "dim code(f) != phi(p)")
     if code.size() > ctx.budget:
         return f"[{code.n}, {code.k}] dimension verified; weight beyond budget"
-    w = code.min_weight(budget=ctx.budget, backend=ctx.backend)
+    w = code.min_weight(budget=ctx.budget)
     if (ctx.p, ctx.m) == (3, 2) and ctx.q not in (2, 3, 5, 7):
         _require(w == 15, f"weight of the [18, 2] code is {w}, expected 15")
     return f"[{code.n}, {code.k}, {w}] exact over {code.size()} codewords"
@@ -487,7 +484,7 @@ def check_survey(ctx: VerifyContext) -> str:
     for j in range(1, ctx.m + 1):
         expect_dims += [phi_prime_power(ctx.p, j)] * 2
     _require(list(acat.dims) == expect_dims, f"component dims {acat.dims} != {expect_dims}")
-    rows = enumerate_abelian_codes(acat, budget=ctx.budget, backend=ctx.backend)
+    rows = enumerate_abelian_codes(acat, budget=ctx.budget)
     _require(len(rows) == 2 ** len(acat) - 1, "survey does not cover every subset")
     full = rows[-1]
     _require(full.dim == ctx.abelian.order, "full-catalog subset is not the whole algebra")
@@ -500,7 +497,7 @@ def check_nonequivalence(ctx: VerifyContext) -> str:
     if (ctx.p, ctx.m) != (3, 2):
         return "skipped: the survey argument is stated for p=3, m=2"
     acat = ctx.abelian_cat
-    rows = enumerate_abelian_codes(acat, dim_filter=2, budget=ctx.budget, backend=ctx.backend)
+    rows = enumerate_abelian_codes(acat, dim_filter=2, budget=ctx.budget)
     _require(len(rows) == 3, f"expected 3 dimension-2 abelian codes, found {len(rows)}")
     weights = sorted(r.min_weight for r in rows)
     _require(weights == [9, 12, 12], f"dimension-2 weights {weights} != [9, 12, 12]")
@@ -513,18 +510,14 @@ def check_nonequivalence(ctx: VerifyContext) -> str:
         gen = acat.members[bits[0]]
         for b in bits[1:]:
             gen = gen + acat.members[b]
-        verdict = equivalence_necessary_check(
-            code_f, left_ideal_code(gen), budget=ctx.budget, backend=ctx.backend
-        )
+        verdict = equivalence_necessary_check(code_f, left_ideal_code(gen), budget=ctx.budget)
         _require(
             verdict == "impossible",
             f"equivalence not excluded against abelian code mask={row.mask}",
         )
     c11 = left_ideal_code(ctx.units[1].e11)
     _require(
-        equivalence_necessary_check(
-            c11, gamma_image_code(c11), budget=ctx.budget, backend=ctx.backend
-        )
+        equivalence_necessary_check(c11, gamma_image_code(c11), budget=ctx.budget)
         == "possible",
         "gamma image wrongly ruled out",
     )
@@ -562,7 +555,6 @@ def run_checks(
     names: list[str] | None = None,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    backend: str | None = None,
 ) -> list[CheckResult]:
     """Run the named checks (all by default) for one parameter triple.
 
@@ -573,7 +565,7 @@ def run_checks(
         unknown = set(names) - set(CHECK_NAMES)
         if unknown:
             raise ValueError(f"unknown check names: {sorted(unknown)}")
-    ctx = VerifyContext(q, p, m, budget=budget, seed=seed, backend=backend)
+    ctx = VerifyContext(q, p, m, budget=budget, seed=seed)
     results = []
     for name, fn in CHECKS:
         if names is not None and name not in names:

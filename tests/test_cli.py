@@ -1,3 +1,5 @@
+import pytest
+
 from dihedral_codes import LinearCode
 from dihedral_codes.cli import main
 
@@ -67,6 +69,15 @@ def test_construct_budget_exceeded(tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().out.strip() == "18 2 ?"
     assert out.exists()  # the matrix is still written
+
+
+def test_construct_negative_budget_rejected(tmp_path):
+    out = tmp_path / "f.gm"
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--q", "11", "--p", "3", "--m", "2", "--gen", "f",
+              "--budget", "-5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()  # rejected while parsing, before any work
 
 
 def test_construct_io_failure(tmp_path):

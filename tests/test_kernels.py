@@ -2,14 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dihedral_codes._kernels import (
-    BACKEND_ENV,
-    HAS_NUMBA,
-    active_backend,
-    scan_range,
-    weight_histogram,
-)
+from dihedral_codes import _kernels
+from dihedral_codes._kernels import weight_histogram
 
 
 def brute_histogram(G, q):
@@ -22,37 +19,30 @@ def brute_histogram(G, q):
     return np.array(hist, dtype=np.int64)
 
 
-@pytest.mark.parametrize("q,shape,seed", [(2, (4, 9), 0), (3, (4, 7), 1), (11, (2, 18), 2), (5, (3, 12), 3)])
-def test_backends_match_brute_force(q, shape, seed):
+@pytest.mark.parametrize(
+    "q,shape,seed", [(2, (4, 9), 0), (3, (4, 7), 1), (11, (2, 18), 2), (5, (3, 12), 3)]
+)
+def test_weight_histogram_matches_brute_force(q, shape, seed):
     rng = np.random.default_rng(seed)
     G = rng.integers(0, q, size=shape).astype(np.int64)
-    expect = brute_histogram(G, q)
-    assert np.array_equal(weight_histogram(G, q, backend="numpy"), expect)
-    if HAS_NUMBA:
-        assert np.array_equal(weight_histogram(G, q, backend="numba"), expect)
+    assert np.array_equal(weight_histogram(G, q), brute_histogram(G, q))
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_on_partial_range():
-    rng = np.random.default_rng(7)
-    G = rng.integers(0, 11, size=(6, 18)).astype(np.int64)
-    a = scan_range(G, 11, 12345, 200000, backend="numba")
-    b = scan_range(G, 11, 12345, 200000, backend="numpy")
-    assert np.array_equal(a, b)
-    assert int(a.sum()) == 200000 - 12345
+@st.composite
+def generator_matrices(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    k = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return np.array(rows, dtype=np.int64).reshape(k, n), q
 
 
-def test_range_partition_merges_to_full_scan():
-    rng = np.random.default_rng(11)
-    G = rng.integers(0, 3, size=(6, 10)).astype(np.int64)
-    full = weight_histogram(G, 3, ranges=1)
-    split = weight_histogram(G, 3, ranges=4)
-    assert np.array_equal(full, split)
-    # manual uneven split
-    total = 3 ** 6
-    parts = [(0, 100), (100, 500), (500, total)]
-    merged = sum(scan_range(G, 3, s, e) for s, e in parts)
-    assert np.array_equal(full, merged)
+@settings(max_examples=60, deadline=None)
+@given(generator_matrices())
+def test_weight_histogram_property(case):
+    G, q = case
+    assert np.array_equal(weight_histogram(G, q), brute_histogram(G, q))
 
 
 def test_zero_row_matrix():
@@ -61,31 +51,15 @@ def test_zero_row_matrix():
     assert hist[0] == 1 and hist.sum() == 1
 
 
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "numpy")
-    assert active_backend() == "numpy"
-    if HAS_NUMBA:
-        monkeypatch.setenv(BACKEND_ENV, "numba")
-        assert active_backend() == "numba"
-    monkeypatch.setenv(BACKEND_ENV, "bogus")
-    with pytest.raises(ValueError):
-        active_backend()
-    monkeypatch.delenv(BACKEND_ENV)
-    assert active_backend() in ("numba", "numpy")
-
-
-def test_env_flag_drives_scan(monkeypatch):
-    rng = np.random.default_rng(13)
-    G = rng.integers(0, 3, size=(4, 8)).astype(np.int64)
-    expect = brute_histogram(G, 3)
-    monkeypatch.setenv(BACKEND_ENV, "numpy")
-    assert np.array_equal(weight_histogram(G, 3), expect)
-
-
-def test_numpy_chunking_is_exact():
+def test_numpy_chunking_is_exact(monkeypatch):
     rng = np.random.default_rng(17)
     G = rng.integers(0, 5, size=(3, 7)).astype(np.int64)
-    from dihedral_codes._kernels import _scan_numpy
+    monkeypatch.setattr(_kernels, "CHUNK", 10)  # 125 messages: 12 full chunks and 5 left
+    assert np.array_equal(weight_histogram(G, 5), brute_histogram(G, 5))
 
-    expect = brute_histogram(G, 5)
-    assert np.array_equal(_scan_numpy(G, 5, 0, 125, chunk=10), expect)
+
+def test_int64_bound_is_checked_before_scanning():
+    # 3037000507 is the smallest prime q with (q-1)^2 >= 2^63; a scan would
+    # step through all q messages, so the check must come first
+    with pytest.raises(ValueError, match=r"2\^63"):
+        weight_histogram([[1, 2]], 3037000507)
