@@ -49,7 +49,6 @@ from .survey import (
     equivalence_necessary_check,
     format_survey_table,
     gamma_image_code,
-    is_abelian_ideal,
     write_survey_table,
 )
 from .verify import CHECK_NAMES, CheckResult, subgroup_pair_suite, run_checks
@@ -85,7 +84,6 @@ __all__ = [
     "gamma_image_code",
     "hat",
     "invert_in_component",
-    "is_abelian_ideal",
     "is_central",
     "is_idempotent",
     "is_prime",

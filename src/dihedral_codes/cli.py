@@ -7,10 +7,11 @@ Subcommands:
   compare     check constructed codes against a reference table `n k d_best`
 
 Exit codes: 0 success, 1 a `verify` check failed, 2 inadmissible parameters
-or malformed input (a bad `--coeffs`, `--sub-h`/`--sub-k` or out-of-range
-`--j`, or an argument that argument parsing rejects, such as a negative
-`--budget`), 3 enumeration budget exceeded, 4 I/O failure, 5 malformed
-reference table.  Identical inputs produce byte-identical output files.
+or malformed input (a bad `--coeffs`, `--sub-h`/`--sub-k`, an out-of-range
+`--j` or a survey `--dim` outside 1..2p^m, or an argument that argument
+parsing rejects, such as a negative `--budget`), 3 enumeration budget
+exceeded, 4 I/O failure, 5 malformed reference table.  Identical inputs
+produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -138,6 +139,10 @@ def cmd_survey(args) -> int:
     if not _gate_admissible(args):
         print(f"inadmissible parameters (q, p, m) = ({args.q}, {args.p}, {args.m})",
               file=sys.stderr)
+        return EXIT_INADMISSIBLE
+    n = 2 * args.p ** args.m
+    if args.dim is not None and not 1 <= args.dim <= n:
+        print(f"error: --dim {args.dim} out of range 1..{n}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     field = PrimeField(args.q)
     catalog = abelian_catalog(field, args.p, args.m)

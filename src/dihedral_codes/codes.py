@@ -117,10 +117,11 @@ class LinearCode:
         return modmat.in_row_space(self.generator_matrix, list(self.pivots), v, self.q)
 
     def same_code(self, other: "LinearCode") -> bool:
-        """Row-space equality via mutual rank checks."""
-        if self.q != other.q or self.n != other.n:
-            return False
-        return modmat.same_row_space(self.generator_matrix, other.generator_matrix, self.q)
+        """Row-space equality: the stored RREFs are canonical, so two codes
+        over the same field are equal exactly when their matrices are."""
+        return self.q == other.q and np.array_equal(
+            self.generator_matrix, other.generator_matrix
+        )
 
     def is_left_ideal(self) -> bool:
         """Closure of the row space under the left action of the group."""
@@ -235,11 +236,9 @@ def subgroup_pair_code(
             rt_elem = group.from_index(int(group.mult_table[r, t]))
             basis.append(r_hat - left_translate(rt_elem, hat_H))
 
-    stacked = np.array([x.coeffs for x in basis], dtype=np.int64)
-    if modmat.rank(stacked, field.q) != len(basis):
+    R, _ = modmat.rref(np.array([x.coeffs for x in basis], dtype=np.int64), field.q)
+    if len(R) != len(basis):
         raise RuntimeError("predicted basis is not linearly independent")
-    if len(basis) != code.k or not modmat.same_row_space(
-        stacked, code.generator_matrix, field.q
-    ):
+    if not np.array_equal(R, code.generator_matrix):
         raise RuntimeError("predicted basis does not span the code")
     return code, basis

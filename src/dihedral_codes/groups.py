@@ -159,36 +159,27 @@ class _Group:
         rot = self.subgroup_H(j)
         return rot + [self.element(g.i, 1) for g in rot]
 
-    def _closure(self, gen_indices) -> frozenset[int]:
-        table = self.mult_table
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gen_indices:
-                    y = int(table[x, g])
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
-
-    @cached_property
-    def _subgroup_index_sets(self) -> tuple[frozenset[int], ...]:
-        # every subgroup of these groups is generated by at most two elements
-        found = set()
-        for g in range(self.order):
-            for h in range(self.order):
-                found.add(self._closure((g, h)))
-        return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
-
     def all_subgroups(self) -> list[list[GroupElem]]:
-        """Every subgroup, as elements in canonical order, sorted by size."""
-        return [
-            [self.from_index(t) for t in sorted(s)]
-            for s in self._subgroup_index_sets
-        ]
+        """Every subgroup, as elements in canonical order, sorted by size and
+        then by index list.
+
+        A subgroup meets the rotations in some <a^d> with d | p^m, and is
+        either <a^d> or <a^d> u a^i b <a^d> with 0 <= i < d and
+        (a^i b)^2 in <a^d> (K. Conrad, *Dihedral groups II*).  The square
+        condition holds for every i in D and only for i = 0 in
+        C_{p^m} x C_2.
+        """
+        pm = self.rot_order
+        found = []
+        for e in range(self.m + 1):
+            d = self.p ** e
+            rot = list(range(0, pm, d))
+            found.append(rot)
+            for i in range(d):
+                if self._compose(i, 1, i, 1)[0] % d == 0:
+                    found.append(rot + [pm + i + r for r in rot])
+        found.sort(key=lambda s: (len(s), s))
+        return [[self.from_index(t) for t in s] for s in found]
 
 
 class DihedralGroup(_Group):

@@ -1,7 +1,9 @@
 """Dense exact linear algebra over F_q on int64 arrays.
 
-Gaussian elimination with the leftmost-pivot convention; reduced row echelon
-form is canonical, so equal row spaces have identical RREFs.
+Gaussian elimination with the leftmost-pivot convention.  The reduced row
+echelon form is canonical: two matrices have the same row space exactly when
+their RREFs are identical.  Code equality relies on this; `LinearCode` stores
+its generator matrix in this form and compares codes by comparing matrices.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ def rref(mat, q: int) -> tuple[np.ndarray, list[int]]:
     return A[:r], pivots
 
 
-def rank(mat, q: int) -> int:
-    return len(rref(mat, q)[1])
-
-
 def solve(A, b, q: int) -> np.ndarray | None:
     """One solution x of A x = b over F_q (free variables set to 0), or
     None when the system is inconsistent."""
@@ -79,14 +77,3 @@ def reduce_vector(R: np.ndarray, pivots: list[int], v, q: int) -> np.ndarray:
 def in_row_space(R: np.ndarray, pivots: list[int], v, q: int) -> bool:
     return not np.any(reduce_vector(R, pivots, v, q))
 
-
-def same_row_space(A, B, q: int) -> bool:
-    """Row-space equality by mutual rank checks."""
-    A = asmat(A, q)
-    B = asmat(B, q)
-    if A.shape[1] != B.shape[1]:
-        return False
-    ra, rb = rank(A, q), rank(B, q)
-    if ra != rb:
-        return False
-    return rank(np.vstack([A, B]), q) == ra

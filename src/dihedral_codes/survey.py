@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import AlgebraElem, hat, is_idempotent, left_translate
+from .algebra import AlgebraElem, hat, is_idempotent
 from .codes import DEFAULT_BUDGET, BudgetExceededError, LinearCode, left_ideal_code
 from .ff import InadmissibleParameters, PrimeField, check_admissible
 from .groups import AbelianGroup, DihedralGroup
@@ -31,6 +31,17 @@ class AbelianCatalog:
 
     def __len__(self):
         return len(self.members)
+
+    def generator(self, mask: int) -> AlgebraElem:
+        """Sum of the members selected by the bits of mask: the idempotent
+        that generates the survey row with this bitmask."""
+        if not 0 < mask < 1 << len(self.members):
+            raise ValueError(f"mask {mask} selects no nonempty subset of the catalog")
+        bits = [b for b in range(len(self.members)) if mask >> b & 1]
+        gen = self.members[bits[0]]
+        for b in bits[1:]:
+            gen = gen + self.members[b]
+        return gen
 
 
 @dataclass(frozen=True)
@@ -87,14 +98,10 @@ def enumerate_abelian_codes(
     rows = []
     count = len(catalog.members)
     for mask in range(1, 1 << count):
-        bits = [b for b in range(count) if mask >> b & 1]
-        dim = sum(catalog.dims[b] for b in bits)
+        dim = sum(catalog.dims[b] for b in range(count) if mask >> b & 1)
         if dim_filter is not None and dim != dim_filter:
             continue
-        gen = catalog.members[bits[0]]
-        for b in bits[1:]:
-            gen = gen + catalog.members[b]
-        code = left_ideal_code(gen)
+        code = left_ideal_code(catalog.generator(mask))
         if code.k != dim:
             raise RuntimeError(
                 f"survey row {mask}: rank {code.k} != sum of component dims {dim}"
@@ -134,18 +141,6 @@ def gamma_image_code(code: LinearCode, target: AbelianGroup | None = None) -> Li
     if (target.p, target.m) != (code.group.p, code.group.m):
         raise ValueError("parameter mismatch between code group and target group")
     return LinearCode(code.generator_matrix, code.q, group=target, field=code.field)
-
-
-def is_abelian_ideal(code: LinearCode) -> bool:
-    """Closure of an abelian-group code under multiplication by a and t."""
-    if not isinstance(code.group, AbelianGroup):
-        raise ValueError("expected a code over the abelian group")
-    for g in (code.group.a, code.group.t):
-        for row in code.generator_matrix:
-            x = AlgebraElem(code.group, code.field, row)
-            if not code.contains(left_translate(g, x)):
-                return False
-    return True
 
 
 def equivalence_necessary_check(

@@ -41,7 +41,6 @@ from .survey import (
     enumerate_abelian_codes,
     equivalence_necessary_check,
     gamma_image_code,
-    is_abelian_ideal,
 )
 
 
@@ -355,11 +354,11 @@ def check_powers_basis(ctx: VerifyContext) -> str:
         for _ in range(d):
             rows.append(x.coeffs)
             x = a * x
-        rows = np.array(rows)
-        _require(modmat.rank(rows, ctx.q) == d, f"powers-of-a basis has rank < {d}")
+        R, _ = modmat.rref(np.array(rows), ctx.q)
+        _require(len(R) == d, f"powers-of-a basis has rank < {d}")
         code = left_ideal_code(gens.f)
         _require(
-            modmat.same_row_space(rows, code.generator_matrix, ctx.q),
+            np.array_equal(R, code.generator_matrix),
             f"powers-of-a set does not span the ideal in component {j}",
         )
         parts.append(f"j={j}: rank {d}")
@@ -397,7 +396,7 @@ def check_abelian_images(ctx: VerifyContext) -> str:
             img22.same_code(left_ideal_code(minus)),
             f"gamma image of code(e22) is not the abelian ideal, j={j}",
         )
-        _require(is_abelian_ideal(img11), "gamma image of code(e11) not an abelian ideal")
+        _require(img11.is_left_ideal(), "gamma image of code(e11) not an abelian ideal")
     return f"vector identity for all {ctx.dihedral.order} g; row spaces match for j=1..{ctx.m}"
 
 
@@ -506,11 +505,9 @@ def check_nonequivalence(ctx: VerifyContext) -> str:
         return "dim-2 abelian weights are [9, 12, 12]; f-code comparison skipped"
     code_f = left_ideal_code(ctx.noncentral[1].f)
     for row in rows:
-        bits = [b for b in range(len(acat)) if row.mask >> b & 1]
-        gen = acat.members[bits[0]]
-        for b in bits[1:]:
-            gen = gen + acat.members[b]
-        verdict = equivalence_necessary_check(code_f, left_ideal_code(gen), budget=ctx.budget)
+        verdict = equivalence_necessary_check(
+            code_f, left_ideal_code(acat.generator(row.mask)), budget=ctx.budget
+        )
         _require(
             verdict == "impossible",
             f"equivalence not excluded against abelian code mask={row.mask}",

@@ -122,6 +122,25 @@ def test_survey_inadmissible(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("dim", ["-1", "0", "19"])
+def test_survey_dim_out_of_range(tmp_path, capsys, dim):
+    out = tmp_path / "s.tbl"
+    rc = main(["survey", "--q", "11", "--p", "3", "--m", "2", "--dim", dim,
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "out of range 1..18" in capsys.readouterr().err
+
+
+def test_survey_dim_full_length(tmp_path, capsys):
+    out = tmp_path / "s.tbl"
+    rc = main(["survey", "--q", "11", "--p", "3", "--m", "2", "--dim", "18",
+               "--out", str(out)])
+    assert rc == 0
+    assert out.read_text() == "11 3 2\n63 18 1\n"
+    assert "1 rows written" in capsys.readouterr().out
+
+
 def test_verify_single_check(capsys):
     rc = main(["verify", "--q", "11", "--p", "3", "--m", "2",
                "--check", "matrix-units"])

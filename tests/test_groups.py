@@ -98,6 +98,42 @@ def test_all_subgroups_census_d25():
     assert census == Counter({1: 1, 2: 25, 5: 1, 10: 5, 25: 1, 50: 1})
 
 
+@pytest.mark.parametrize("p, m, total", [(3, 3, 44), (5, 3, 160)])
+def test_all_subgroups_count(p, m, total):
+    # sum over d | p^m of 1 + d: <a^d> and its d reflection extensions
+    assert len(DihedralGroup(p, m).all_subgroups()) == total
+
+
+def _closure(table, gens) -> frozenset:
+    seen, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = int(table[x, g])
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def _subgroups_by_closure(group) -> list[list[int]]:
+    """Brute-force reference: every subgroup of these groups is generated by
+    at most two elements, so close every pair over the multiplication table."""
+    table = group.mult_table
+    found = {_closure(table, (g, h)) for g in range(group.order) for h in range(group.order)}
+    return sorted((sorted(s) for s in found), key=lambda s: (len(s), s))
+
+
+@pytest.mark.parametrize("cls", [DihedralGroup, AbelianGroup])
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3)])
+def test_all_subgroups_matches_closure(cls, p, m):
+    group = cls(p, m)
+    found = [[g.index for g in sub] for sub in group.all_subgroups()]
+    assert found == _subgroups_by_closure(group)
+
+
 def test_abelian_is_commutative():
     A = AbelianGroup(3, 2)
     table = np.asarray(A.mult_table)

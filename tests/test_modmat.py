@@ -1,0 +1,133 @@
+"""Properties of the exact F_q linear algebra that code equality rests on:
+two matrices have the same row space exactly when their RREFs are identical.
+Every property is checked against brute-force enumeration of spans."""
+
+import itertools
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dihedral_codes import LinearCode
+from dihedral_codes.modmat import rref, solve
+
+
+def brute_span(A, q) -> set[tuple[int, ...]]:
+    """Every F_q combination of the rows of A."""
+    return {
+        tuple(int(v) for v in np.array(msg, dtype=np.int64) @ A % q)
+        for msg in itertools.product(range(q), repeat=A.shape[0])
+    }
+
+
+def is_invertible(T, q) -> bool:
+    """No nonzero x with x T = 0, by enumeration."""
+    k = T.shape[0]
+    return all(
+        np.any(np.array(x, dtype=np.int64) @ T % q)
+        for x in itertools.product(range(q), repeat=k)
+        if any(x)
+    )
+
+
+def matrices(q, rows, cols):
+    return st.lists(
+        st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    ).map(lambda r: np.array(r, dtype=np.int64).reshape(rows, cols))
+
+
+@st.composite
+def field_and_matrix(draw, min_rows=0):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(min_rows, 3))
+    n = draw(st.integers(1, 6))
+    return q, draw(matrices(q, k, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_and_matrix(min_rows=1), st.data())
+def test_rref_invariant_under_invertible_row_operations(case, data):
+    q, A = case
+    k = A.shape[0]
+    T = data.draw(matrices(q, k, k))
+    assume(is_invertible(T, q))
+    R, pivots = rref(A, q)
+    R2, pivots2 = rref(T @ A % q, q)
+    assert np.array_equal(R, R2) and pivots == pivots2
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_and_matrix())
+def test_rref_is_reduced_and_spans_the_row_space(case):
+    q, A = case
+    R, pivots = rref(A, q)
+    assert R.shape == (len(pivots), A.shape[1])
+    assert pivots == sorted(set(pivots))
+    for r, c in enumerate(pivots):
+        assert not np.any(R[r, :c])
+        assert np.array_equal(R[:, c], np.eye(len(pivots), dtype=np.int64)[r])
+    assert brute_span(R, q) == brute_span(A, q)
+
+
+@st.composite
+def code_pairs(draw):
+    """Two matrices over one field and one length.  Half the time the second
+    is a random combination of the rows of the first, so equal row spaces of
+    different row counts come up often."""
+    q, A = draw(field_and_matrix())
+    kb = draw(st.integers(0, 3))
+    if A.shape[0] and draw(st.booleans()):
+        B = draw(matrices(q, kb, A.shape[0])) @ A % q
+    else:
+        B = draw(matrices(q, kb, A.shape[1]))
+    return q, A, B
+
+
+@settings(max_examples=120, deadline=None)
+@given(code_pairs())
+def test_same_code_is_span_equality(case):
+    q, A, B = case
+    same = LinearCode(A, q).same_code(LinearCode(B, q))
+    assert same == (brute_span(A, q) == brute_span(B, q))
+
+
+def test_same_code_needs_same_field_and_length():
+    A = np.array([[1, 1, 0]], dtype=np.int64)
+    assert LinearCode(A, 3).same_code(LinearCode(A, 3))
+    assert not LinearCode(A, 3).same_code(LinearCode(A, 5))
+    assert not LinearCode(A, 3).same_code(LinearCode(np.array([[1, 1, 0, 0]]), 3))
+    zero3, zero4 = LinearCode(np.zeros((0, 3)), 3), LinearCode(np.zeros((2, 4)), 3)
+    assert zero3.same_code(LinearCode(np.zeros((1, 3)), 3))
+    assert not zero3.same_code(zero4)
+
+
+@st.composite
+def linear_systems(draw):
+    """A x = b with n <= 6 equations in k <= 3 unknowns; b is A x0 for a
+    random x0 half the time, so consistent systems come up often."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    A = draw(matrices(q, n, k))
+    if draw(st.booleans()):
+        b = A @ draw(matrices(q, k, 1))[:, 0] % q
+    else:
+        b = draw(matrices(q, 1, n))[0]
+    return q, A, b
+
+
+@settings(max_examples=120, deadline=None)
+@given(linear_systems())
+def test_solve_matches_brute_force(case):
+    q, A, b = case
+    solvable = any(
+        np.array_equal(A @ np.array(x, dtype=np.int64) % q, b)
+        for x in itertools.product(range(q), repeat=A.shape[1])
+    )
+    x = solve(A, b, q)
+    if solvable:
+        assert x is not None and np.array_equal(A @ x % q, b)
+    else:
+        assert x is None

@@ -10,7 +10,6 @@ from dihedral_codes import (
     equivalence_necessary_check,
     format_survey_table,
     gamma_image_code,
-    is_abelian_ideal,
     left_ideal_code,
 )
 
@@ -97,13 +96,13 @@ def test_gamma_image_is_the_abelian_ideal(units1, acat):
     img22 = gamma_image_code(left_ideal_code(units1.e22))
     assert img11.same_code(left_ideal_code(acat.members[2]))
     assert img22.same_code(left_ideal_code(acat.members[3]))
-    assert is_abelian_ideal(img11)
-    assert is_abelian_ideal(img22)
+    assert img11.is_left_ideal()
+    assert img22.is_left_ideal()
 
 
 def test_gamma_image_of_f_code_is_not_an_ideal(gens1):
     img = gamma_image_code(left_ideal_code(gens1.f))
-    assert not is_abelian_ideal(img)
+    assert not img.is_left_ideal()
 
 
 def test_gamma_image_of_zero_code(d9):
@@ -136,11 +135,17 @@ def test_gamma_is_an_isometry(units1, gens1, catalog):
 def test_equivalence_check_impossible_for_f(acat, gens1):
     code_f = left_ideal_code(gens1.f)
     for row in enumerate_abelian_codes(acat, dim_filter=2):
-        bits = [b for b in range(6) if row.mask >> b & 1]
-        gen = acat.members[bits[0]]
-        for b in bits[1:]:
-            gen = gen + acat.members[b]
+        gen = acat.generator(row.mask)
         assert equivalence_necessary_check(code_f, left_ideal_code(gen)) == "impossible"
+
+
+def test_catalog_generator_sums_masked_members(acat):
+    assert acat.generator(1) == acat.members[0]
+    assert acat.generator(0b101) == acat.members[0] + acat.members[2]
+    assert acat.generator(63) == sum(acat.members[1:], acat.members[0])
+    for mask in (0, 64, -1):
+        with pytest.raises(ValueError):
+            acat.generator(mask)
 
 
 def test_equivalence_check_possible_cases(units1):
