@@ -24,7 +24,6 @@ from .codes import (
     subgroup_pair_code,
 )
 from .ff import (
-    FieldElem,
     InadmissibleParameters,
     PrimeField,
     check_admissible,
@@ -65,7 +64,6 @@ __all__ = [
     "CheckResult",
     "DEFAULT_BUDGET",
     "DihedralGroup",
-    "FieldElem",
     "GroupElem",
     "InadmissibleParameters",
     "LinearCode",

@@ -1,6 +1,15 @@
 """The group algebra F_q G: dense coefficient vectors in canonical element
 order, with convolution product, subgroup averages, centrality tests, and
 inversion inside a component.
+
+Every product goes through one matrix: L(x), whose row g is the left
+translate g x, gathered from the group's `translate_table`.  Then
+x y = x @ L(y), the left ideal generated by x is the row space of L(x), and
+an inverse inside a component solves x L(u) = e.
+
+Exactness: an entry of x @ L(y) is a sum of `order` products of residues
+below q, so it is at most order (q-1)^2.  An element refuses any (G, q) for
+which that bound reaches 2^63, so no int64 product or sum can wrap.
 """
 
 from __future__ import annotations
@@ -8,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import modmat
-from .ff import FieldElem, PrimeField
+from .ff import PrimeField
 from .groups import GroupElem
 
 
@@ -25,6 +34,11 @@ class AlgebraElem:
     __slots__ = ("group", "field", "coeffs")
 
     def __init__(self, group, field: PrimeField, coeffs):
+        bound = group.order * (field.q - 1) ** 2
+        if bound >= 1 << 63:
+            raise ValueError(
+                f"|G| (q-1)^2 = {bound} reaches 2^63; int64 products would overflow"
+            )
         c = np.asarray(coeffs, dtype=np.int64) % field.q
         if c.shape != (group.order,):
             raise ValueError(
@@ -78,32 +92,29 @@ class AlgebraElem:
         return AlgebraElem(self.group, self.field, -self.coeffs)
 
     def scalar_mul(self, c) -> "AlgebraElem":
-        if isinstance(c, FieldElem):
-            if c.field != self.field:
-                raise ValueError("field mismatch")
-            c = c.value
         return AlgebraElem(self.group, self.field, self.coeffs * (int(c) % self.field.q))
 
     # -- products ----------------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, AlgebraElem):
             return self.convolve(other)
-        if isinstance(other, (int, np.integer, FieldElem)):
+        if isinstance(other, (int, np.integer)):
             return self.scalar_mul(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, np.integer, FieldElem)):
+        if isinstance(other, (int, np.integer)):
             return self.scalar_mul(other)
         return NotImplemented
 
     def convolve(self, other: "AlgebraElem") -> "AlgebraElem":
-        """Group algebra product: (xy)_g = sum_h x_h y_{h^{-1} g}."""
+        """Group algebra product: (xy)_g = sum_h x_h y_{h^{-1} g} = (x @ L(y))_g."""
         self._match(other)
-        table = self.group.mult_table
-        out = np.zeros(self.group.order, dtype=np.int64)
-        np.add.at(out, table, np.outer(self.coeffs, other.coeffs))
-        return AlgebraElem(self.group, self.field, out)
+        return AlgebraElem(self.group, self.field, self.coeffs @ other.translates())
+
+    def translates(self) -> np.ndarray:
+        """L(x): the order x order matrix whose row g is the left translate g x."""
+        return self.coeffs[self.group.translate_table]
 
     def __eq__(self, other):
         return (
@@ -126,12 +137,10 @@ class AlgebraElem:
 
 
 def left_translate(g: GroupElem, x: AlgebraElem) -> AlgebraElem:
-    """g . x without a full convolution (permutation of coefficients)."""
+    """g x without a full convolution: row g of L(x), a permutation of x."""
     if g.group != x.group:
         raise ValueError("group mismatch")
-    out = np.zeros(x.group.order, dtype=np.int64)
-    out[x.group.mult_table[g.index]] = x.coeffs
-    return AlgebraElem(x.group, x.field, out)
+    return AlgebraElem(x.group, x.field, x.coeffs[x.group.translate_table[g.index]])
 
 
 def hat(field: PrimeField, subgroup: list[GroupElem]) -> AlgebraElem:
@@ -178,29 +187,20 @@ def support_weight(x: AlgebraElem) -> int:
     return x.support_weight()
 
 
-def left_mult_matrix(x: AlgebraElem) -> np.ndarray:
-    """Matrix of v -> x * v acting on coefficient vectors."""
-    n = x.group.order
-    table = x.group.mult_table
-    U = np.zeros((n, n), dtype=np.int64)
-    for k in range(n):
-        U[table[:, k], k] = x.coeffs
-    return U
-
-
 def invert_in_component(u: AlgebraElem, e: AlgebraElem) -> AlgebraElem:
     """Inverse of u inside the component with identity e.
 
     e must be idempotent and u must lie in the component (u e = u = e u).
-    Found by solving the linear system u v = e; one-sided inverses in a
-    finite dimensional algebra are two-sided, which is re-verified exactly.
+    Found by solving x u = e, that is L(u)^T x = e; then e x e is the
+    inverse, which is unique in e A e because one-sided inverses in a finite
+    dimensional algebra are two-sided.  Both products are re-verified exactly.
     """
     u._match(e)
     if not is_idempotent(e):
         raise ValueError("e is not idempotent")
     if u.convolve(e) != u or e.convolve(u) != u:
         raise ValueError("u does not lie in the component of e")
-    x = modmat.solve(left_mult_matrix(u), e.coeffs, u.field.q)
+    x = modmat.solve(u.translates().T, e.coeffs, u.field.q)
     if x is None:
         raise NotInvertibleError("not invertible in component")
     v = e.convolve(AlgebraElem(u.group, u.field, x)).convolve(e)

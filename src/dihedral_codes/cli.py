@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success, 1 a `verify` check failed, 2 inadmissible parameters
 or malformed input (a bad `--coeffs`, `--sub-h`/`--sub-k`, an out-of-range
 `--j` or a survey `--dim` outside 1..2p^m, or an argument that argument
-parsing rejects, such as a negative `--budget`), 3 enumeration budget
+parsing rejects, such as a negative `--budget`) or a q too large for exact
+int64 arithmetic (2p^m (q-1)^2 >= 2^63), 3 enumeration budget
 exceeded, 4 I/O failure, 5 malformed reference table.  Identical inputs
 produce byte-identical output files.
 """
@@ -20,8 +21,9 @@ import argparse
 import re
 import sys
 
+from .algebra import AlgebraElem
 from .codes import DEFAULT_BUDGET, BudgetExceededError, left_ideal_code, subgroup_pair_code
-from .ff import InadmissibleParameters, PrimeField, check_admissible
+from .ff import PrimeField, check_admissible
 from .groups import DihedralGroup
 from .idempotents import central_idempotents, matrix_units, noncentral_generator
 from .survey import abelian_catalog, enumerate_abelian_codes, write_survey_table
@@ -60,11 +62,16 @@ def _add_common(parser):
 
 
 def _gate_admissible(args) -> bool:
+    """True when (q, p, m) is admissible; otherwise say why on stderr."""
     try:
-        return check_admissible(args.q, args.p, args.m)
+        ok = check_admissible(args.q, args.p, args.m)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return False
+        ok = False
+    if not ok:
+        print(f"inadmissible parameters (q, p, m) = ({args.q}, {args.p}, {args.m})",
+              file=sys.stderr)
+    return ok
 
 
 def _parse_subgroup(group: DihedralGroup, spec: str):
@@ -79,42 +86,34 @@ def _parse_subgroup(group: DihedralGroup, spec: str):
 
 def cmd_construct(args) -> int:
     if not _gate_admissible(args):
-        print(f"inadmissible parameters (q, p, m) = ({args.q}, {args.p}, {args.m})",
-              file=sys.stderr)
         return EXIT_INADMISSIBLE
 
     field = PrimeField(args.q)
     group = DihedralGroup(args.p, args.m)
-    try:
-        if args.gen == "pair":
-            if not args.sub_h or not args.sub_k:
-                raise ValueError("--gen pair needs --sub-h and --sub-k")
-            H = _parse_subgroup(group, args.sub_h)
-            K = _parse_subgroup(group, args.sub_k)
-            code, _ = subgroup_pair_code(field, H, K)
-        elif args.gen == "custom":
-            if not args.coeffs:
-                raise ValueError("--gen custom needs --coeffs")
-            coeffs = [int(t) for t in args.coeffs.split(",")]
-            from .algebra import AlgebraElem
-
-            code = left_ideal_code(AlgebraElem(group, field, coeffs))
+    if args.gen == "pair":
+        if not args.sub_h or not args.sub_k:
+            raise ValueError("--gen pair needs --sub-h and --sub-k")
+        H = _parse_subgroup(group, args.sub_h)
+        K = _parse_subgroup(group, args.sub_k)
+        code, _ = subgroup_pair_code(field, H, K)
+    elif args.gen == "custom":
+        if not args.coeffs:
+            raise ValueError("--gen custom needs --coeffs")
+        coeffs = [int(t) for t in args.coeffs.split(",")]
+        code = left_ideal_code(AlgebraElem(group, field, coeffs))
+    else:
+        catalog = central_idempotents(field, group)
+        if args.gen == "ej":
+            gen = catalog.component(args.j)
         else:
-            catalog = central_idempotents(field, group)
-            if args.gen == "ej":
-                gen = catalog.component(args.j)
-            else:
-                units = matrix_units(catalog, args.j)
-                if args.gen == "e11":
-                    gen = units.e11
-                elif args.gen == "e22":
-                    gen = units.e22
-                else:  # f
-                    gen = noncentral_generator(units).f
-            code = left_ideal_code(gen)
-    except (ValueError, InadmissibleParameters) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+            units = matrix_units(catalog, args.j)
+            if args.gen == "e11":
+                gen = units.e11
+            elif args.gen == "e22":
+                gen = units.e22
+            else:  # f
+                gen = noncentral_generator(units).f
+        code = left_ideal_code(gen)
 
     try:
         code.write(args.out)
@@ -128,17 +127,12 @@ def cmd_construct(args) -> int:
         print(f"{code.n} {code.k} ?")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
     print(f"{code.n} {code.k} {d}")
     return EXIT_OK
 
 
 def cmd_survey(args) -> int:
     if not _gate_admissible(args):
-        print(f"inadmissible parameters (q, p, m) = ({args.q}, {args.p}, {args.m})",
-              file=sys.stderr)
         return EXIT_INADMISSIBLE
     n = 2 * args.p ** args.m
     if args.dim is not None and not 1 <= args.dim <= n:
@@ -168,21 +162,9 @@ def cmd_survey(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.check if args.check else None
-    try:
-        results = run_checks(
-            args.q,
-            args.p,
-            args.m,
-            names=names,
-            budget=args.budget,
-            seed=args.seed,
-        )
-    except InadmissibleParameters as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+    results = run_checks(
+        args.q, args.p, args.m, names=names, budget=args.budget, seed=args.seed
+    )
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
     return EXIT_OK if all(r.passed for r in results) else 1
@@ -207,8 +189,6 @@ def _parse_reference_table(path) -> list[tuple[int, int, int]]:
 
 def cmd_compare(args) -> int:
     if not _gate_admissible(args):
-        print(f"inadmissible parameters (q, p, m) = ({args.q}, {args.p}, {args.m})",
-              file=sys.stderr)
         return EXIT_INADMISSIBLE
     try:
         reference = _parse_reference_table(args.table)
@@ -294,7 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # InadmissibleParameters is a ValueError too
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
 
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ class LinearCode:
     """
 
     def __init__(self, rows, q: int, group=None, field: PrimeField | None = None):
+        self.field = field if field is not None else PrimeField(q)
         R, pivots = modmat.rref(rows, q)
         R = np.ascontiguousarray(R)
         R.setflags(write=False)
@@ -51,7 +52,6 @@ class LinearCode:
         self.group = group
         if group is not None and group.order != self.n:
             raise ValueError("group order does not match code length")
-        self.field = field if field is not None else PrimeField(q)
         self._distribution: np.ndarray | None = None
 
     def __repr__(self):
@@ -163,7 +163,10 @@ class LinearCode:
             if len(vals) != n:
                 raise ValueError(f"row {i} has {len(vals)} entries, expected {n}")
             rows[i] = vals
-        return cls(rows, q, group=group)
+        code = cls(rows, q, group=group)
+        if code.k != k:
+            raise ValueError(f"header says k = {k}, but the rows have rank {code.k}")
+        return code
 
     @classmethod
     def read(cls, path, group=None) -> "LinearCode":
@@ -172,14 +175,11 @@ class LinearCode:
 
 
 def left_ideal_code(x: AlgebraElem) -> LinearCode:
-    """The code spanned by all left translates {g x : g in G}."""
+    """The code spanned by all left translates {g x : g in G}: the row space
+    of L(x)."""
     if x.is_zero():
         raise ValueError("zero generator")
-    n = x.group.order
-    table = x.group.mult_table
-    rows = np.zeros((n, n), dtype=np.int64)
-    rows[np.arange(n)[:, None], table] = x.coeffs[None, :]
-    return LinearCode(rows, x.field.q, group=x.group, field=x.field)
+    return LinearCode(x.translates(), x.field.q, group=x.group, field=x.field)
 
 
 def _transversal(group, sub_indices: frozenset, pool) -> list[int]:

@@ -45,83 +45,12 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.q})"
 
-    def element(self, value: int) -> "FieldElem":
-        return FieldElem(value, self)
-
-    def zero(self) -> "FieldElem":
-        return FieldElem(0, self)
-
-    def one(self) -> "FieldElem":
-        return FieldElem(1, self)
-
-    def elements(self) -> list["FieldElem"]:
-        return [FieldElem(v, self) for v in range(self.q)]
-
     def inv(self, value: int) -> int:
         """Multiplicative inverse of a residue, returned as an int."""
         v = value % self.q
         if v == 0:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.q}")
         return pow(v, -1, self.q)
-
-
-class FieldElem:
-    """A residue in [0, q), tied to its field.  Arithmetic is closed and exact."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = int(value) % field.q
-        self.field = field
-
-    def _check(self, other):
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"expected FieldElem, got {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError("field mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.value + other.value, self.field)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.value - other.value, self.field)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.value * other.value, self.field)
-
-    def __neg__(self):
-        return FieldElem(-self.value, self.field)
-
-    def inv(self) -> "FieldElem":
-        return FieldElem(self.field.inv(self.value), self.field)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inv()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return FieldElem(pow(self.field.inv(self.value), -k, self.field.q), self.field)
-        return FieldElem(pow(self.value, k, self.field.q), self.field)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElem)
-            and other.field == self.field
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.field.q))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value}"
 
 
 def multiplicative_order(q: int, n: int) -> int:

@@ -143,6 +143,19 @@ class _Group:
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def translate_table(self) -> np.ndarray:
+        """order x order table: translate_table[g, h] = index(g^{-1} h).
+
+        For a coefficient vector x, x[translate_table] is the matrix L(x)
+        whose row g is the left translate g x, since (g x)_h = x_{g^{-1} h}.
+        """
+        # each row of mult_table is a permutation with its 0 at g^{-1}
+        inverses = np.argmin(self.mult_table, axis=1)
+        table = self.mult_table[inverses]
+        table.setflags(write=False)
+        return table
+
     # -- subgroups ---------------------------------------------------------
     def subgroup_H(self, j: int) -> list[GroupElem]:
         """The chain subgroup <a^{p^j}> in canonical order.

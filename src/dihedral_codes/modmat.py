@@ -4,6 +4,10 @@ Gaussian elimination with the leftmost-pivot convention.  The reduced row
 echelon form is canonical: two matrices have the same row space exactly when
 their RREFs are identical.  Code equality relies on this; `LinearCode` stores
 its generator matrix in this form and compares codes by comparing matrices.
+
+Exactness: elimination only ever forms one product of two residues below q
+and subtracts it from a residue, so every intermediate is at most (q-1)^2 in
+absolute value.  `asmat` refuses any q for which that bound reaches 2^63.
 """
 
 from __future__ import annotations
@@ -12,6 +16,10 @@ import numpy as np
 
 
 def asmat(mat, q: int) -> np.ndarray:
+    if (q - 1) ** 2 >= 1 << 63:
+        raise ValueError(
+            f"(q-1)^2 = {(q - 1) ** 2} reaches 2^63; int64 elimination would overflow"
+        )
     A = np.array(mat, dtype=np.int64, copy=True)
     if A.ndim == 1:
         A = A[None, :]

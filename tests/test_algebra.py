@@ -3,7 +3,9 @@ import random
 import pytest
 
 from dihedral_codes import (
+    AbelianGroup,
     AlgebraElem,
+    DihedralGroup,
     NotInvertibleError,
     PrimeField,
     hat,
@@ -169,3 +171,65 @@ def test_coeffs_are_read_only(field11, d9):
     x = AlgebraElem.one(d9, field11)
     with pytest.raises(ValueError):
         x.coeffs[0] = 5
+
+
+def brute_product(x, y):
+    """Python-int oracle: (xy)_{gh} += x_g y_h over GroupElem products, with
+    no multiplication or translate table."""
+    out = [0] * x.group.order
+    for g in x.group.elements():
+        for h in x.group.elements():
+            out[(g * h).index] += int(x.coeffs[g.index]) * int(y.coeffs[h.index])
+    return [v % x.field.q for v in out]
+
+
+GROUPS = [DihedralGroup(3, 2), AbelianGroup(3, 2), DihedralGroup(5, 1), AbelianGroup(5, 1)]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=repr)
+@pytest.mark.parametrize("q", [2, 11])
+def test_convolve_matches_brute_force(group, q):
+    field = PrimeField(q)
+    rng = random.Random(6)
+    for _ in range(5):
+        x, y = rand_elem(group, field, rng), rand_elem(group, field, rng)
+        assert list(x.convolve(y).coeffs) == brute_product(x, y)
+        for g in group.elements():
+            ge = AlgebraElem.from_group_elem(g, field)
+            assert list(left_translate(g, y).coeffs) == brute_product(ge, y)
+
+
+@pytest.mark.parametrize("group", [DihedralGroup(3, 2), AbelianGroup(3, 2)], ids=repr)
+def test_invert_in_component_round_trip(field11, group, primitive_idempotents):
+    rng = random.Random(7)
+    for e in primitive_idempotents(field11, group):
+        inverted = 0
+        for _ in range(4):
+            u = e * rand_elem(group, field11, rng) * e
+            if u.is_zero():
+                continue
+            v = invert_in_component(u, e)
+            assert brute_product(u, v) == brute_product(v, u) == list(e.coeffs)
+            assert brute_product(e, v) == list(v.coeffs)
+            inverted += 1
+        assert inverted
+
+
+def test_int64_bound_refuses_wrapping_products(d9):
+    # q = 1000000103: 18 (q-1)^2 >= 2^63, so the int64 product of two
+    # all-(q-1) elements used to wrap to 304892324 in every coordinate
+    q = 1000000103
+    with pytest.raises(ValueError, match=r"2\^63"):
+        AlgebraElem(d9, PrimeField(q), [q - 1] * 18)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        AlgebraElem.zero(d9, PrimeField(715827947))  # smallest prime past the bound
+
+
+def test_product_exact_just_below_int64_bound(d9):
+    q = 715827883  # largest prime with 18 (q-1)^2 < 2^63
+    field = PrimeField(q)
+    x = AlgebraElem(d9, field, [q - 1] * 18)
+    assert list((x * x).coeffs) == brute_product(x, x) == [18] * 18
+    y = rand_elem(d9, field, random.Random(8))
+    assert list((x * y).coeffs) == brute_product(x, y)
+    assert [(q - 1) * int(c) % q for c in y.coeffs] == list(((q - 1) * y).coeffs)

@@ -184,3 +184,19 @@ def test_compare_missing_table(tmp_path):
     rc = main(["compare", "--q", "11", "--p", "3", "--m", "2",
                "--table", str(tmp_path / "nope.tbl")])
     assert rc == 4
+
+
+@pytest.mark.parametrize("command", ["construct", "survey", "compare"])
+def test_q_beyond_int64_bound_exits_2(tmp_path, capsys, command):
+    # (1000000103, 3, 2) is admissible, but 18 (q-1)^2 >= 2^63
+    argv = [command, "--q", "1000000103", "--p", "3", "--m", "2"]
+    table = tmp_path / "ref.tbl"
+    table.write_text("18 2 15\n")
+    argv += {
+        "construct": ["--gen", "f", "--out", str(tmp_path / "f.gm")],
+        "survey": ["--out", str(tmp_path / "s.tbl")],
+        "compare": ["--table", str(table)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2^63" in err

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from dihedral_codes import (
+    AbelianGroup,
     AlgebraElem,
     BudgetExceededError,
+    DihedralGroup,
     LinearCode,
+    PrimeField,
     left_ideal_code,
     left_translate,
     subgroup_pair_code,
 )
+from dihedral_codes.modmat import rref
 
 
 def span_bfs(rows, q):
@@ -208,6 +212,52 @@ def test_from_text_rejects_malformed():
         LinearCode.from_text("4 2 3\n1 0 0 1\n")  # missing a row
     with pytest.raises(ValueError):
         LinearCode.from_text("4 1 3\n1 0 0\n")  # short row
+
+
+def test_from_text_rejects_rank_below_header():
+    with pytest.raises(ValueError, match="rank 2"):
+        LinearCode.from_text("3 3 5\n1 0 0\n0 1 0\n1 1 0\n")
+
+
+def test_composite_modulus_named_before_elimination():
+    with pytest.raises(ValueError, match="field modulus must be prime"):
+        LinearCode([[1, 2], [2, 3]], 6)
+
+
+def test_elimination_int64_bound():
+    q = 3037000507  # smallest prime with (q-1)^2 >= 2^63
+    with pytest.raises(ValueError, match=r"2\^63"):
+        LinearCode([[q - 1, q - 1]], q)
+    q = 3037000493  # largest prime below it
+    code = LinearCode([[q - 1, q - 1], [q - 2, 5]], q)
+    assert code.generator_matrix.tolist() == [[1, 0], [0, 1]]
+    assert LinearCode([[q - 1, q - 1]], q).generator_matrix.tolist() == [[1, 1]]
+
+
+@pytest.mark.parametrize(
+    "group, q",
+    [(DihedralGroup(3, 2), 11), (AbelianGroup(3, 2), 11),
+     (DihedralGroup(5, 1), 7), (AbelianGroup(5, 1), 7)],
+    ids=repr,
+)
+def test_left_ideal_code_against_translate_oracle(group, q, primitive_idempotents):
+    """Rows g x built from GroupElem products alone span the code.  x runs
+    over r e and e r, so the left ideal is proper and, in D, differs from
+    the right ideal."""
+    field = PrimeField(q)
+    rng = np.random.default_rng(9)
+    for e in primitive_idempotents(field, group):
+        r = AlgebraElem(group, field, rng.integers(0, q, group.order))
+        for x in (r * e, e * r):
+            rows = []
+            for g in group.elements():
+                row = [0] * group.order
+                for h in group.elements():
+                    row[(g * h).index] = int(x.coeffs[h.index])
+                rows.append(row)
+            code = left_ideal_code(x)
+            assert code.k < group.order
+            assert np.array_equal(code.generator_matrix, rref(rows, q)[0])
 
 
 def test_rref_is_canonical(gens1):
