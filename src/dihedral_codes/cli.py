@@ -7,12 +7,13 @@ Subcommands:
   compare     check constructed codes against a reference table `n k d_best`
 
 Exit codes: 0 success, 1 a `verify` check failed, 2 inadmissible parameters
-or malformed input (a bad `--coeffs`, `--sub-h`/`--sub-k`, an out-of-range
-`--j` or a survey `--dim` outside 1..2p^m, or an argument that argument
-parsing rejects, such as a negative `--budget`) or a q too large for exact
-int64 arithmetic (2p^m (q-1)^2 >= 2^63), 3 enumeration budget
-exceeded, 4 I/O failure, 5 malformed reference table.  Identical inputs
-produce byte-identical output files.
+or malformed input (a bad `--coeffs`, `--sub-h`/`--sub-k`, a `--gen pair`
+whose two subgroups are equal, an out-of-range `--j` or a survey `--dim`
+outside 1..2p^m, or an argument that argument parsing rejects, such as a
+negative `--budget`) or a q too large for exact int64 arithmetic
+(2p^m (q-1)^2 >= 2^63), 3 enumeration budget exceeded, 4 I/O failure,
+5 malformed reference table.  Identical inputs produce byte-identical
+output files.
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ def cmd_construct(args) -> int:
         H = _parse_subgroup(group, args.sub_h)
         K = _parse_subgroup(group, args.sub_k)
         code, _ = subgroup_pair_code(field, H, K)
+        if code.k == 0:
+            raise ValueError(
+                f"--sub-h {args.sub_h} and --sub-k {args.sub_k} are the same "
+                "subgroup, so the pair code is zero"
+            )
     elif args.gen == "custom":
         if not args.coeffs:
             raise ValueError("--gen custom needs --coeffs")
@@ -146,16 +152,9 @@ def cmd_survey(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    best: dict[int, int | None] = {}
-    for row in rows:
-        cur = best.get(row.dim)
-        if row.min_weight is not None and (cur is None or row.min_weight > cur):
-            best[row.dim] = row.min_weight
-        else:
-            best.setdefault(row.dim, cur)
-    for dim in sorted(best):
-        w = best[dim]
-        print(f"dim {dim}: best weight {'?' if w is None else w}")
+    for dim in sorted({row.dim for row in rows}):
+        known = [r.min_weight for r in rows if r.dim == dim and r.min_weight is not None]
+        print(f"dim {dim}: best weight {max(known) if known else '?'}")
     print(f"{len(rows)} rows written to {args.out}")
     return EXIT_OK
 

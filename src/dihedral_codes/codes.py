@@ -30,6 +30,13 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+def within_budget(q: int, k: int, n: int, budget: int) -> bool:
+    """The one budget rule: the weights of an [n, k] code over F_q are
+    computed when it is the whole space (closed form) or when its q^k
+    messages fit within the budget."""
+    return k == n or q**k <= budget
+
+
 class LinearCode:
     """[n, k] linear code over F_q.
 
@@ -69,6 +76,8 @@ class LinearCode:
         """
         if self._distribution is not None:
             return self._distribution
+        if not within_budget(self.q, self.k, self.n, budget):
+            raise BudgetExceededError(self.size(), budget)
         if self.k == self.n:
             # the whole space: A_w = C(n, w) (q-1)^w, no enumeration needed
             # (object dtype: the counts overflow int64 already for n = 50)
@@ -77,8 +86,6 @@ class LinearCode:
                 dtype=object,
             )
         else:
-            if self.size() > budget:
-                raise BudgetExceededError(self.size(), budget)
             hist = weight_histogram(self.generator_matrix, self.q)
         if hist[0] != 1 or int(hist.sum()) != self.size():
             raise RuntimeError("weight distribution failed internal sanity check")

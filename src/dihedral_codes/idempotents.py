@@ -77,6 +77,21 @@ def _halves(group, field):
     return (one + b) * half, (one - b) * half
 
 
+def check_decomposition(members, label: str) -> None:
+    """Raise unless the members are idempotents that sum to 1 and are
+    pairwise orthogonal; label names the catalog in the error."""
+    total = AlgebraElem.zero(members[0].group, members[0].field)
+    for x in members:
+        if not is_idempotent(x):
+            raise RuntimeError(f"{label} member is not idempotent")
+        total = total + x
+    if total != AlgebraElem.one(total.group, total.field):
+        raise RuntimeError(f"{label} does not sum to 1")
+    for x, y in itertools.combinations(members, 2):
+        if not (x * y).is_zero():
+            raise RuntimeError(f"{label} members are not orthogonal")
+
+
 def central_idempotents(field: PrimeField, group: DihedralGroup) -> CentralCatalog:
     """Build and verify the catalog {e11_0, e22_0, e_1, ..., e_m}."""
     if not isinstance(group, DihedralGroup):
@@ -93,19 +108,9 @@ def central_idempotents(field: PrimeField, group: DihedralGroup) -> CentralCatal
     e22_0 = pminus * e0
 
     catalog = CentralCatalog(group, field, e0, e11_0, e22_0, components)
-    members = catalog.members()
-    total = AlgebraElem.zero(group, field)
-    for x in members:
-        if not is_idempotent(x):
-            raise RuntimeError("central catalog member is not idempotent")
-        if not is_central(x):
-            raise RuntimeError("central catalog member is not central")
-        total = total + x
-    if total != AlgebraElem.one(group, field):
-        raise RuntimeError("central catalog does not sum to 1")
-    for x, y in itertools.combinations(members, 2):
-        if not (x * y).is_zero():
-            raise RuntimeError("central catalog members are not orthogonal")
+    check_decomposition(catalog.members(), "central catalog")
+    if not all(is_central(x) for x in catalog.members()):
+        raise RuntimeError("central catalog member is not central")
     return catalog
 
 

@@ -1,47 +1,54 @@
 """Survey of all abelian codes of F_q[C_{p^m} x C_2].
 
 Under the admissibility hypothesis the abelian algebra is semisimple with
-2(m+1) primitive idempotents, so every ideal is the span of a subset of
-them; enumerating subsets enumerates all abelian codes.  This is what makes
-the non-equivalence screening exhaustive without any bijection search.
+2(m+1) primitive idempotents, so every ideal is the direct sum of the ideals
+of a subset of them; enumerating subsets enumerates all abelian codes.  This
+is what makes the non-equivalence screening exhaustive without any
+bijection search.
+
+The catalog builds and verifies the code of each primitive idempotent once.
+A survey row is the span of the selected member codes, and a row whose
+weights lie outside the budget gets '?' from its dimension alone, without
+building a code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .algebra import AlgebraElem, hat, is_idempotent
-from .codes import DEFAULT_BUDGET, BudgetExceededError, LinearCode, left_ideal_code
+from .algebra import AlgebraElem, hat
+from .codes import DEFAULT_BUDGET, LinearCode, left_ideal_code, within_budget
 from .ff import InadmissibleParameters, PrimeField, check_admissible
 from .groups import AbelianGroup, DihedralGroup
+from .idempotents import check_decomposition
 
 
 @dataclass(frozen=True)
 class AbelianCatalog:
     """Primitive idempotents ((1 +/- t)/2) etil_j, j = 0..m, in bit order
-    (plus_0, minus_0, plus_1, minus_1, ...)."""
+    (plus_0, minus_0, plus_1, minus_1, ...), with the code of each."""
 
     group: AbelianGroup
     field: PrimeField
     members: tuple[AlgebraElem, ...]
-    dims: tuple[int, ...]
+    codes: tuple[LinearCode, ...]
 
     def __len__(self):
         return len(self.members)
 
-    def generator(self, mask: int) -> AlgebraElem:
-        """Sum of the members selected by the bits of mask: the idempotent
-        that generates the survey row with this bitmask."""
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(code.k for code in self.codes)
+
+    def code(self, mask: int) -> LinearCode:
+        """The survey row with this bitmask: the span of the selected member
+        codes, which for orthogonal idempotents is the ideal of their sum."""
         if not 0 < mask < 1 << len(self.members):
             raise ValueError(f"mask {mask} selects no nonempty subset of the catalog")
-        bits = [b for b in range(len(self.members)) if mask >> b & 1]
-        gen = self.members[bits[0]]
-        for b in bits[1:]:
-            gen = gen + self.members[b]
-        return gen
+        rows = [c.generator_matrix for b, c in enumerate(self.codes) if mask >> b & 1]
+        return LinearCode(np.vstack(rows), self.field.q, group=self.group, field=self.field)
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,8 @@ class SurveyRow:
 
 def abelian_catalog(field: PrimeField, p: int, m: int) -> AbelianCatalog:
     """The 2(m+1) primitive idempotents of F_q[C_{p^m} x C_2], verified
-    idempotent, pairwise orthogonal, and summing to 1."""
+    idempotent, pairwise orthogonal, and summing to 1, whose codes are
+    verified to span the algebra independently."""
     if not check_admissible(field.q, p, m):
         raise InadmissibleParameters(f"(q, p, m) = ({field.q}, {p}, {m}) is not admissible")
     group = AbelianGroup(p, m)
@@ -71,20 +79,15 @@ def abelian_catalog(field: PrimeField, p: int, m: int) -> AbelianCatalog:
     for j in range(m + 1):
         members.append(tplus * etil[j])
         members.append(tminus * etil[j])
+    check_decomposition(members, "abelian catalog")
 
-    total = AlgebraElem.zero(group, field)
-    for x in members:
-        if not is_idempotent(x):
-            raise RuntimeError("abelian catalog member is not idempotent")
-        total = total + x
-    if total != one:
-        raise RuntimeError("abelian catalog does not sum to 1")
-    for x, y in combinations(members, 2):
-        if not (x * y).is_zero():
-            raise RuntimeError("abelian catalog members are not orthogonal")
-
-    dims = tuple(left_ideal_code(x).k for x in members)
-    return AbelianCatalog(group, field, tuple(members), dims)
+    catalog = AbelianCatalog(
+        group, field, tuple(members), tuple(left_ideal_code(x) for x in members)
+    )
+    # independent member codes give every row the sum of its members' dims
+    if catalog.code((1 << len(members)) - 1).k != group.order:
+        raise RuntimeError("abelian catalog member codes are not independent")
+    return catalog
 
 
 def enumerate_abelian_codes(
@@ -96,20 +99,14 @@ def enumerate_abelian_codes(
     order.  Rows whose enumeration exceeds the budget get min_weight None
     rather than being skipped."""
     rows = []
-    count = len(catalog.members)
-    for mask in range(1, 1 << count):
-        dim = sum(catalog.dims[b] for b in range(count) if mask >> b & 1)
+    q, n, dims = catalog.field.q, catalog.group.order, catalog.dims
+    for mask in range(1, 1 << len(dims)):
+        dim = sum(k for b, k in enumerate(dims) if mask >> b & 1)
         if dim_filter is not None and dim != dim_filter:
             continue
-        code = left_ideal_code(catalog.generator(mask))
-        if code.k != dim:
-            raise RuntimeError(
-                f"survey row {mask}: rank {code.k} != sum of component dims {dim}"
-            )
-        try:
-            weight = code.min_weight(budget=budget)
-        except BudgetExceededError:
-            weight = None
+        weight = None
+        if within_budget(q, dim, n, budget):
+            weight = catalog.code(mask).min_weight(budget=budget)
         rows.append(SurveyRow(mask, dim, weight))
     return rows
 

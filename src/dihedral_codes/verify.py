@@ -23,11 +23,7 @@ from .algebra import (
     is_idempotent,
     left_translate,
 )
-from .codes import (
-    DEFAULT_BUDGET,
-    left_ideal_code,
-    subgroup_pair_code,
-)
+from .codes import DEFAULT_BUDGET, left_ideal_code, subgroup_pair_code, within_budget
 from .ff import (
     InadmissibleParameters,
     PrimeField,
@@ -125,7 +121,6 @@ def check_field_axioms(ctx: VerifyContext) -> str:
         _require(x * y % q * z % q == x * (y * z % q) % q, "multiplication not associative")
         _require((x + y) % q == (y + x) % q and x * y % q == y * x % q, "not commutative")
         _require(x * (y + z) % q == (x * y % q + x * z % q) % q, "not distributive")
-    for x in range(q):
         _require((x + -x % q) % q == 0, "missing additive inverse")
         if x:
             _require(x * ctx.field.inv(x) % q == 1, "missing multiplicative inverse")
@@ -262,23 +257,15 @@ def check_component_field(ctx: VerifyContext) -> str:
     tested = []
     for j in range(1, ctx.m + 1):
         e = ctx.catalog.component(j)
-        a = AlgebraElem.from_group_elem(ctx.dihedral.a, ctx.field)
-        rows = []
-        x = e
-        for _ in range(ctx.dihedral.rot_order):
-            rows.append(x.coeffs)
-            x = a * x
-        basis, _ = modmat.rref(np.array(rows), ctx.q)
+        # row i < p^m of L(e) is a^i e
+        basis, _ = modmat.rref(e.translates()[: ctx.dihedral.rot_order], ctx.q)
         d = basis.shape[0]
         _require(d == phi_prime_power(ctx.p, j), f"F_q<a>e_{j} has wrong dimension")
         if ctx.q**d <= 2048:
-            combos = _all_nonzero_combos(ctx.q, d)
+            combos = itertools.product(range(ctx.q), repeat=d)
             mode = "exhaustive"
         else:
-            combos = [
-                [rng.randrange(ctx.q) for _ in range(d)] for _ in range(64)
-            ]
-            combos = [c for c in combos if any(c)]
+            combos = [[rng.randrange(ctx.q) for _ in range(d)] for _ in range(64)]
             mode = "sampled"
         count = 0
         for c in combos:
@@ -289,13 +276,6 @@ def check_component_field(ctx: VerifyContext) -> str:
             count += 1
         tested.append(f"e_{j}: {count} {mode}")
     return "every tested nonzero element inverts (" + "; ".join(tested) + ")"
-
-
-def _all_nonzero_combos(q, d):
-    combos = [[]]
-    for _ in range(d):
-        combos = [c + [v] for c in combos for v in range(q)]
-    return [c for c in combos if any(c)]
 
 
 def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
@@ -322,7 +302,7 @@ def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
             if len(basis) != expect:
                 raise CheckFailure("predicted basis has wrong cardinality")
             pairs += 1
-            if code.size() <= budget:
+            if within_budget(code.q, code.k, code.n, budget):
                 w = code.min_weight(budget=budget)
                 if w != 2 * len(H):
                     raise CheckFailure(
@@ -341,13 +321,7 @@ def check_powers_basis(ctx: VerifyContext) -> str:
     parts = []
     for j, gens in ctx.noncentral.items():
         d = phi_prime_power(ctx.p, j)
-        a = AlgebraElem.from_group_elem(ctx.dihedral.a, ctx.field)
-        rows = []
-        x = gens.f
-        for _ in range(d):
-            rows.append(x.coeffs)
-            x = a * x
-        R, _ = modmat.rref(np.array(rows), ctx.q)
+        R, _ = modmat.rref(gens.f.translates()[:d], ctx.q)  # a^i f, i < d
         _require(len(R) == d, f"powers-of-a basis has rank < {d}")
         code = left_ideal_code(gens.f)
         _require(
@@ -401,7 +375,7 @@ def check_gamma_isometry(ctx: VerifyContext) -> str:
         left_ideal_code(ctx.noncentral[1].f),
         left_ideal_code(ctx.catalog.component(1)),
     ):
-        if code.size() > ctx.budget:
+        if not within_budget(code.q, code.k, code.n, ctx.budget):
             continue
         image = gamma_image_code(code)
         _require(
@@ -426,7 +400,7 @@ def check_central_codes(ctx: VerifyContext) -> str:
                 code.k == expect_dim,
                 f"dim code({name}, j={j}) = {code.k}, expected {expect_dim}",
             )
-            if code.size() <= ctx.budget:
+            if within_budget(code.q, code.k, code.n, ctx.budget):
                 w = code.min_weight(budget=ctx.budget)
                 _require(
                     w == expect_w,
@@ -439,7 +413,7 @@ def check_central_codes(ctx: VerifyContext) -> str:
 def check_example_code(ctx: VerifyContext) -> str:
     code = left_ideal_code(ctx.noncentral[1].f)
     _require(code.k == phi_prime_power(ctx.p, 1), "dim code(f) != phi(p)")
-    if code.size() > ctx.budget:
+    if not within_budget(code.q, code.k, code.n, ctx.budget):
         return f"[{code.n}, {code.k}] dimension verified; weight beyond budget"
     w = code.min_weight(budget=ctx.budget)
     if (ctx.p, ctx.m) == (3, 2) and ctx.q not in (2, 3, 5, 7):
@@ -499,7 +473,7 @@ def check_nonequivalence(ctx: VerifyContext) -> str:
     code_f = left_ideal_code(ctx.noncentral[1].f)
     for row in rows:
         verdict = equivalence_necessary_check(
-            code_f, left_ideal_code(acat.generator(row.mask)), budget=ctx.budget
+            code_f, acat.code(row.mask), budget=ctx.budget
         )
         _require(
             verdict == "impossible",

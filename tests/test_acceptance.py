@@ -145,7 +145,8 @@ def test_criterion_7_nonequivalence_survey(field11, gens1):
     assert all(r.min_weight < 13 for r in dim2)
     code_f = left_ideal_code(gens1.f)
     for row in dim2:
-        gen = acat.generator(row.mask)
+        picked = [x for b, x in enumerate(acat.members) if row.mask >> b & 1]
+        gen = sum(picked[1:], picked[0])
         assert equivalence_necessary_check(code_f, left_ideal_code(gen)) == "impossible"
     print("PASS criterion 7: survey max dim-2 weight is 12; f-code inequivalent")
 

@@ -38,6 +38,15 @@ def test_construct_pair(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "18 2 12"
 
 
+def test_construct_pair_of_equal_subgroups_rejected(tmp_path, capsys):
+    out = tmp_path / "z.gm"
+    rc = main(["construct", "--q", "11", "--p", "3", "--m", "2", "--gen", "pair",
+               "--sub-h", "h1", "--sub-k", "h1", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()  # rejected before anything is written
+    assert "h1 and --sub-k h1 are the same subgroup" in capsys.readouterr().err
+
+
 def test_construct_custom(tmp_path, capsys):
     coeffs = "5,2,4,5,2,4,5,2,4,5,4,2,5,4,2,5,4,2"  # the f vector
     out = tmp_path / "c.gm"

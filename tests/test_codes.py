@@ -12,6 +12,7 @@ from dihedral_codes import (
     left_translate,
     subgroup_pair_code,
 )
+from dihedral_codes.codes import within_budget
 from dihedral_codes.modmat import rref
 
 
@@ -122,6 +123,19 @@ def test_budget_semantics(units2):
     w1 = left_ideal_code(units2.e11).min_weight(budget=11 ** 6)
     w2 = left_ideal_code(units2.e11).min_weight(budget=1 << 24)
     assert w1 == w2 == 4
+
+
+def test_budget_boundary():
+    code = LinearCode([[1, 1, 0]], 3)  # q^k = 3
+    assert within_budget(3, 1, 3, 3) and not within_budget(3, 1, 3, 2)
+    assert code.min_weight(budget=3) == 2  # q^k = budget is computed
+    with pytest.raises(BudgetExceededError, match=r"^enumeration too large: "
+                       r"q\^k = 3 exceeds budget 2$"):
+        LinearCode([[1, 1, 0]], 3).weight_distribution(budget=2)
+    # k = n: the closed form needs no enumeration, even at budget 0
+    assert within_budget(3, 3, 3, 0)
+    full = LinearCode(np.eye(3, dtype=np.int64), 3)
+    assert full.weight_distribution(budget=0).tolist() == [1, 6, 12, 8]
 
 
 def test_full_space_shortcut(field11, d9):

@@ -37,6 +37,17 @@ def test_catalog_orthogonal_idempotent_central(catalog):
         assert (y * x).is_zero()
 
 
+def test_decomposition_check_names_its_catalog(catalog):
+    from dihedral_codes.idempotents import check_decomposition
+
+    members = catalog.members()
+    check_decomposition(members, "central catalog")
+    with pytest.raises(RuntimeError, match="^abelian catalog does not sum to 1$"):
+        check_decomposition(members[1:], "abelian catalog")
+    with pytest.raises(RuntimeError, match="^central catalog member is not idempotent$"):
+        check_decomposition((2 * members[0],) + members[1:], "central catalog")
+
+
 def test_e1_frozen_vector(catalog):
     # hand expansion: 4(1 + a^3 + a^6) - 5(sum of all a^i), since 3^-1 = 4
     # and 9^-1 = 5 in F_11

@@ -84,6 +84,81 @@ def test_survey_table_format(acat):
     assert text == "11 3 2\n3 2 9\n4 2 12\n8 2 12\n"
 
 
+# the survey table at (3, 5, 2) as the earlier per-row elimination of L(sum)
+# wrote it: 15 exact rows, 47 '?' rows and the full-space row
+PINNED_3_5_2 = """\
+3 5 2
+1 1 50
+2 1 50
+3 2 25
+4 4 20
+5 5 10
+6 5 20
+7 6 10
+8 4 20
+9 5 20
+10 5 10
+11 6 10
+12 8 10
+13 9 10
+14 9 10
+15 10 5
+16 20 ?
+17 21 ?
+18 21 ?
+19 22 ?
+20 24 ?
+21 25 ?
+22 25 ?
+23 26 ?
+24 24 ?
+25 25 ?
+26 25 ?
+27 26 ?
+28 28 ?
+29 29 ?
+30 29 ?
+31 30 ?
+32 20 ?
+33 21 ?
+34 21 ?
+35 22 ?
+36 24 ?
+37 25 ?
+38 25 ?
+39 26 ?
+40 24 ?
+41 25 ?
+42 25 ?
+43 26 ?
+44 28 ?
+45 29 ?
+46 29 ?
+47 30 ?
+48 40 ?
+49 41 ?
+50 41 ?
+51 42 ?
+52 44 ?
+53 45 ?
+54 45 ?
+55 46 ?
+56 44 ?
+57 45 ?
+58 45 ?
+59 46 ?
+60 48 ?
+61 49 ?
+62 49 ?
+63 50 1
+"""
+
+
+def test_survey_table_pinned_at_3_5_2():
+    rows = enumerate_abelian_codes(abelian_catalog(PrimeField(3), 5, 2))
+    assert format_survey_table(rows, 3, 5, 2) == PINNED_3_5_2
+
+
 def test_survey_table_unknown_marker(acat):
     rows = enumerate_abelian_codes(acat, dim_filter=12, budget=20000)
     text = format_survey_table(rows, 11, 3, 2)
@@ -132,20 +207,40 @@ def test_gamma_is_an_isometry(units1, gens1, catalog):
         assert np.array_equal(code.weight_distribution(), image.weight_distribution())
 
 
+def _masked_sum(acat, mask):
+    """The idempotent of a survey row, summed from the catalog members."""
+    picked = [x for b, x in enumerate(acat.members) if mask >> b & 1]
+    return sum(picked[1:], picked[0])
+
+
 def test_equivalence_check_impossible_for_f(acat, gens1):
     code_f = left_ideal_code(gens1.f)
     for row in enumerate_abelian_codes(acat, dim_filter=2):
-        gen = acat.generator(row.mask)
+        gen = _masked_sum(acat, row.mask)
         assert equivalence_necessary_check(code_f, left_ideal_code(gen)) == "impossible"
 
 
-def test_catalog_generator_sums_masked_members(acat):
-    assert acat.generator(1) == acat.members[0]
-    assert acat.generator(0b101) == acat.members[0] + acat.members[2]
-    assert acat.generator(63) == sum(acat.members[1:], acat.members[0])
-    for mask in (0, 64, -1):
+@pytest.mark.parametrize("q, p, m", [(11, 3, 2), (5, 3, 1), (3, 5, 1), (5, 3, 2), (3, 5, 2)])
+def test_catalog_code_is_the_ideal_of_the_masked_sum(q, p, m):
+    """Oracle: the span of the member codes is the left ideal of the sum of
+    the members, built from scratch as the row space of L(sum)."""
+    acat = abelian_catalog(PrimeField(q), p, m)
+    for mask in range(1, 1 << len(acat)):
+        assert acat.code(mask).same_code(left_ideal_code(_masked_sum(acat, mask)))
+    for mask in (0, 1 << len(acat), -1):
         with pytest.raises(ValueError):
-            acat.generator(mask)
+            acat.code(mask)
+
+
+def test_catalog_rejects_dependent_member_codes(acat, monkeypatch):
+    """The catalog's one rank check is what guarantees every row's
+    dimension, so it must fire when member codes overlap."""
+    import dihedral_codes.survey as survey
+
+    real = survey.left_ideal_code
+    monkeypatch.setattr(survey, "left_ideal_code", lambda x: real(acat.members[0]))
+    with pytest.raises(RuntimeError, match="not independent"):
+        abelian_catalog(acat.field, 3, 2)
 
 
 def test_equivalence_check_possible_cases(units1):

@@ -1,6 +1,8 @@
 """`verify` output pinned line for line, and the int64 bound as seen by the
 checks."""
 
+import time
+
 from dihedral_codes import run_checks
 from dihedral_codes.cli import main
 
@@ -48,3 +50,12 @@ def test_convolution_check_refuses_q_beyond_int64_bound():
     [res] = run_checks(1000000103, 3, 2, names=["convolution"])
     assert not res.passed
     assert "2^63" in res.detail
+
+
+def test_field_axioms_time_does_not_grow_with_q():
+    # the inverse laws are checked on the drawn residues, not by a pass over
+    # all of range(q), which took over 100 s at this q
+    start = time.perf_counter()
+    [res] = run_checks(1000000103, 3, 2, names=["field-axioms"])
+    assert time.perf_counter() - start < 1.0
+    assert res.passed and res.detail == "field axioms hold (3000 seeded triples)"
