@@ -14,11 +14,9 @@ from .algebra import (
     is_central,
     is_idempotent,
     left_translate,
-    support_weight,
 )
 from .codes import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     LinearCode,
     left_ideal_code,
     subgroup_pair_code,
@@ -58,7 +56,6 @@ __all__ = [
     "AbelianCatalog",
     "AbelianGroup",
     "AlgebraElem",
-    "BudgetExceededError",
     "CHECK_NAMES",
     "CentralCatalog",
     "CheckResult",
@@ -94,6 +91,5 @@ __all__ = [
     "noncentral_generator",
     "phi_prime_power",
     "run_checks",
-    "support_weight",
     "write_survey_table",
 ]

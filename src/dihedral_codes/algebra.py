@@ -183,10 +183,6 @@ def is_central(x: AlgebraElem) -> bool:
     return True
 
 
-def support_weight(x: AlgebraElem) -> int:
-    return x.support_weight()
-
-
 def invert_in_component(u: AlgebraElem, e: AlgebraElem) -> AlgebraElem:
     """Inverse of u inside the component with identity e.
 

@@ -23,7 +23,7 @@ import re
 import sys
 
 from .algebra import AlgebraElem
-from .codes import DEFAULT_BUDGET, BudgetExceededError, left_ideal_code, subgroup_pair_code
+from .codes import DEFAULT_BUDGET, left_ideal_code, subgroup_pair_code
 from .ff import PrimeField, check_admissible
 from .groups import DihedralGroup
 from .idempotents import central_idempotents, matrix_units, noncentral_generator
@@ -127,11 +127,13 @@ def cmd_construct(args) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    try:
-        d = code.min_weight(budget=args.budget)
-    except BudgetExceededError as exc:
+    d = code.min_weight(budget=args.budget)
+    if d is None:
         print(f"{code.n} {code.k} ?")
-        print(f"error: {exc}", file=sys.stderr)
+        print(
+            f"error: enumeration too large: q^k = {code.size()} exceeds budget {args.budget}",
+            file=sys.stderr,
+        )
         return EXIT_BUDGET
     print(f"{code.n} {code.k} {d}")
     return EXIT_OK
@@ -208,9 +210,8 @@ def cmd_compare(args) -> int:
             (f"e11[j={j}]", units.e11),
         ):
             code = left_ideal_code(gen)
-            try:
-                d = code.min_weight(budget=args.budget)
-            except BudgetExceededError:
+            d = code.min_weight(budget=args.budget)
+            if d is None:
                 print(f"{label} {code.n} {code.k} ? - unknown (budget)")
                 continue
             ref = next(

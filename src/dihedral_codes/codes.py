@@ -19,22 +19,28 @@ from .groups import GroupElem
 DEFAULT_BUDGET = 1 << 24
 
 
-class BudgetExceededError(RuntimeError):
-    """An exact enumeration would exceed the message budget."""
+def weights(G, q: int, budget: int) -> np.ndarray | None:
+    """The one route chooser for exact weight distributions.
 
-    def __init__(self, size: int, budget: int):
-        super().__init__(
-            f"enumeration too large: q^k = {size} exceeds budget {budget}"
-        )
-        self.size = size
-        self.budget = budget
-
-
-def within_budget(q: int, k: int, n: int, budget: int) -> bool:
-    """The one budget rule: the weights of an [n, k] code over F_q are
-    computed when it is the whole space (closed form) or when its q^k
-    messages fit within the budget."""
-    return k == n or q**k <= budget
+    G holds k independent rows of length n over F_q.  The whole space
+    (k = n) has a closed form; otherwise the q^k messages are scanned when
+    they fit within the budget, and beyond it the answer is None.  The
+    budget only decides whether a value is computed; it never changes one.
+    The counts A_0..A_n come back read-only.
+    """
+    k, n = np.shape(G)
+    if k == n:
+        # A_w = C(n, w) (q-1)^w, no enumeration needed
+        # (object dtype: the counts overflow int64 already for n = 50)
+        hist = np.array([comb(n, w) * (q - 1) ** w for w in range(n + 1)], dtype=object)
+    elif q**k <= budget:
+        hist = weight_histogram(G, q)
+    else:
+        return None
+    if hist[0] != 1 or int(hist.sum()) != q**k:
+        raise RuntimeError("weight distribution failed internal sanity check")
+    hist.setflags(write=False)
+    return hist
 
 
 class LinearCode:
@@ -42,8 +48,8 @@ class LinearCode:
 
     The generator matrix is stored in reduced row echelon form with the
     leftmost-pivot convention, so equal codes have identical matrices.
-    Minimum weight and weight distribution are computed lazily, exactly, and
-    only within the enumeration budget.
+    Minimum weight and weight distribution are computed lazily and exactly,
+    and are None beyond the enumeration budget.
     """
 
     def __init__(self, rows, q: int, group=None, field: PrimeField | None = None):
@@ -68,55 +74,20 @@ class LinearCode:
         return self.q ** self.k
 
     # -- enumeration -------------------------------------------------------
-    def weight_distribution(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """Exact counts A_0..A_n over all q^k codewords.
+    def weight_distribution(self, budget: int = DEFAULT_BUDGET) -> np.ndarray | None:
+        """Exact counts A_0..A_n over all q^k codewords, or None beyond the
+        budget (see `weights`).  None is not cached, so a later call with a
+        larger budget still computes."""
+        if self._distribution is None:
+            self._distribution = weights(self.generator_matrix, self.q, budget)
+        return self._distribution
 
-        The budget only decides whether the scan runs; it never changes a
-        computed value.  A full-space code needs no scan.
-        """
-        if self._distribution is not None:
-            return self._distribution
-        if not within_budget(self.q, self.k, self.n, budget):
-            raise BudgetExceededError(self.size(), budget)
-        if self.k == self.n:
-            # the whole space: A_w = C(n, w) (q-1)^w, no enumeration needed
-            # (object dtype: the counts overflow int64 already for n = 50)
-            hist = np.array(
-                [comb(self.n, w) * (self.q - 1) ** w for w in range(self.n + 1)],
-                dtype=object,
-            )
-        else:
-            hist = weight_histogram(self.generator_matrix, self.q)
-        if hist[0] != 1 or int(hist.sum()) != self.size():
-            raise RuntimeError("weight distribution failed internal sanity check")
-        hist.setflags(write=False)
-        self._distribution = hist
-        return hist
-
-    def min_weight(self, budget: int = DEFAULT_BUDGET) -> int:
-        """Smallest weight of a nonzero codeword, by exhaustive enumeration."""
+    def min_weight(self, budget: int = DEFAULT_BUDGET) -> int | None:
+        """Smallest weight of a nonzero codeword, or None beyond the budget."""
         if self.k == 0:
             raise ValueError("empty code has no minimum weight")
         dist = self.weight_distribution(budget=budget)
-        for w in range(1, self.n + 1):
-            if dist[w]:
-                return w
-        raise RuntimeError("no nonzero codeword found in a k > 0 code")
-
-    def codeword_iter(self):
-        """Deterministic codeword stream in lexicographic message order."""
-        G = self.generator_matrix
-        for r in range(self.size()):
-            digits = np.zeros(self.k, dtype=np.int64)
-            v = r
-            for i in range(self.k - 1, -1, -1):
-                digits[i] = v % self.q
-                v //= self.q
-            word = digits @ G % self.q if self.k else np.zeros(self.n, dtype=np.int64)
-            if self.group is not None:
-                yield AlgebraElem(self.group, self.field, word)
-            else:
-                yield word
+        return None if dist is None else int(np.flatnonzero(dist)[1])
 
     # -- membership and comparison -----------------------------------------
     def contains(self, x) -> bool:

@@ -6,10 +6,10 @@ of a subset of them; enumerating subsets enumerates all abelian codes.  This
 is what makes the non-equivalence screening exhaustive without any
 bijection search.
 
-The catalog builds and verifies the code of each primitive idempotent once.
-A survey row is the span of the selected member codes, and a row whose
-weights lie outside the budget gets '?' from its dimension alone, without
-building a code.
+The catalog builds and verifies the code of each primitive idempotent once,
+and checks that the member codes are independent.  So the stacked generator
+matrices of a row's members are a basis of the row's code, and the survey
+hands them to the weight route chooser as they are, with no elimination.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElem, hat
-from .codes import DEFAULT_BUDGET, LinearCode, left_ideal_code, within_budget
+from .codes import DEFAULT_BUDGET, LinearCode, left_ideal_code, weights
 from .ff import InadmissibleParameters, PrimeField, check_admissible
 from .groups import AbelianGroup, DihedralGroup
 from .idempotents import check_decomposition
@@ -99,14 +99,14 @@ def enumerate_abelian_codes(
     order.  Rows whose enumeration exceeds the budget get min_weight None
     rather than being skipped."""
     rows = []
-    q, n, dims = catalog.field.q, catalog.group.order, catalog.dims
-    for mask in range(1, 1 << len(dims)):
-        dim = sum(k for b, k in enumerate(dims) if mask >> b & 1)
+    q, mats = catalog.field.q, [code.generator_matrix for code in catalog.codes]
+    for mask in range(1, 1 << len(mats)):
+        basis = [G for b, G in enumerate(mats) if mask >> b & 1]
+        dim = sum(len(G) for G in basis)
         if dim_filter is not None and dim != dim_filter:
             continue
-        weight = None
-        if within_budget(q, dim, n, budget):
-            weight = catalog.code(mask).min_weight(budget=budget)
+        dist = weights(np.vstack(basis), q, budget)
+        weight = None if dist is None else int(np.flatnonzero(dist)[1])
         rows.append(SurveyRow(mask, dim, weight))
     return rows
 
@@ -144,10 +144,12 @@ def equivalence_necessary_check(
     code_a: LinearCode, code_b: LinearCode, budget: int = DEFAULT_BUDGET
 ) -> str:
     """'impossible' when length, dimension, or weight distribution rule out
-    a combinatorial equivalence; 'possible' otherwise.  Never a proof of
-    equivalence, only of its absence."""
+    a combinatorial equivalence; 'possible' otherwise, also when a weight
+    distribution lies beyond the budget.  Never a proof of equivalence, only
+    of its absence."""
     if code_a.n != code_b.n or code_a.k != code_b.k or code_a.q != code_b.q:
         return "impossible"
     da = code_a.weight_distribution(budget=budget)
-    db = code_b.weight_distribution(budget=budget)
-    return "possible" if np.array_equal(da, db) else "impossible"
+    db = None if da is None else code_b.weight_distribution(budget=budget)
+    # an unknown distribution rules nothing out
+    return "possible" if db is None or np.array_equal(da, db) else "impossible"

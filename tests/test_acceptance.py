@@ -156,17 +156,20 @@ def test_criterion_8_coefficient_claim(gens1):
     most one coset value vanishes, forcing weight >= 15."""
     code = left_ideal_code(gens1.f)
     coset = [(t % 9) % 3 + 3 * (t // 9) for t in range(18)]
+    messages = np.array(list(itertools.product(range(11), repeat=code.k)))
+    words = messages @ code.generator_matrix % 11
+    assert len({tuple(w) for w in words}) == 121  # no duplicates
     weights = []
-    for word in code.codeword_iter():
-        if word.is_zero():
+    for word in words:
+        if not word.any():
             continue
         slots = [set() for _ in range(6)]
-        for t, v in enumerate(word.coeffs):
+        for t, v in enumerate(word):
             slots[coset[t]].add(int(v))
         assert all(len(s) == 1 for s in slots)
         zero_slots = sum(1 for s in slots if s == {0})
         assert zero_slots <= 1
-        weights.append(word.support_weight())
+        weights.append(int(np.count_nonzero(word)))
     assert len(weights) == 120
     assert min(weights) == 15  # agrees with criterion 1's direct enumeration
     assert Counter(weights) == Counter({15: 60, 18: 60})

@@ -13,7 +13,6 @@ from dihedral_codes import (
     is_central,
     is_idempotent,
     left_translate,
-    support_weight,
 )
 
 
@@ -126,9 +125,9 @@ def test_idempotent_central_flags(field11, d9, catalog, gens1):
 
 
 def test_support_weight_examples(field11, d9, catalog):
-    assert support_weight(AlgebraElem.zero(d9, field11)) == 0
-    assert support_weight(AlgebraElem.from_group_elem(d9.element(4, 1), field11)) == 1
-    assert support_weight(catalog.component(1)) == 9
+    assert AlgebraElem.zero(d9, field11).support_weight() == 0
+    assert AlgebraElem.from_group_elem(d9.element(4, 1), field11).support_weight() == 1
+    assert catalog.component(1).support_weight() == 9
 
 
 def test_left_translate_matches_convolution(field11, d9):

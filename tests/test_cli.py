@@ -76,7 +76,9 @@ def test_construct_budget_exceeded(tmp_path, capsys):
     rc = main(["construct", "--q", "11", "--p", "3", "--m", "2", "--gen", "f",
                "--budget", "100", "--out", str(out)])
     assert rc == 3
-    assert capsys.readouterr().out.strip() == "18 2 ?"
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "18 2 ?"
+    assert captured.err == "error: enumeration too large: q^k = 121 exceeds budget 100\n"
     assert out.exists()  # the matrix is still written
 
 

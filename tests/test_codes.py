@@ -4,7 +4,6 @@ import pytest
 from dihedral_codes import (
     AbelianGroup,
     AlgebraElem,
-    BudgetExceededError,
     DihedralGroup,
     LinearCode,
     PrimeField,
@@ -12,7 +11,7 @@ from dihedral_codes import (
     left_translate,
     subgroup_pair_code,
 )
-from dihedral_codes.codes import within_budget
+from dihedral_codes.codes import weights
 from dihedral_codes.modmat import rref
 
 
@@ -116,8 +115,7 @@ def test_zero_code():
 
 def test_budget_semantics(units2):
     code = left_ideal_code(units2.e11)  # k = 6, 11^6 = 1771561 messages
-    with pytest.raises(BudgetExceededError):
-        code.min_weight(budget=1000)
+    assert code.min_weight(budget=1000) is None
     # a fresh object with a big enough budget computes the same value as the
     # exact-boundary budget: the budget gates, it never alters
     w1 = left_ideal_code(units2.e11).min_weight(budget=11 ** 6)
@@ -127,15 +125,36 @@ def test_budget_semantics(units2):
 
 def test_budget_boundary():
     code = LinearCode([[1, 1, 0]], 3)  # q^k = 3
-    assert within_budget(3, 1, 3, 3) and not within_budget(3, 1, 3, 2)
     assert code.min_weight(budget=3) == 2  # q^k = budget is computed
-    with pytest.raises(BudgetExceededError, match=r"^enumeration too large: "
-                       r"q\^k = 3 exceeds budget 2$"):
-        LinearCode([[1, 1, 0]], 3).weight_distribution(budget=2)
+    assert LinearCode([[1, 1, 0]], 3).weight_distribution(budget=2) is None
+    assert LinearCode([[1, 1, 0]], 3).min_weight(budget=2) is None
     # k = n: the closed form needs no enumeration, even at budget 0
-    assert within_budget(3, 3, 3, 0)
     full = LinearCode(np.eye(3, dtype=np.int64), 3)
     assert full.weight_distribution(budget=0).tolist() == [1, 6, 12, 8]
+
+
+def test_weights_route_chooser(monkeypatch):
+    G = np.array([[1, 1, 0, 0], [0, 1, 2, 1]])  # q^k = 9
+    hist = weights(G, 3, 9)
+    assert hist.tolist() == [1, 0, 2, 4, 2] and not hist.flags.writeable
+    assert weights(G, 3, 8) is None
+    full = weights(np.eye(4, dtype=np.int64), 3, 0)  # k = n: no scan
+    assert full.tolist() == [1, 8, 24, 32, 16] and not full.flags.writeable
+    scans = []
+    monkeypatch.setattr("dihedral_codes.codes.weight_histogram",
+                        lambda G, q: scans.append(q) or np.zeros(5, dtype=np.int64))
+    weights(np.eye(4, dtype=np.int64), 3, 0)
+    assert weights(G, 3, 8) is None and scans == []
+    with pytest.raises(RuntimeError, match="sanity check"):
+        weights(G, 3, 9)  # a histogram without the zero word is refused
+
+
+def test_none_is_not_cached():
+    code = LinearCode([[1, 1, 0], [0, 1, 1]], 3)  # q^k = 9
+    assert code.weight_distribution(budget=8) is None
+    assert code.min_weight(budget=8) is None
+    assert code.weight_distribution(budget=9).tolist() == [1, 0, 6, 2]
+    assert code.min_weight(budget=0) == 2  # computed values are cached
 
 
 def test_full_space_shortcut(field11, d9):
@@ -144,22 +163,6 @@ def test_full_space_shortcut(field11, d9):
     assert dist[0] == 1 and dist[1] == 18 * 10
     assert int(sum(int(c) for c in dist)) == 11 ** 18
     assert code.min_weight(budget=10) == 1
-
-
-def test_codeword_iter_contracts(gens1):
-    code = left_ideal_code(gens1.f)
-    words = list(code.codeword_iter())
-    assert len(words) == 121
-    as_tuples = {tuple(int(v) for v in w.coeffs) for w in words}
-    assert len(as_tuples) == 121  # no duplicates
-    assert all(code.contains(w) for w in words)
-
-
-def test_codeword_iter_zero_code():
-    code = LinearCode(np.zeros((1, 6), dtype=np.int64), 3)
-    words = list(code.codeword_iter())
-    assert len(words) == 1
-    assert not np.any(words[0])
 
 
 def test_subgroup_pair_hstar(field11, d9, units1):

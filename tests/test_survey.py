@@ -232,6 +232,32 @@ def test_catalog_code_is_the_ideal_of_the_masked_sum(q, p, m):
             acat.code(mask)
 
 
+# (5, 3, 2) at the default budget scans rows of 5^10 words for a minute
+@pytest.mark.parametrize("q, p, m, budget",
+                         [(11, 3, 2, 11**6), (5, 3, 2, 5**8), (3, 5, 2, 3**15)])
+def test_survey_weights_match_the_rref_route(q, p, m, budget):
+    """Oracle: a row's weight from the stacked member bases equals the
+    minimum weight of the row's code through its canonical RREF."""
+    acat = abelian_catalog(PrimeField(q), p, m)
+    rows = enumerate_abelian_codes(acat, budget=budget)
+    for row in rows:
+        assert row.min_weight == acat.code(row.mask).min_weight(budget=budget)
+    assert sum(row.min_weight is not None for row in rows) > 15
+
+
+def test_survey_rows_need_no_elimination(acat, monkeypatch):
+    """The catalog has verified that the member codes are independent, so
+    no row eliminates its stacked basis."""
+    import dihedral_codes.modmat as modmat
+
+    real, calls = modmat.rref, []
+    monkeypatch.setattr(modmat, "rref", lambda *args: calls.append(1) or real(*args))
+    rows = enumerate_abelian_codes(acat, budget=11**4)
+    assert len(rows) == 63 and calls == []
+    acat.code(63)  # the patch does see an elimination
+    assert calls == [1]
+
+
 def test_catalog_rejects_dependent_member_codes(acat, monkeypatch):
     """The catalog's one rank check is what guarantees every row's
     dimension, so it must fire when member codes overlap."""

@@ -59,3 +59,26 @@ def test_field_axioms_time_does_not_grow_with_q():
     [res] = run_checks(1000000103, 3, 2, names=["field-axioms"])
     assert time.perf_counter() - start < 1.0
     assert res.passed and res.detail == "field axioms hold (3000 seeded triples)"
+
+
+def test_full_verify_at_budget_zero_reports_every_check(capsys):
+    # a None weight used to reach sorted() in nonequivalence and abort the
+    # whole command with a TypeError before any result line
+    rc = main(["verify", "--q", "11", "--p", "3", "--m", "2", "--budget", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1 and len(lines) == 18
+    assert [line.split()[0] for line in lines] == ["PASS"] * 17 + ["FAIL"]
+    assert lines[-1] == "FAIL nonequivalence: dimension-2 abelian weights are beyond budget 0"
+
+
+def test_checks_beyond_budget_print_unknown_weights(capsys):
+    checks = ["central-codes", "coefficient-claim", "nonequivalence"]
+    argv = ["verify", "--q", "11", "--p", "3", "--m", "2", "--budget", "100"]
+    for name in checks:
+        argv += ["--check", name]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        "PASS central-codes: j=1: [18, 2, ?]; j=2: [18, 6, ?]\n"
+        "PASS coefficient-claim: skipped: the 121 codewords are beyond the budget\n"
+        "FAIL nonequivalence: dimension-2 abelian weights are beyond budget 100\n"
+    )
