@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import traceback
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -531,7 +532,9 @@ def run_checks(
     """Run the named checks (all by default) for one parameter triple.
 
     Raises InadmissibleParameters when (q, p, m) fails the standing
-    hypothesis; individual check failures are reported, not raised.
+    hypothesis; individual check failures are reported, not raised.  An
+    unexpected exception inside one check is reported as a failure carrying
+    its type, with its traceback on stderr, and the later checks still run.
     """
     if names is not None:
         unknown = set(names) - set(CHECK_NAMES)
@@ -547,4 +550,7 @@ def run_checks(
             results.append(CheckResult(name, True, detail))
         except (CheckFailure, RuntimeError, ValueError, ArithmeticError) as exc:
             results.append(CheckResult(name, False, str(exc)))
+        except Exception as exc:  # a defect in one check must not hide the others
+            traceback.print_exc()
+            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
     return results

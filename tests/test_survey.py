@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dihedral_codes import (
+    DEFAULT_BUDGET,
     AbelianGroup,
     InadmissibleParameters,
     PrimeField,
@@ -232,16 +233,14 @@ def test_catalog_code_is_the_ideal_of_the_masked_sum(q, p, m):
             acat.code(mask)
 
 
-# (5, 3, 2) at the default budget scans rows of 5^10 words for a minute
-@pytest.mark.parametrize("q, p, m, budget",
-                         [(11, 3, 2, 11**6), (5, 3, 2, 5**8), (3, 5, 2, 3**15)])
-def test_survey_weights_match_the_rref_route(q, p, m, budget):
+@pytest.mark.parametrize("q, p, m", [(11, 3, 2), (5, 3, 2), (3, 5, 2)])
+def test_survey_weights_match_the_rref_route(q, p, m):
     """Oracle: a row's weight from the stacked member bases equals the
     minimum weight of the row's code through its canonical RREF."""
     acat = abelian_catalog(PrimeField(q), p, m)
-    rows = enumerate_abelian_codes(acat, budget=budget)
+    rows = enumerate_abelian_codes(acat, budget=DEFAULT_BUDGET)
     for row in rows:
-        assert row.min_weight == acat.code(row.mask).min_weight(budget=budget)
+        assert row.min_weight == acat.code(row.mask).min_weight(budget=DEFAULT_BUDGET)
     assert sum(row.min_weight is not None for row in rows) > 15
 
 

@@ -3,7 +3,7 @@ checks."""
 
 import time
 
-from dihedral_codes import run_checks
+from dihedral_codes import run_checks, verify
 from dihedral_codes.cli import main
 
 PINNED_11_3_2 = """\
@@ -82,3 +82,34 @@ def test_checks_beyond_budget_print_unknown_weights(capsys):
         "PASS coefficient-claim: skipped: the 121 codewords are beyond the budget\n"
         "FAIL nonequivalence: dimension-2 abelian weights are beyond budget 100\n"
     )
+
+
+def test_full_subgroup_pair_check_at_5_3_3(capsys):
+    # every nested pair at the default budget: the 36 weights include the
+    # nine [54, 9] codes over F_5 (5^9 words each)
+    assert _verify(capsys, 5, 3, 3, ["subgroup-pairs"]) == (
+        0,
+        "PASS subgroup-pairs: 166 nested pairs: dimension+basis exact; "
+        "36 weights within budget\n",
+    )
+
+
+def test_unexpected_exception_in_one_check_is_reported(capsys, monkeypatch):
+    def broken(ctx):
+        raise IndexError("index 7 is out of bounds")
+
+    checks = [line.split()[1].rstrip(":") for line in PINNED_11_3_2.splitlines()]
+    monkeypatch.setattr(
+        verify, "CHECKS", [(n, broken if n == "gamma-map" else fn) for n, fn in verify.CHECKS]
+    )
+    expect = PINNED_11_3_2.replace(
+        "PASS gamma-map: gamma is an index-preserving bijection on 18 elements",
+        "FAIL gamma-map: IndexError: index 7 is out of bounds",
+    )
+    argv = ["verify", "--q", "11", "--p", "3", "--m", "2"]
+    for name in checks:
+        argv += ["--check", name]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == expect
+    assert "Traceback" in captured.err and "IndexError: index 7" in captured.err
