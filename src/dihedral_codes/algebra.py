@@ -5,7 +5,9 @@ inversion inside a component.
 Every product goes through one matrix: L(x), whose row g is the left
 translate g x, gathered from the group's `translate_table`.  Then
 x y = x @ L(y), the left ideal generated by x is the row space of L(x), and
-an inverse inside a component solves x L(u) = e.
+an inverse inside a component solves x L(u) = e.  A product gathers only the
+rows of L(y) on the support S of x: x y = x[S] @ L(y)[S], so a group element
+or a subgroup average costs a few rows, not the whole matrix.
 
 Exactness: an entry of x @ L(y) is a sum of `order` products of residues
 below q, so it is at most order (q-1)^2.  An element refuses any (G, q) for
@@ -110,7 +112,9 @@ class AlgebraElem:
     def convolve(self, other: "AlgebraElem") -> "AlgebraElem":
         """Group algebra product: (xy)_g = sum_h x_h y_{h^{-1} g} = (x @ L(y))_g."""
         self._match(other)
-        return AlgebraElem(self.group, self.field, self.coeffs @ other.translates())
+        S = self.coeffs.nonzero()[0]
+        rows = other.coeffs[self.group.translate_table.take(S, axis=0)]
+        return AlgebraElem(self.group, self.field, self.coeffs[S] @ rows)
 
     def translates(self) -> np.ndarray:
         """L(x): the order x order matrix whose row g is the left translate g x."""
@@ -156,18 +160,16 @@ def hat(field: PrimeField, subgroup: list[GroupElem]) -> AlgebraElem:
         raise ValueError("repeated elements in subgroup")
     if 0 not in indices:
         raise ValueError("subgroup must contain the identity")
-    table = group.mult_table
-    for g in subgroup:
-        if g.group != group:
-            raise ValueError("group mismatch inside subgroup")
-        if any(int(table[g.index, h]) not in indices for h in indices):
-            raise ValueError("set is not closed under multiplication")
+    if any(g.group != group for g in subgroup):
+        raise ValueError("group mismatch inside subgroup")
+    idx = np.array(sorted(indices))
+    member = np.zeros(group.order, dtype=bool)
+    member[idx] = True
+    if not member[group.mult_table[np.ix_(idx, idx)]].all():
+        raise ValueError("set is not closed under multiplication")
     if len(subgroup) % field.q == 0:
         raise ValueError(f"|H| = {len(subgroup)} is not invertible in F_{field.q}")
-    inv = field.inv(len(subgroup))
-    v = np.zeros(group.order, dtype=np.int64)
-    v[sorted(indices)] = inv
-    return AlgebraElem(group, field, v)
+    return AlgebraElem(group, field, member * field.inv(len(subgroup)))
 
 
 def is_idempotent(x: AlgebraElem) -> bool:

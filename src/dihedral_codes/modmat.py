@@ -5,6 +5,9 @@ echelon form is canonical: two matrices have the same row space exactly when
 their RREFs are identical.  Code equality relies on this; `LinearCode` stores
 its generator matrix in this form and compares codes by comparing matrices.
 
+An elimination step touches only the rows with a nonzero entry in the pivot
+column, and only from that column on; `rref` says why the rest is final.
+
 Exactness: elimination only ever forms one product of two residues below q
 and subtracts it from a residue, so every intermediate is at most (q-1)^2 in
 absolute value.  `asmat` refuses any q for which that bound reaches 2^63.
@@ -30,7 +33,12 @@ def asmat(mat, q: int) -> np.ndarray:
 
 def rref(mat, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_q.  Returns (R, pivot_columns);
-    R keeps only the nonzero rows."""
+    R keeps only the nonzero rows.
+
+    The step at pivot (r, c) updates only the rows with a nonzero factor in
+    column c, from column c on.  Rows r and below are zero left of c, so the
+    pivot row would subtract nothing there, and a zero factor changes nothing
+    at all: the skipped cells are final.  The (q-1)^2 bound is unchanged."""
     A = asmat(mat, q)
     rows, cols = A.shape
     r = 0
@@ -44,12 +52,11 @@ def rref(mat, q: int) -> tuple[np.ndarray, list[int]]:
         piv = r + int(nz[0])
         if piv != r:
             A[[r, piv]] = A[[piv, r]]
-        A[r] = A[r] * pow(int(A[r, c]), -1, q) % q
-        factors = A[:, c].copy()
-        factors[r] = 0
-        if np.any(factors):
-            A -= factors[:, None] * A[r][None, :]
-            A %= q
+        row = A[r, c:] * pow(int(A[r, c]), -1, q) % q
+        hit = np.nonzero(A[:, c])[0]
+        B = A[hit, c:]
+        A[hit, c:] = (B - B[:, :1] * row) % q
+        A[r, c:] = row  # row r was in hit and came out 0; restore it
         pivots.append(c)
         r += 1
     return A[:r], pivots

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from dihedral_codes import (
@@ -81,6 +82,20 @@ def test_hat_H1_frozen(field11, d9):
     for t in (0, 3, 6):
         expect[t] = 4  # 1/3 = 4 in F_11
     assert list(h1.coeffs) == expect
+
+
+@pytest.mark.parametrize("group", [DihedralGroup(3, 2), AbelianGroup(3, 2)], ids=repr)
+def test_hat_rejects_a_set_closed_except_for_one_product(field11, group):
+    """{1, x} with x of order at least 3: of its four products only x x
+    leaves the set, and it is the last cell of the product table."""
+    for x in group.elements()[1:]:
+        if (x * x).index in (0, x.index):
+            continue
+        for S in ([group.identity, x], [x, group.identity]):
+            escaped = [(g, h) for g in S for h in S if g * h not in S]
+            assert escaped == [(x, x)]
+            with pytest.raises(ValueError, match="not closed under multiplication"):
+                hat(field11, S)
 
 
 def test_hat_idempotent_for_every_subgroup(field11, d9):
@@ -232,3 +247,23 @@ def test_product_exact_just_below_int64_bound(d9):
     y = rand_elem(d9, field, random.Random(8))
     assert list((x * y).coeffs) == brute_product(x, y)
     assert [(q - 1) * int(c) % q for c in y.coeffs] == list(((q - 1) * y).coeffs)
+
+
+@pytest.mark.parametrize("group", [DihedralGroup(3, 2), AbelianGroup(3, 2)], ids=repr)
+@pytest.mark.parametrize("q", [2, 11])
+def test_convolve_matches_full_translate_matrix(group, q):
+    """x y gathers L(y) only on the support of x; it must equal x @ L(y)
+    for an empty, a one-point, a subgroup and a full support."""
+    field = PrimeField(q)
+    rng = random.Random(9)
+    subgroup = next(H for H in group.all_subgroups() if 1 < len(H) < group.order
+                    and len(H) % q)
+    xs = [AlgebraElem.zero(group, field),
+          AlgebraElem.from_group_elem(group.element(1, 1), field),
+          hat(field, subgroup),
+          rand_elem(group, field, rng)]
+    assert [x.support_weight() for x in xs][:3] == [0, 1, len(subgroup)]
+    for x in xs:
+        for y in (rand_elem(group, field, rng), hat(field, subgroup)):
+            full = x.coeffs @ y.translates() % q
+            assert np.array_equal(x.convolve(y).coeffs, full)

@@ -5,11 +5,19 @@ Every property is checked against brute-force enumeration of spans."""
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dihedral_codes import LinearCode
-from dihedral_codes.modmat import rref, solve
+from dihedral_codes import (
+    DihedralGroup,
+    LinearCode,
+    PrimeField,
+    central_idempotents,
+    matrix_units,
+    noncentral_generator,
+)
+from dihedral_codes.modmat import asmat, rref, solve
 
 
 def brute_span(A, q) -> set[tuple[int, ...]]:
@@ -131,3 +139,68 @@ def test_solve_matches_brute_force(case):
         assert x is not None and np.array_equal(A @ x % q, b)
     else:
         assert x is None
+
+
+def dense_rref(mat, q):
+    """Oracle: elimination that rescales the whole pivot row and subtracts
+    a multiple of it from every row, over every column."""
+    A = asmat(mat, q)
+    rows, cols = A.shape
+    r = 0
+    pivots: list[int] = []
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        A[r] = A[r] * pow(int(A[r, c]), -1, q) % q
+        factors = A[:, c].copy()
+        factors[r] = 0
+        if np.any(factors):
+            A -= factors[:, None] * A[r][None, :]
+            A %= q
+        pivots.append(c)
+        r += 1
+    return A[:r], pivots
+
+
+def assert_same_rref(A, q):
+    R, pivots = rref(A, q)
+    R0, pivots0 = dense_rref(A, q)
+    assert pivots == pivots0
+    assert R.dtype == R0.dtype and R.shape == R0.shape
+    assert R.tobytes() == R0.tobytes()
+
+
+def test_rref_matches_dense_oracle_on_translate_matrices():
+    """Every L(x) of the (3, 5, 2) catalog, n = 50: the central idempotents,
+    each component's matrix units and its non-central f."""
+    field, group = PrimeField(3), DihedralGroup(5, 2)
+    catalog = central_idempotents(field, group)
+    elems = list(catalog.members())
+    for j in range(1, group.m + 1):
+        units = matrix_units(catalog, j)
+        elems += list(units.as_dict().values()) + [noncentral_generator(units).f]
+    assert len(elems) == 14
+    for x in elems:
+        assert_same_rref(x.translates(), field.q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 11])
+@pytest.mark.parametrize("seed", range(6))
+def test_rref_matches_dense_oracle_on_rank_deficient_matrices(q, seed):
+    """Up to 40 x 60, rank below both sides, with a zero first row (so the
+    first pivot is found below row r), zero columns and duplicated rows."""
+    rng = np.random.default_rng([q, seed])
+    rows, cols = int(rng.integers(2, 41)), int(rng.integers(2, 61))
+    rank = int(rng.integers(1, min(rows, cols)))
+    A = rng.integers(0, q, (rows, rank)) @ rng.integers(0, q, (rank, cols)) % q
+    A[:, rng.choice(cols, size=cols // 4, replace=False)] = 0
+    A[rng.integers(1, rows, size=rows // 3)] = A[rng.integers(1, rows, size=rows // 3)]
+    A[0] = 0
+    assert_same_rref(A, q)
+    assert_same_rref(A.T, q)
