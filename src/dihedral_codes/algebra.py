@@ -113,7 +113,11 @@ class AlgebraElem:
         """Group algebra product: (xy)_g = sum_h x_h y_{h^{-1} g} = (x @ L(y))_g."""
         self._match(other)
         S = self.coeffs.nonzero()[0]
-        rows = other.coeffs[self.group.translate_table.take(S, axis=0)]
+        rows = self.group.translate_table.take(S, axis=0)
+        # L(y)[S] written over its own index block: one |S| x order temporary.
+        # The indices are in range, so "wrap" never wraps; unlike "raise" it
+        # writes without a buffer copy, entry i after reading index i.
+        other.coeffs.take(rows, out=rows, mode="wrap")
         return AlgebraElem(self.group, self.field, self.coeffs[S] @ rows)
 
     def translates(self) -> np.ndarray:

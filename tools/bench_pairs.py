@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two dihedral-codes source trees:
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --pairs 10 \\
-        --seconds 30 --out BENCH_8.json
+    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_8.json
 
-For each workload of BENCHMARK.json and each pair i = 1..N it runs
+For each workload of BENCHMARK.json and each pair i = 1..10 it runs
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
-once in each tree, the parent first in odd pairs and the change first in
+once in each tree, with S the `run_seconds` of BENCHMARK.json, the parent first in odd pairs and the change first in
 even pairs, so a slow phase of the machine falls on both sides alike.  Then
 it runs each workload once per side with `--trace 1`.  The output file holds
 the environment, the method, per workload and end-to-end metric the median
 and quartiles of each side and the number of pairs the change wins, and the
 traced per-layer values of both sides.  Each tree runs its own `src/` under
 the `perfbench/` next to this script, so both sides see the same benchmark;
-the file names each side by its directory name.
+the file names each side by its commit, marked dirty when tracked files
+differ from it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import importlib.util
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -34,16 +33,13 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_PY = ROOT / "perfbench" / "run.py"
+PAIRS = 10
 
 
 def summary(values: list[float]) -> dict[str, float]:
-    """Median and quartiles, linear interpolation between order statistics
-    (numpy's default percentiles)."""
-    if len(values) == 1:
-        q1 = med = q3 = values[0]
-    else:
-        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+    """Median and quartiles (numpy's linear percentiles)."""
+    q1, med, q3 = (round(float(v), 4) for v in numpy.percentile(values, [25, 50, 75]))
+    return {"median": med, "q1": q1, "q3": q3}
 
 
 def wins(pairs: list[tuple[float, float]], better: str) -> str:
@@ -92,6 +88,15 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     return json.loads(lines[-1])
 
 
+def commit(tree: Path) -> str:
+    """The short commit of `tree`, with "+dirty" when tracked files differ from it."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    dirty = git("status", "--porcelain", "--untracked-files=no")
+    return git("rev-parse", "--short", "HEAD") + ("+dirty" if dirty else "")
+
+
 def environment() -> dict[str, object]:
     numba = importlib.util.find_spec("numba") is not None
     return {
@@ -107,22 +112,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="source tree before the change")
     parser.add_argument("--change", type=Path, required=True, help="source tree with the change")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     report = {
         "environment": environment(),
         "method": {
             "command": f"python3 perfbench/run.py --workload W --seed S "
-                       f"--seconds {args.seconds:g} --trace 0",
-            "pairs": f"{args.pairs} per workload, seed S = pair number 1..{args.pairs} on "
+                       f"--seconds {seconds:g} --trace 0",
+            "pairs": f"{PAIRS} per workload, seed S = pair number 1..{PAIRS} on "
                      "both sides; the parent runs first in odd pairs, the change first "
                      "in even pairs",
-            "sides": f"parent = {trees['parent'].name}, change = {trees['change'].name}; "
+            "sides": f"parent = {commit(trees['parent'])}, change = {commit(trees['change'])}; "
                      "each from its own source tree, perfbench/ identical",
             "statistics": "median and quartiles (numpy linear percentiles 25/75) over the "
                           "runs of each side; wins = pairs where the change reads better, "
@@ -135,9 +139,9 @@ def main(argv=None) -> int:
     }
     for w in (w["name"] for w in spec["workloads"]):
         results = []
-        for i in range(1, args.pairs + 1):
+        for i in range(1, PAIRS + 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
-            got = {side: run_once(trees[side], w, i, args.seconds, 0) for side in order}
+            got = {side: run_once(trees[side], w, i, seconds, 0) for side in order}
             results.append((got["parent"], got["change"]))
             print(f"{w} pair {i}: session_s parent "
                   f"{got['parent']['metrics']['session_s']['value']:.3f} change "
@@ -145,7 +149,7 @@ def main(argv=None) -> int:
         report["workloads"][w] = aggregate(results, spec["end_to_end"])
         report["traced"][w] = {}
         for side in ("parent", "change"):
-            res = run_once(trees[side], w, 0, args.seconds, 1)
+            res = run_once(trees[side], w, 0, seconds, 1)
             report["traced"][w][side] = {"correct": res["correct"]} | {
                 name: round(m["value"], 4) for name, m in res["metrics"].items()}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
