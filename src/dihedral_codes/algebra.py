@@ -114,9 +114,8 @@ class AlgebraElem:
         self._match(other)
         S = self.coeffs.nonzero()[0]
         rows = self.group.translate_table.take(S, axis=0)
-        # L(y)[S] written over its own index block: one |S| x order temporary.
-        # The indices are in range, so "wrap" never wraps; unlike "raise" it
-        # writes without a buffer copy, entry i after reading index i.
+        # L(y)[S] over its own index block, one temporary; indices are in range,
+        # so "wrap" never wraps, but unlike "raise" it writes without a buffer.
         other.coeffs.take(rows, out=rows, mode="wrap")
         return AlgebraElem(self.group, self.field, self.coeffs[S] @ rows)
 
