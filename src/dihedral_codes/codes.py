@@ -44,22 +44,21 @@ def weights(G, q: int, budget: int) -> np.ndarray | None:
 
 
 class LinearCode:
-    """[n, k] linear code over F_q.
+    """[n, k] linear code over the prime field F_q.
 
     The generator matrix is stored in reduced row echelon form with the
-    leftmost-pivot convention, so equal codes have identical matrices.
-    Minimum weight and weight distribution are computed lazily and exactly,
-    and are None beyond the enumeration budget.
+    leftmost-pivot convention, so equal codes have identical matrices and
+    rows lie in the code when appending them keeps the rank at k.  Weights
+    are computed lazily and exactly, and are None beyond the budget.
     """
 
-    def __init__(self, rows, q: int, group=None, field: PrimeField | None = None):
-        self.field = field if field is not None else PrimeField(q)
-        R, pivots = modmat.rref(rows, q)
+    def __init__(self, rows, q: int, group=None):
+        PrimeField(q)  # refuses a q that is not prime
+        R, _ = modmat.rref(rows, q)
         R = np.ascontiguousarray(R)
         R.setflags(write=False)
         self.q = q
         self.generator_matrix = R
-        self.pivots = tuple(pivots)
         self.n = R.shape[1]
         self.k = R.shape[0]
         self.group = group
@@ -90,9 +89,14 @@ class LinearCode:
         return None if dist is None else int(np.flatnonzero(dist)[1])
 
     # -- membership and comparison -----------------------------------------
+    def _absorbs(self, *blocks) -> bool:
+        """True when every row of the blocks lies in the code."""
+        stacked = np.vstack([self.generator_matrix, *blocks])
+        return len(modmat.rref(stacked, self.q)[0]) == self.k
+
     def contains(self, x) -> bool:
         v = x.coeffs if isinstance(x, AlgebraElem) else np.asarray(x)
-        return modmat.in_row_space(self.generator_matrix, list(self.pivots), v, self.q)
+        return self._absorbs(v.reshape(1, -1))
 
     def same_code(self, other: "LinearCode") -> bool:
         """Row-space equality: the stored RREFs are canonical, so two codes
@@ -102,15 +106,13 @@ class LinearCode:
         )
 
     def is_left_ideal(self) -> bool:
-        """Closure of the row space under the left action of the group."""
+        """Closure of the row space under the left action of the group: the
+        translates g x, x[T[g]] with T the `translate_table`, of every basis
+        row x by the generators g = a, b lie in the code."""
         if self.group is None:
             raise ValueError("code carries no group")
-        for g in self.group.generators():
-            for row in self.generator_matrix:
-                x = AlgebraElem(self.group, self.field, row)
-                if not self.contains(left_translate(g, x)):
-                    return False
-        return True
+        G, T = self.generator_matrix, self.group.translate_table
+        return self._absorbs(*(G[:, T[g.index]] for g in self.group.generators()))
 
     # -- serialization -------------------------------------------------------
     def to_text(self) -> str:
@@ -157,7 +159,7 @@ def left_ideal_code(x: AlgebraElem) -> LinearCode:
     of L(x)."""
     if x.is_zero():
         raise ValueError("zero generator")
-    return LinearCode(x.translates(), x.field.q, group=x.group, field=x.field)
+    return LinearCode(x.translates(), x.field.q, group=x.group)
 
 
 def _transversal(group, sub_indices: frozenset, pool) -> list[int]:
@@ -192,12 +194,7 @@ def subgroup_pair_code(
 
     hat_H = hat(field, H)
     if h_idx == k_idx:
-        code = LinearCode(
-            np.zeros((1, group.order), dtype=np.int64),
-            field.q,
-            group=group,
-            field=field,
-        )
+        code = LinearCode(np.zeros((1, group.order), dtype=np.int64), field.q, group=group)
         return code, []
     hat_K = hat(field, K)
     code = left_ideal_code(hat_H - hat_K)

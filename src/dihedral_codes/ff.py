@@ -91,3 +91,10 @@ def check_admissible(q: int, p: int, m: int) -> bool:
     if gcd(2 * pm, q) != 1:
         return False
     return multiplicative_order(q, pm) == phi_prime_power(p, m)
+
+
+def require_admissible(q: int, p: int, m: int) -> None:
+    """The gate of every construction that needs the standing hypothesis:
+    raise InadmissibleParameters unless `check_admissible(q, p, m)`."""
+    if not check_admissible(q, p, m):
+        raise InadmissibleParameters(f"(q, p, m) = ({q}, {p}, {m}) is not admissible")

@@ -67,9 +67,11 @@ class GroupElem:
 
 
 class _Group:
-    """Common machinery for the two group families used here."""
+    """Common machinery for the two group families used here: both are
+    <a, b | a^{p^m} = 1 = b^2, b a b = a^flip>, and a subclass fixes flip."""
 
     involution_name = "b"
+    flip: int
 
     def __init__(self, p: int, m: int):
         if not is_prime(p) or p == 2:
@@ -125,10 +127,14 @@ class _Group:
         return GroupElem(self, i, j)
 
     def inverse(self, g: GroupElem) -> GroupElem:
-        raise NotImplementedError
+        if g.group != self:
+            raise ValueError("group mismatch")
+        return GroupElem(self, -self.flip**g.j * g.i, g.j)
 
     def _compose(self, i1, j1, i2, j2):
-        raise NotImplementedError
+        # b a b = a^flip gives (a^i b^j)(a^k b^l) = a^{i + flip^j k} b^{j+l};
+        # the same expression serves ints and index arrays
+        return i1 + self.flip**j1 * i2, j1 + j2
 
     @cached_property
     def mult_table(self) -> np.ndarray:
@@ -199,40 +205,18 @@ class DihedralGroup(_Group):
     """D = <a, b | a^{p^m} = 1 = b^2, b a b = a^{-1}>, order 2 p^m."""
 
     involution_name = "b"
-
-    def _compose(self, i1, j1, i2, j2):
-        # (a^i b^j)(a^k b^l) = a^{i + (-1)^j k} b^{j+l}
-        if isinstance(j1, np.ndarray):
-            return i1 + np.where(j1 == 1, -i2, i2), j1 + j2
-        return (i1 - i2 if j1 == 1 else i1 + i2), j1 + j2
-
-    def inverse(self, g: GroupElem) -> GroupElem:
-        if g.group != self:
-            raise ValueError("group mismatch")
-        if g.j == 1:
-            return GroupElem(self, g.i, 1)  # reflections are involutions
-        return GroupElem(self, -g.i, 0)
+    flip = -1
 
 
 class AbelianGroup(_Group):
     """C_{p^m} x C_2 with generators a (order p^m) and t (order 2)."""
 
     involution_name = "t"
+    flip = 1
 
     @property
     def t(self) -> GroupElem:
         return self.b
-
-    def _compose(self, i1, j1, i2, j2):
-        return i1 + i2, j1 + j2
-
-    def inverse(self, g: GroupElem) -> GroupElem:
-        if g.group != self:
-            raise ValueError("group mismatch")
-        return GroupElem(self, -g.i, g.j)
-
-    # the K_j of the abelian chain coincide with the H_j construction
-    subgroup_K = _Group.subgroup_H
 
 
 def gamma(g: GroupElem, target: AbelianGroup) -> GroupElem:

@@ -21,7 +21,7 @@ from .algebra import (
     is_central,
     is_idempotent,
 )
-from .ff import InadmissibleParameters, PrimeField, check_admissible
+from .ff import PrimeField, require_admissible
 from .groups import DihedralGroup
 
 
@@ -70,7 +70,15 @@ class NonCentralGenerators:
     alpha_inv: AlgebraElem
 
 
+def chain_idempotents(field: PrimeField, group) -> list[AlgebraElem]:
+    """hat(H_0), then hat(H_j) - hat(H_{j-1}) for j = 1..m: the central
+    idempotents of the rotation chain, shared by both group families."""
+    hats = [hat(field, group.subgroup_H(j)) for j in range(group.m + 1)]
+    return hats[:1] + [hats[j] - hats[j - 1] for j in range(1, group.m + 1)]
+
+
 def _halves(group, field):
+    """(1 + b)/2 and (1 - b)/2, with b the involution t in the abelian group."""
     one = AlgebraElem.one(group, field)
     b = AlgebraElem.from_group_elem(group.b, field)
     half = field.inv(2)
@@ -96,18 +104,11 @@ def central_idempotents(field: PrimeField, group: DihedralGroup) -> CentralCatal
     """Build and verify the catalog {e11_0, e22_0, e_1, ..., e_m}."""
     if not isinstance(group, DihedralGroup):
         raise TypeError("central_idempotents needs a dihedral group")
-    if not check_admissible(field.q, group.p, group.m):
-        raise InadmissibleParameters(
-            f"(q, p, m) = ({field.q}, {group.p}, {group.m}) is not admissible"
-        )
-    hats = [hat(field, group.subgroup_H(j)) for j in range(group.m + 1)]
-    e0 = hats[0]
-    components = tuple(hats[j] - hats[j - 1] for j in range(1, group.m + 1))
+    require_admissible(field.q, group.p, group.m)
+    e0, *components = chain_idempotents(field, group)
     pplus, pminus = _halves(group, field)
-    e11_0 = pplus * e0
-    e22_0 = pminus * e0
 
-    catalog = CentralCatalog(group, field, e0, e11_0, e22_0, components)
+    catalog = CentralCatalog(group, field, e0, pplus * e0, pminus * e0, tuple(components))
     check_decomposition(catalog.members(), "central catalog")
     if not all(is_central(x) for x in catalog.members()):
         raise RuntimeError("central catalog member is not central")

@@ -3,7 +3,8 @@
 Gaussian elimination with the leftmost-pivot convention.  The reduced row
 echelon form is canonical: two matrices have the same row space exactly when
 their RREFs are identical.  Code equality relies on this; `LinearCode` stores
-its generator matrix in this form and compares codes by comparing matrices.
+its generator matrix in this form and compares codes by comparing matrices,
+and a row lies in a code when appending it to that matrix keeps the rank.
 
 An elimination step touches only the rows with a nonzero entry in the pivot
 column, and only from that column on; `rref` says why the rest is final.
@@ -78,17 +79,4 @@ def solve(A, b, q: int) -> np.ndarray | None:
     for row, c in enumerate(pivots):
         x[c] = R[row, cols]
     return x
-
-
-def reduce_vector(R: np.ndarray, pivots: list[int], v, q: int) -> np.ndarray:
-    """Residue of v after elimination against an RREF basis."""
-    w = np.array(v, dtype=np.int64, copy=True).reshape(-1) % q
-    for row, c in enumerate(pivots):
-        if w[c]:
-            w = (w - w[c] * R[row]) % q
-    return w
-
-
-def in_row_space(R: np.ndarray, pivots: list[int], v, q: int) -> bool:
-    return not np.any(reduce_vector(R, pivots, v, q))
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElem, hat
+from .algebra import AlgebraElem
 from .codes import DEFAULT_BUDGET, LinearCode, left_ideal_code, weights
-from .ff import InadmissibleParameters, PrimeField, check_admissible
+from .ff import PrimeField, require_admissible
 from .groups import AbelianGroup, DihedralGroup
-from .idempotents import check_decomposition
+from .idempotents import _halves, chain_idempotents, check_decomposition
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class AbelianCatalog:
         if not 0 < mask < 1 << len(self.members):
             raise ValueError(f"mask {mask} selects no nonempty subset of the catalog")
         rows = [c.generator_matrix for b, c in enumerate(self.codes) if mask >> b & 1]
-        return LinearCode(np.vstack(rows), self.field.q, group=self.group, field=self.field)
+        return LinearCode(np.vstack(rows), self.field.q, group=self.group)
 
 
 @dataclass(frozen=True)
@@ -65,20 +65,10 @@ def abelian_catalog(field: PrimeField, p: int, m: int) -> AbelianCatalog:
     """The 2(m+1) primitive idempotents of F_q[C_{p^m} x C_2], verified
     idempotent, pairwise orthogonal, and summing to 1, whose codes are
     verified to span the algebra independently."""
-    if not check_admissible(field.q, p, m):
-        raise InadmissibleParameters(f"(q, p, m) = ({field.q}, {p}, {m}) is not admissible")
+    require_admissible(field.q, p, m)
     group = AbelianGroup(p, m)
-    khats = [hat(field, group.subgroup_K(j)) for j in range(m + 1)]
-    etil = [khats[0]] + [khats[j] - khats[j - 1] for j in range(1, m + 1)]
-    one = AlgebraElem.one(group, field)
-    t = AlgebraElem.from_group_elem(group.t, field)
-    half = field.inv(2)
-    tplus, tminus = (one + t) * half, (one - t) * half
-
-    members = []
-    for j in range(m + 1):
-        members.append(tplus * etil[j])
-        members.append(tminus * etil[j])
+    halves = _halves(group, field)
+    members = [h * e for e in chain_idempotents(field, group) for h in halves]
     check_decomposition(members, "abelian catalog")
 
     catalog = AbelianCatalog(
@@ -137,7 +127,7 @@ def gamma_image_code(code: LinearCode, target: AbelianGroup | None = None) -> Li
         target = AbelianGroup(code.group.p, code.group.m)
     if (target.p, target.m) != (code.group.p, code.group.m):
         raise ValueError("parameter mismatch between code group and target group")
-    return LinearCode(code.generator_matrix, code.q, group=target, field=code.field)
+    return LinearCode(code.generator_matrix, code.q, group=target)
 
 
 def equivalence_necessary_check(

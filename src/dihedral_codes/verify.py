@@ -25,12 +25,7 @@ from .algebra import (
     left_translate,
 )
 from .codes import DEFAULT_BUDGET, left_ideal_code, subgroup_pair_code
-from .ff import (
-    InadmissibleParameters,
-    PrimeField,
-    check_admissible,
-    phi_prime_power,
-)
+from .ff import PrimeField, phi_prime_power, require_admissible
 from .groups import AbelianGroup, DihedralGroup, gamma
 from .idempotents import central_idempotents, matrix_units, noncentral_generator
 from .survey import (
@@ -53,26 +48,17 @@ class CheckResult:
 
 
 class VerifyContext:
-    """Shared lazily-built objects for one (q, p, m) verification run."""
+    """Shared objects for one (q, p, m) verification run; the catalogs are
+    built on first use."""
 
     def __init__(self, q, p, m, budget=DEFAULT_BUDGET, seed=0):
-        if not check_admissible(q, p, m):
-            raise InadmissibleParameters(f"(q, p, m) = ({q}, {p}, {m}) is not admissible")
+        require_admissible(q, p, m)
         self.q, self.p, self.m = q, p, m
         self.budget = budget
         self.seed = seed
-
-    @cached_property
-    def field(self):
-        return PrimeField(self.q)
-
-    @cached_property
-    def dihedral(self):
-        return DihedralGroup(self.p, self.m)
-
-    @cached_property
-    def abelian(self):
-        return AbelianGroup(self.p, self.m)
+        self.field = PrimeField(q)
+        self.dihedral = DihedralGroup(p, m)
+        self.abelian = AbelianGroup(p, m)
 
     @cached_property
     def catalog(self):
@@ -427,26 +413,35 @@ def check_example_code(ctx: VerifyContext) -> str:
 def check_coefficient_claim(ctx: VerifyContext) -> str:
     """Codewords of the [2 p^m, phi(p)] code from f are constant on cosets
     of H_1 and at most one coset value vanishes, forcing weight >= 15.
-    Specific to p = 3, m = 2, char not in {2, 3, 5, 7}."""
+    Specific to p = 3, m = 2, char not in {2, 3, 5, 7}.
+
+    Checked on the generator matrix: its rows are constant on the six
+    slots, so by linearity every codeword is, and no nonzero message
+    vanishes on two slots when every two slot columns have rank k."""
     if (ctx.p, ctx.m) != (3, 2) or ctx.q in (2, 3, 5, 7):
         return "skipped: claim applies to p=3, m=2 with char not in {2,3,5,7}"
     code = left_ideal_code(ctx.noncentral[1].f)
-    if code.min_weight(budget=ctx.budget) is None:
+    w = code.min_weight(budget=ctx.budget)
+    if w is None:
         return f"skipped: the {code.size()} codewords are beyond the budget"
-    pm = ctx.dihedral.rot_order
-    coset = [(idx % pm) % 3 + 3 * (idx // pm) for idx in range(code.n)]
-    n_slots = 6
-    messages = np.array(list(itertools.product(range(ctx.q), repeat=code.k)))
-    words = messages @ code.generator_matrix % ctx.q
-    for word in words[1:]:  # message 0 gives the only zero word
-        values = [set() for _ in range(n_slots)]
-        for idx, v in enumerate(word):
-            values[coset[idx]].add(int(v))
-        _require(all(len(s) == 1 for s in values), "codeword not constant on cosets")
-        zero_slots = sum(1 for s in values if s == {0})
-        _require(zero_slots <= 1, f"{zero_slots} coset values vanish simultaneously")
-        _require(np.count_nonzero(word) >= 15, "weight below 15")
-    return f"all {len(words) - 1} nonzero codewords: <= 1 vanishing coset value"
+    pm, q, G = ctx.dihedral.rot_order, ctx.q, code.generator_matrix
+    idx = np.arange(code.n)
+    slot = (idx % pm) % 3 + 3 * (idx // pm)
+    values = np.zeros((code.k, 6), dtype=np.int64)  # row r's value on each slot
+    values[:, slot] = G
+    _require(np.array_equal(values[:, slot], G), "codeword not constant on cosets")
+    for pair in itertools.combinations(range(6), 2):
+        R, pivots = modmat.rref(values[:, list(pair)].T, q)
+        if len(R) < code.k:
+            # a nonzero message in the left kernel of the two slot columns
+            free = min(set(range(code.k)) - set(pivots))
+            msg = np.zeros(code.k, dtype=np.int64)
+            msg[free] = 1
+            msg[pivots] = -R[:, free]
+            zero_slots = int(np.count_nonzero(msg @ values % q == 0))
+            raise CheckFailure(f"{zero_slots} coset values vanish simultaneously")
+    _require(w >= 15, "weight below 15")
+    return f"all {code.size() - 1} nonzero codewords: <= 1 vanishing coset value"
 
 
 def check_survey(ctx: VerifyContext) -> str:

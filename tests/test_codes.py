@@ -1,5 +1,9 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedral_codes import (
     AbelianGroup,
@@ -289,3 +293,96 @@ def test_rref_is_canonical(gens1):
 
 def test_same_code_distinguishes(units1, gens1):
     assert not left_ideal_code(gens1.f).same_code(left_ideal_code(units1.e11))
+
+
+# -- row-space membership and left-ideal closure against brute force ----------
+ROW_SPACE_GROUPS = [
+    cls(p, m) for cls in (DihedralGroup, AbelianGroup) for p, m in ((3, 1), (5, 1), (3, 2))
+]
+SPAN_CAP = 5**6  # words a brute-force span may hold
+
+
+@cache
+def _product_index(group, side):
+    """perm[g, h] = index of g h ("left") or h g ("right"), from GroupElem
+    products alone."""
+    els = group.elements()
+    if side == "left":
+        return np.array([[(g * h).index for h in els] for g in els])
+    return np.array([[(h * g).index for h in els] for g in els])
+
+
+def _translate(group, g, x, side="left"):
+    """g x or x g for the element of index g: the coefficient of h moves to
+    g h or h g."""
+    out = np.zeros_like(x)
+    out[_product_index(group, side)[g]] = x
+    return out
+
+
+def _brute_span(rows, q) -> set[bytes]:
+    """Every word of the span, grown one row at a time with no elimination;
+    a row already in the span is skipped, so no word repeats."""
+    words = np.zeros((1, rows.shape[1]), dtype=np.int64)
+    seen = {words[0].tobytes()}
+    for row in rows:
+        if row.tobytes() not in seen:
+            words = (words[None] + np.arange(q)[:, None, None] * row) % q
+            words = words.reshape(-1, rows.shape[1])
+            seen = {w.tobytes() for w in words}
+    return seen
+
+
+def _vectors(q, n):
+    return st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.int64)
+    )
+
+
+@st.composite
+def row_sets(draw):
+    """(group, q, rows) from one of three sources: a few random rows; the
+    first p^m rows a^i x of L(x), closed under a but usually not under b; or
+    all of L(x), a left ideal that in D is usually not a right ideal.  x is
+    y times the sum over a subgroup S, drawn so that the ideal, of dimension
+    at most |G|/|S|, has a span small enough to enumerate."""
+    group = draw(st.sampled_from(ROW_SPACE_GROUPS))
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = group.order
+    source = draw(st.sampled_from(["random", "powers of a", "ideal"]))
+    if source == "random":
+        return group, q, np.array([draw(_vectors(q, n)) for _ in range(draw(st.integers(1, 3)))])
+    S = draw(st.sampled_from(
+        [S for S in group.all_subgroups() if q ** (n // len(S)) <= SPAN_CAP]
+    ))
+    s = np.zeros(n, dtype=np.int64)
+    s[[g.index for g in S]] = 1
+    field = PrimeField(q)
+    x = (AlgebraElem(group, field, draw(_vectors(q, n))) * AlgebraElem(group, field, s)).coeffs
+    rows = np.array([_translate(group, g, x) for g in range(n)])
+    return group, q, rows[: group.rot_order] if source == "powers of a" else rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_sets(), st.data())
+def test_contains_matches_brute_force_span(case, data):
+    group, q, rows = case
+    span = _brute_span(rows, q)
+    code = LinearCode(rows, q, group=group)
+    combo = np.array(data.draw(_vectors(q, len(rows)))) @ rows % q
+    candidates = [combo, data.draw(_vectors(q, group.order))]
+    candidates += [_translate(group, g, rows[0]) for g in range(group.order)]
+    for v in candidates:
+        assert code.contains(v) == (v.tobytes() in span)
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_sets())
+def test_is_left_ideal_matches_brute_force_closure(case):
+    """Closed under left translation by every group element, not only a, b."""
+    group, q, rows = case
+    span = _brute_span(rows, q)
+    closed = all(
+        _translate(group, g, row).tobytes() in span for g in range(group.order) for row in rows
+    )
+    assert LinearCode(rows, q, group=group).is_left_ideal() == closed

@@ -180,3 +180,33 @@ def test_canonical_index_round_trip(d9):
         assert g.i == t % 9 and g.j == t // 9
     with pytest.raises(ValueError):
         d9.from_index(18)
+
+
+def _reference_product(group, g, h):
+    """(i, j) of g h by each family's own formula: b a^k = a^{-k} b in D,
+    componentwise addition in C_{p^m} x C_2."""
+    if isinstance(group, DihedralGroup) and g.j == 1:
+        i = g.i - h.i
+    else:
+        i = g.i + h.i
+    return i % group.rot_order, (g.j + h.j) % 2
+
+
+def _reference_inverse(group, g):
+    if isinstance(group, DihedralGroup) and g.j == 1:
+        return g.i, 1  # reflections are their own inverse
+    return -g.i % group.rot_order, g.j
+
+
+@pytest.mark.parametrize("cls", [DihedralGroup, AbelianGroup])
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3)])
+def test_group_law_matches_per_family_formulas(cls, p, m):
+    group = cls(p, m)
+    pm = group.rot_order
+    table = group.mult_table
+    for g in group.elements():
+        assert g.inverse() == group.element(*_reference_inverse(group, g))
+        for h in group.elements():
+            i, j = _reference_product(group, g, h)
+            assert g * h == group.element(i, j)
+            assert table[g.index, h.index] == i + j * pm

@@ -113,3 +113,26 @@ def test_unexpected_exception_in_one_check_is_reported(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == expect
     assert "Traceback" in captured.err and "IndexError: index 7" in captured.err
+
+
+def test_coefficient_claim_at_q_4001_reads_the_generator_matrix(capsys):
+    # 4001^2 = 16008001 codewords fit the default budget; the claim is
+    # checked on the 2 x 18 generator matrix, not by listing every codeword
+    start = time.perf_counter()
+    result = _verify(capsys, 4001, 3, 2, ["coefficient-claim"])
+    assert time.perf_counter() - start < 1.0
+    assert result == (
+        0,
+        "PASS coefficient-claim: all 16008000 nonzero codewords: <= 1 vanishing coset value\n",
+    )
+
+
+def test_coefficient_claim_names_the_vanishing_coset_values(capsys, monkeypatch, units1):
+    # code(e11) is also constant on the six cosets, but its [18, 2, 12]
+    # words vanish on two of them
+    e11_code = verify.left_ideal_code(units1.e11)
+    monkeypatch.setattr(verify, "left_ideal_code", lambda x: e11_code)
+    assert _verify(capsys, 11, 3, 2, ["coefficient-claim"]) == (
+        1,
+        "FAIL coefficient-claim: 2 coset values vanish simultaneously\n",
+    )
