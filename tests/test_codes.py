@@ -303,20 +303,16 @@ SPAN_CAP = 5**6  # words a brute-force span may hold
 
 
 @cache
-def _product_index(group, side):
-    """perm[g, h] = index of g h ("left") or h g ("right"), from GroupElem
-    products alone."""
+def _left_products(group):
+    """table[g, h] = index of g h, from GroupElem products alone."""
     els = group.elements()
-    if side == "left":
-        return np.array([[(g * h).index for h in els] for g in els])
-    return np.array([[(h * g).index for h in els] for g in els])
+    return np.array([[(g * h).index for h in els] for g in els])
 
 
-def _translate(group, g, x, side="left"):
-    """g x or x g for the element of index g: the coefficient of h moves to
-    g h or h g."""
+def _translate(group, g, x):
+    """g x for the element of index g: the coefficient of h moves to g h."""
     out = np.zeros_like(x)
-    out[_product_index(group, side)[g]] = x
+    out[_left_products(group)[g]] = x
     return out
 
 
@@ -369,7 +365,7 @@ def test_contains_matches_brute_force_span(case, data):
     group, q, rows = case
     span = _brute_span(rows, q)
     code = LinearCode(rows, q, group=group)
-    combo = np.array(data.draw(_vectors(q, len(rows)))) @ rows % q
+    combo = data.draw(_vectors(q, len(rows))) @ rows % q
     candidates = [combo, data.draw(_vectors(q, group.order))]
     candidates += [_translate(group, g, rows[0]) for g in range(group.order)]
     for v in candidates:
