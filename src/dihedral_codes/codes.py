@@ -12,7 +12,7 @@ import numpy as np
 
 from . import modmat
 from ._kernels import weight_histogram
-from .algebra import AlgebraElem, hat, left_translate
+from .algebra import AlgebraElem, hat
 from .ff import PrimeField
 from .groups import GroupElem
 
@@ -114,6 +114,16 @@ class LinearCode:
         G, T = self.generator_matrix, self.group.translate_table
         return self._absorbs(*(G[:, T[g.index]] for g in self.group.generators()))
 
+    def right_translate(self, g: GroupElem) -> "LinearCode":
+        """The code C g = {x g : x in C}.  Coordinate h of x lands on hg, so
+        column h of the generator matrix moves to column `mult_table[h, g]`;
+        the moved matrix is reduced again to its canonical RREF."""
+        if self.group is None:
+            raise ValueError("code carries no group")
+        moved = np.empty_like(self.generator_matrix)
+        moved[:, self.group.mult_table[:, g.index]] = self.generator_matrix
+        return LinearCode(moved, self.q, group=self.group)
+
     # -- serialization -------------------------------------------------------
     def to_text(self) -> str:
         """Bit-exact format: 'n k q' then k rows of residues."""
@@ -162,18 +172,10 @@ def left_ideal_code(x: AlgebraElem) -> LinearCode:
     return LinearCode(x.translates(), x.field.q, group=x.group)
 
 
-def _transversal(group, sub_indices: frozenset, pool) -> list[int]:
-    """Coset representatives of a subgroup, greedy in canonical order."""
-    table = group.mult_table
-    reps: list[int] = []
-    covered: set[int] = set()
-    members = sorted(sub_indices)
-    for g in pool:
-        if g in covered:
-            continue
-        reps.append(g)
-        covered.update(int(t) for t in table[g, members])
-    return reps
+def _transversal(group, members: list[int], pool) -> np.ndarray:
+    """Left coset representatives of a subgroup within `pool`, a union of its
+    left cosets: the least index of each coset g S, ascending."""
+    return np.unique(group.mult_table[np.ix_(pool, members)].min(axis=1))
 
 
 def subgroup_pair_code(
@@ -199,19 +201,19 @@ def subgroup_pair_code(
     hat_K = hat(field, K)
     code = left_ideal_code(hat_H - hat_K)
 
-    reps = _transversal(group, k_idx, range(group.order))
-    tau = _transversal(group, h_idx, sorted(k_idx))
+    h_members, k_members = sorted(h_idx), sorted(k_idx)
+    reps = _transversal(group, k_members, range(group.order))
+    tau = _transversal(group, h_members, k_members)
     if tau[0] != 0:
         raise RuntimeError("transversal of H in K does not start at 1")
-    basis = []
-    for r in reps:
-        r_elem = group.from_index(r)
-        r_hat = left_translate(r_elem, hat_H)
-        for t in tau[1:]:
-            rt_elem = group.from_index(int(group.mult_table[r, t]))
-            basis.append(r_hat - left_translate(rt_elem, hat_H))
+    # row (r, t) is r H^ - r t H^, with the translate g x read as x[T[g]]
+    T = group.translate_table
+    r = np.repeat(reps, len(tau) - 1)
+    rt = group.mult_table[np.ix_(reps, tau[1:])].ravel()
+    rows = hat_H.coeffs[T[r]] - hat_H.coeffs[T[rt]]
+    basis = [AlgebraElem(group, field, row) for row in rows]
 
-    R, _ = modmat.rref(np.array([x.coeffs for x in basis], dtype=np.int64), field.q)
+    R, _ = modmat.rref(rows, field.q)
     if len(R) != len(basis):
         raise RuntimeError("predicted basis is not linearly independent")
     if not np.array_equal(R, code.generator_matrix):

@@ -265,15 +265,16 @@ def check_component_field(ctx: VerifyContext) -> str:
     return "every tested nonzero element inverts (" + "; ".join(tested) + ")"
 
 
-def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
-    """Dimension, basis, and (within budget) weight checks over every nested
-    pair of subgroups whose orders are invertible in the field.
-
-    Returns (pairs checked, weights checked).  Not gated on admissibility;
-    the construction itself only needs invertible subgroup orders.
+def _pair_weights(field, group, budget):
+    """Yield (H, K, code, weight) for every nested pair H < K of subgroups
+    whose orders are invertible in the field, in scan order, once its
+    dimension and basis are checked; the weight is None beyond the budget.
+    One pair per conjugacy class is scanned, as `subgroup_pair_suite` says.
     """
     subs = [S for S in group.all_subgroups() if len(S) % field.q != 0]
-    pairs = weights = 0
+    # (H, K) as index sets -> (representative's code, g, weight): the pair is
+    # the representative conjugated by g
+    classes = {}
     for H in subs:
         h_idx = frozenset(g.index for g in H)
         for K in subs:
@@ -281,22 +282,58 @@ def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
             if not h_idx < k_idx:
                 continue
             code, basis = subgroup_pair_code(field, H, K)  # verifies the basis spans
+            sizes = f"|H|={len(H)}, |K|={len(K)}"
             expect = group.order // len(H) - group.order // len(K)
             if code.k != expect:
-                raise CheckFailure(
-                    f"dim {code.k} != (G:H)-(G:K) = {expect} for |H|={len(H)}, |K|={len(K)}"
-                )
+                raise CheckFailure(f"dim {code.k} != (G:H)-(G:K) = {expect} for {sizes}")
             if len(basis) != expect:
                 raise CheckFailure("predicted basis has wrong cardinality")
-            pairs += 1
-            w = code.min_weight(budget=budget)
-            if w is None:
-                continue
-            if w != 2 * len(H):
-                raise CheckFailure(
-                    f"min weight {w} != 2|H| = {2 * len(H)} for |H|={len(H)}, |K|={len(K)}"
-                )
-            weights += 1
+            shared = classes.get((h_idx, k_idx))
+            if shared is None:
+                w = code.min_weight(budget=budget)
+                if w is not None:
+                    conj = zip(group.conjugates(sorted(h_idx)), group.conjugates(sorted(k_idx)))
+                    for g, (h_g, k_g) in enumerate(conj):
+                        classes.setdefault((frozenset(h_g), frozenset(k_g)), (code, g, w))
+            else:
+                rep, g, w = shared
+                if not code.same_code(rep.right_translate(group.from_index(g))):
+                    raise CheckFailure(
+                        f"code for {sizes} is not a right translate of its class representative"
+                    )
+            yield H, K, code, w
+
+
+def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
+    """Dimension, basis, and (within budget) weight checks over every nested
+    pair of subgroups whose orders are invertible in the field.
+
+    Returns (pairs checked, weights checked).  Not gated on admissibility;
+    the construction itself only needs invertible subgroup orders.
+
+    Conjugate pairs give the same code up to a permutation of coordinates.
+    Conjugation by g maps H^ to g^{-1} H^ g, and (F_q G) g^{-1} = F_q G, so
+        (F_q G)(g^{-1} H^ g - g^{-1} K^ g) = (F_q G)(H^ - K^) g,
+    and right translation by g moves coordinate h to hg, which keeps every
+    weight.  So only the first pair of each conjugacy class, in scan order,
+    is scanned.  Each later member still builds its own code, so its
+    dimension and basis checks stay as they are.  Before it takes the
+    representative's weight, its generator matrix must equal the RREF of
+    the representative's with the columns moved by right translation by g:
+    that proves the two codes are right translates of each other.  The
+    weight is still compared with 2|H| for every member, so the first
+    failing pair is the one a scan of every pair would report.
+    """
+    pairs = weights = 0
+    for H, K, _, w in _pair_weights(field, group, budget):
+        pairs += 1
+        if w is None:
+            continue
+        if w != 2 * len(H):
+            raise CheckFailure(
+                f"min weight {w} != 2|H| = {2 * len(H)} for |H|={len(H)}, |K|={len(K)}"
+            )
+        weights += 1
     return pairs, weights
 
 

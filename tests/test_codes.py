@@ -11,6 +11,7 @@ from dihedral_codes import (
     DihedralGroup,
     LinearCode,
     PrimeField,
+    hat,
     left_ideal_code,
     left_translate,
     subgroup_pair_code,
@@ -204,6 +205,76 @@ def test_subgroup_pair_trivial_in_b(field11, d9):
 def test_subgroup_pair_rejects_non_nested(field11, d9):
     with pytest.raises(ValueError):
         subgroup_pair_code(field11, d9.subgroup_H(0), d9.subgroup_Hstar(2))
+
+
+def _greedy_transversal(group, sub_indices, pool):
+    """Coset representatives of a subgroup, greedy in canonical order."""
+    reps, covered = [], set()
+    members = sorted(sub_indices)
+    for g in pool:
+        if g not in covered:
+            reps.append(g)
+            covered.update(int(t) for t in group.mult_table[g, members])
+    return reps
+
+
+def _predicted_basis_by_loop(field, H, K):
+    """The basis {r H^ - r t H^} built one translate at a time: the
+    reference for the gathered rows of `subgroup_pair_code`."""
+    group = H[0].group
+    h_idx, k_idx = {g.index for g in H}, {g.index for g in K}
+    hat_H = hat(field, H)
+    reps = _greedy_transversal(group, k_idx, range(group.order))
+    tau = _greedy_transversal(group, h_idx, sorted(k_idx))
+    basis = []
+    for r in reps:
+        r_hat = left_translate(group.from_index(r), hat_H)
+        for t in tau[1:]:
+            rt = group.from_index(int(group.mult_table[r, t]))
+            basis.append(r_hat - left_translate(rt, hat_H))
+    return np.array([x.coeffs for x in basis], dtype=np.int64)
+
+
+@pytest.mark.parametrize("q, p, m", [(11, 3, 2), (5, 3, 3), (2, 5, 2)])
+def test_predicted_basis_matches_the_translate_loop(q, p, m):
+    field, group = PrimeField(q), DihedralGroup(p, m)
+    subs = [S for S in group.all_subgroups() if len(S) % q != 0]
+    nested = 0
+    for H in subs:
+        for K in subs:
+            if not {g.index for g in H} < {g.index for g in K}:
+                continue
+            _, basis = subgroup_pair_code(field, H, K)
+            assert all(isinstance(x, AlgebraElem) for x in basis)
+            got = np.array([x.coeffs for x in basis], dtype=np.int64)
+            expect = _predicted_basis_by_loop(field, H, K)
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+            nested += 1
+    assert nested == {11: 42, 5: 166, 2: 3}[q]
+
+
+def test_right_translate_proves_conjugate_pair_codes():
+    # (H, K) = (<a^3>, <a^3, b>) at (5, 3, 3); conjugating by a gives
+    # K^a = <a^3, a^-2 b>, whose code is the right translate C a
+    field, group = PrimeField(5), DihedralGroup(3, 3)
+    H, K = group.subgroup_H(1), group.subgroup_Hstar(1)
+    rep, _ = subgroup_pair_code(field, H, K)
+    a = group.a
+    K_a = [a.inverse() * k * a for k in K]
+    conj, _ = subgroup_pair_code(field, H, sorted(K_a, key=lambda g: g.index))
+    assert conj.same_code(rep.right_translate(a))
+    # a left ideal is its own left translate, so only the right one proves this
+    assert not conj.same_code(rep)
+    assert rep.right_translate(group.identity).same_code(rep)
+    # the (9, 27) code shares |H| = 9 with the (9, 18) one but is no translate
+    other, _ = subgroup_pair_code(field, H, group.subgroup_H(0))
+    assert (rep.k, other.k) == (3, 4)
+    assert not any(other.same_code(rep.right_translate(g)) for g in group.elements())
+
+
+def test_right_translate_needs_a_group():
+    with pytest.raises(ValueError, match="no group"):
+        LinearCode([[1, 2, 0]], 5).right_translate(DihedralGroup(3, 1).a)
 
 
 def test_generator_matrix_format_round_trip(gens1):

@@ -3,7 +3,10 @@ checks."""
 
 import time
 
-from dihedral_codes import run_checks, verify
+import numpy as np
+import pytest
+
+from dihedral_codes import DihedralGroup, LinearCode, PrimeField, codes, run_checks, verify
 from dihedral_codes.cli import main
 
 PINNED_11_3_2 = """\
@@ -26,8 +29,8 @@ PASS component-field: every tested nonzero element inverts (e_1: 1680 exhaustive
 """
 
 
-def _verify(capsys, q, p, m, checks):
-    argv = ["verify", "--q", str(q), "--p", str(p), "--m", str(m)]
+def _verify(capsys, q, p, m, checks, *options):
+    argv = ["verify", "--q", str(q), "--p", str(p), "--m", str(m), *options]
     for name in checks:
         argv += ["--check", name]
     rc = main(argv)
@@ -91,6 +94,67 @@ def test_full_subgroup_pair_check_at_5_3_3(capsys):
         0,
         "PASS subgroup-pairs: 166 nested pairs: dimension+basis exact; "
         "36 weights within budget\n",
+    )
+    # the benchmark's budget 5^8 skips the nine [54, 9] codes
+    assert _verify(capsys, 5, 3, 3, ["subgroup-pairs"], "--budget", "390625") == (
+        0,
+        "PASS subgroup-pairs: 166 nested pairs: dimension+basis exact; "
+        "27 weights within budget\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "q, p, m, budget",
+    [(11, 3, 2, codes.DEFAULT_BUDGET), (5, 3, 2, codes.DEFAULT_BUDGET),
+     (3, 5, 2, codes.DEFAULT_BUDGET), (5, 3, 3, 5**6)],
+)
+def test_every_pair_weight_matches_a_scan_of_its_own_code(q, p, m, budget):
+    # a conjugate pair takes its class representative's weight; scan its own
+    # code instead
+    checked = 0
+    for _, _, code, w in verify._pair_weights(PrimeField(q), DihedralGroup(p, m), budget):
+        hist = codes.weights(code.generator_matrix, q, budget)
+        assert w == (None if hist is None else int(np.flatnonzero(hist)[1]))
+        checked += w is not None
+    assert checked > 0
+
+
+@pytest.mark.parametrize("q, p, m, budget, scans", [(5, 3, 3, 5**8, 7), (11, 3, 2, 1 << 24, 6)])
+def test_suite_scans_once_per_conjugacy_class(monkeypatch, q, p, m, budget, scans):
+    # 27 within-budget pairs in 7 classes at (5, 3, 3); 18 in 6 at (11, 3, 2)
+    calls = []
+    scan = codes.weight_histogram
+    monkeypatch.setattr(codes, "weight_histogram", lambda G, q: calls.append(1) or scan(G, q))
+    weights = {5: 27, 11: 18}[q]
+    assert verify.subgroup_pair_suite(PrimeField(q), DihedralGroup(p, m), budget)[1] == weights
+    assert len(calls) == scans
+
+
+def test_wrong_representative_weight_fails_at_the_same_pair(capsys, monkeypatch):
+    # among the pairs within 5^8, only the three conjugate (18, 54) pairs
+    # give [54, 2] codes; a scan of every pair meets their representative
+    # first and reports it with this line
+    min_weight = LinearCode.min_weight
+
+    def wrong(self, budget=codes.DEFAULT_BUDGET):
+        w = min_weight(self, budget)
+        return w + 1 if self.k == 2 else w
+
+    monkeypatch.setattr(LinearCode, "min_weight", wrong)
+    assert _verify(capsys, 5, 3, 3, ["subgroup-pairs"], "--budget", "390625") == (
+        1,
+        "FAIL subgroup-pairs: min weight 37 != 2|H| = 36 for |H|=18, |K|=54\n",
+    )
+
+
+def test_a_member_that_is_no_right_translate_fails(capsys, monkeypatch):
+    # with the translation undone, the second (6, 18) pair is compared with
+    # its representative's own code, which differs from its code
+    monkeypatch.setattr(LinearCode, "right_translate", lambda self, g: self)
+    assert _verify(capsys, 5, 3, 3, ["subgroup-pairs"], "--budget", "390625") == (
+        1,
+        "FAIL subgroup-pairs: code for |H|=6, |K|=18 is not a right translate "
+        "of its class representative\n",
     )
 
 

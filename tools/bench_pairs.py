@@ -7,15 +7,17 @@ For each workload of BENCHMARK.json and each pair i = 1..10 it runs
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
-once in each tree, with S the `run_seconds` of BENCHMARK.json, the parent first in odd pairs and the change first in
-even pairs, so a slow phase of the machine falls on both sides alike.  Then
-it runs each workload once per side with `--trace 1`.  The output file holds
-the environment, the method, per workload and end-to-end metric the median
-and quartiles of each side and the number of pairs the change wins, and the
-traced per-layer values of both sides.  Each tree runs its own `src/` under
-the `perfbench/` next to this script, so both sides see the same benchmark;
-the file names each side by its commit, marked dirty when tracked files
-differ from it.
+once in each tree, with S the `run_seconds` of BENCHMARK.json, the parent
+first in odd pairs and the change first in even pairs, so a slow phase of
+the machine falls on both sides alike.  Then it runs each workload once per
+side with `--trace 1`.  The output file holds the environment, the method,
+per workload and end-to-end metric the median and quartiles of each side,
+the number of pairs the change wins, the parent's interquartile range and
+whether the gain rule holds (at least nine tenths of the pairs won, and the
+medians apart by more than that range), and the traced per-layer values of
+both sides.  Each tree runs its own `src/` under the `perfbench/` next to
+this script, so both sides see the same benchmark; the file names each side
+by its commit, marked dirty when tracked files differ from it.
 """
 
 from __future__ import annotations
@@ -42,13 +44,13 @@ def summary(values: list[float]) -> dict[str, float]:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def wins(pairs: list[tuple[float, float]], better: str) -> str:
-    """Pairs (parent, change) where the change reads better; ties count for
-    neither side."""
+def wins(pairs: list[tuple[float, float]], better: str) -> tuple[int, str]:
+    """Pairs (parent, change) where the change reads better, as a count and
+    as text; ties count for neither side."""
     won = sum(c < p if better == "lower" else c > p for p, c in pairs)
     ties = sum(c == p for p, c in pairs)
     text = f"{won}/{len(pairs)}"
-    return f"{text} ({ties} ties)" if ties else text
+    return won, f"{text} ({ties} ties)" if ties else text
 
 
 def aggregate(results: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
@@ -56,18 +58,28 @@ def aggregate(results: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
 
     `results` holds one (parent, change) pair of parsed result lines per
     pair of runs; `metrics` holds the `end_to_end` entries of BENCHMARK.json
-    (name, unit, better).
+    (name, unit, better).  `gain` holds when the change wins at least nine
+    tenths of the pairs and its median is better than the parent's by more
+    than the parent's interquartile range.
     """
     out = {}
     for m in metrics:
         name = m["name"]
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
                  for p, c in results]
+        parent = summary([p for p, _ in pairs])
+        change = summary([c for _, c in pairs])
+        won, text = wins(pairs, m["better"])
+        iqr = round(parent["q3"] - parent["q1"], 4)
+        drop = parent["median"] - change["median"]
+        margin = drop if m["better"] == "lower" else -drop
         out[name] = {
             "unit": m["unit"],
-            "parent": summary([p for p, _ in pairs]),
-            "change": summary([c for _, c in pairs]),
-            "change_wins": wins(pairs, m["better"]),
+            "parent": parent,
+            "change": change,
+            "change_wins": text,
+            "parent_iqr": iqr,
+            "gain": 10 * won >= 9 * len(pairs) and margin > iqr,
         }
     return {
         "runs_per_side": len(results),
@@ -130,7 +142,9 @@ def main(argv=None) -> int:
                      "each from its own source tree, perfbench/ identical",
             "statistics": "median and quartiles (numpy linear percentiles 25/75) over the "
                           "runs of each side; wins = pairs where the change reads better, "
-                          "ties count for neither",
+                          "ties count for neither; parent_iqr = parent q3 - q1; gain = "
+                          "the change wins at least 9/10 of the pairs and its median is "
+                          "better by more than parent_iqr",
             "traced": "one --trace 1 run per side and workload, seed 0; per-layer values "
                       "are raw wall time",
         },
