@@ -173,9 +173,10 @@ def left_ideal_code(x: AlgebraElem) -> LinearCode:
 
 
 def _transversal(group, members: list[int], pool) -> np.ndarray:
-    """Left coset representatives of a subgroup within `pool`, a union of its
-    left cosets: the least index of each coset g S, ascending."""
-    return np.unique(group.mult_table[np.ix_(pool, members)].min(axis=1))
+    """Left coset representatives of a subgroup within `pool`, an ascending
+    union of its left cosets: each g that is the least index of g S."""
+    pool = np.asarray(pool)
+    return pool[group.mult_table[np.ix_(pool, members)].min(axis=1) == pool]
 
 
 def subgroup_pair_code(
