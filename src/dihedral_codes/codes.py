@@ -1,7 +1,7 @@
 """Left ideals of a group algebra as linear codes: generator matrices in
 reduced row echelon form, exact minimum weight and weight distribution by
-exhaustive message enumeration, and the subgroup-pair construction with its
-predicted basis.
+exhaustive message enumeration, and the subgroup-pair codes, whose RREF is
+written down from the coset structure and proven without elimination.
 """
 
 from __future__ import annotations
@@ -172,19 +172,34 @@ def left_ideal_code(x: AlgebraElem) -> LinearCode:
     return LinearCode(x.translates(), x.field.q, group=x.group)
 
 
-def _transversal(group, members: list[int], pool) -> np.ndarray:
-    """Left coset representatives of a subgroup within `pool`, an ascending
-    union of its left cosets: each g that is the least index of g S."""
-    pool = np.asarray(pool)
-    return pool[group.mult_table[np.ix_(pool, members)].min(axis=1) == pool]
-
-
 def subgroup_pair_code(
     field: PrimeField, H: list[GroupElem], K: list[GroupElem]
 ) -> tuple[LinearCode, list[AlgebraElem]]:
     """Code of (F_q G)(H^ - K^) for nested subgroups H <= K, together with
     the predicted basis {r (1 - t) H^} over coset representatives r of K in
-    G and t != 1 of H in K.  The basis is verified to span the code."""
+    G and t != 1 of H in K.  The basis is verified to span the code.
+
+    Closed form.  e = H^ - K^ is idempotent, so the code A e is the set of
+    x with x = x e: the vectors constant on each left coset gH whose sum
+    over each left coset gK is 0.  Label each coset by its least element
+    and, inside each K-coset, order its H-cosets by label.  The RREF R then
+    has one row 1_C - 1_C' for each H-coset C but the last one C' of its
+    K-coset, with the label of C as its pivot, rows in pivot order; so
+    k = (G:H) - (G:K).  R is written down, not eliminated.
+
+    Proof, exact over F_q.  With P the pivot columns, R[:, P] is the
+    identity, so a row v lies in span R exactly when v = v[P] R.
+      1. The predicted basis B is independent: row (r, t) alone is nonzero
+         on the coset rtH, so B on those columns is a nonzero diagonal.
+      2. B lies in span R: B = B[:, P] R, and |B| = k.
+      3. span R lies in A e: R e = R, each row (1_C - 1_C') e read off the
+         sums of the rows g e of L(e) over the cosets C and C'.
+      4. A e lies in span R: L(e) = L(e)[:, P] R.
+    Since the rows of R are 1_C - 1_C', a product X R is one column gather
+    (column j takes the column of its own H-coset, or minus the sum of the
+    columns of its K-coset when j lies in a last H-coset), so neither a
+    dense product nor an elimination is formed.
+    """
     if not H or not K:
         raise ValueError("empty subgroup")
     group = H[0].group
@@ -199,24 +214,49 @@ def subgroup_pair_code(
     if h_idx == k_idx:
         code = LinearCode(np.zeros((1, group.order), dtype=np.int64), field.q, group=group)
         return code, []
-    hat_K = hat(field, K)
-    code = left_ideal_code(hat_H - hat_K)
+    e = hat_H - hat(field, K)
+    q, n = field.q, group.order
+    ids = np.arange(n)
+    # label each g by the least element of gH (of gK); a label names a coset
+    h_lab = group.mult_table[:, sorted(h_idx)].min(axis=1)
+    k_lab = group.mult_table[:, sorted(k_idx)].min(axis=1)
+    h_cosets = np.flatnonzero(h_lab == ids)
+    k_cosets = np.flatnonzero(k_lab == ids)
+    last = np.zeros(n, dtype=np.int64)
+    np.maximum.at(last, k_lab[h_cosets], h_cosets)  # last H-coset of each K-coset
+    pivots = h_cosets[last[k_lab[h_cosets]] != h_cosets]
+    k = len(pivots)
+    row_of = np.full(n, -1)
+    row_of[pivots] = np.arange(k)
+    # column j of X R is column gather[j] of [X, -(sum of X per K-coset)]
+    gather = np.where(row_of[h_lab] >= 0, row_of[h_lab], k + np.searchsorted(k_cosets, k_lab))
+    by_k_coset = np.argsort(k_lab[pivots], kind="stable")
 
-    h_members, k_members = sorted(h_idx), sorted(k_idx)
-    reps = _transversal(group, k_members, range(group.order))
-    tau = _transversal(group, h_members, k_members)
-    if tau[0] != 0:
-        raise RuntimeError("transversal of H in K does not start at 1")
-    # row (r, t) is r H^ - r t H^, with the translate g x read as x[T[g]]
+    def times_R(X):
+        sums = X[:, by_k_coset].reshape(len(X), len(k_cosets), -1).sum(axis=2)
+        return np.concatenate((X, -sums), axis=1)[:, gather] % q
+
+    R = times_R(np.eye(k, dtype=np.int64))
+
+    # the predicted basis, row (r, t) = r H^ - r t H^ read as x[T[g]]; r runs
+    # over the K-coset labels and t over the H-coset labels inside K
     T = group.translate_table
-    r = np.repeat(reps, len(tau) - 1)
-    rt = group.mult_table[np.ix_(reps, tau[1:])].ravel()
-    rows = hat_H.coeffs[T[r]] - hat_H.coeffs[T[rt]]
+    tau = h_cosets[k_lab[h_cosets] == 0]
+    r = np.repeat(k_cosets, len(tau) - 1)
+    rt = group.mult_table[np.ix_(k_cosets, tau[1:])].ravel()
+    rows = (hat_H.coeffs[T[r]] - hat_H.coeffs[T[rt]]) % q
     basis = [AlgebraElem(group, field, row) for row in rows]
 
-    R, _ = modmat.rref(rows, field.q)
-    if len(R) != len(basis):
+    if not np.array_equal(rows[:, h_lab[rt]] != 0, np.eye(len(rows), dtype=bool)):
         raise RuntimeError("predicted basis is not linearly independent")
-    if not np.array_equal(R, code.generator_matrix):
+    L = e.translates()
+    coset_sums = L[np.argsort(h_lab, kind="stable")].reshape(len(h_cosets), -1, n).sum(axis=1)
+    C, C_last = np.searchsorted(h_cosets, [pivots, last[k_lab[pivots]]])
+    if not (
+        len(rows) == k
+        and np.array_equal(times_R(rows[:, pivots]), rows)
+        and np.array_equal((coset_sums[C] - coset_sums[C_last]) % q, R)
+        and np.array_equal(times_R(L[:, pivots]), L)
+    ):
         raise RuntimeError("predicted basis does not span the code")
-    return code, basis
+    return LinearCode(R, q, group=group), basis

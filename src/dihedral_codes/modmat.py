@@ -8,6 +8,10 @@ and a row lies in a code when appending it to that matrix keeps the rank.
 
 An elimination step touches only the rows with a nonzero entry in the pivot
 column, and only from that column on; `rref` says why the rest is final.
+It skips the columns that are zero below the last pivot, and stops once
+those rows are all zero.  A matrix that is already reduced comes back as it
+is after one vectorized test, so a closed-form RREF (the subgroup-pair
+codes) costs no elimination when `LinearCode` stores it.
 
 Exactness: elimination only ever forms one product of two residues below q
 and subtracts it from a residue, so every intermediate is at most (q-1)^2 in
@@ -36,19 +40,35 @@ def rref(mat, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_q.  Returns (R, pivot_columns);
     R keeps only the nonzero rows.
 
+    An input that is already reduced is returned as it is: its leading
+    columns strictly increase and hold the identity, which also rules out a
+    zero row (its leading column would hold 0).
+
     The step at pivot (r, c) updates only the rows with a nonzero factor in
     column c, from column c on.  Rows r and below are zero left of c, so the
     pivot row would subtract nothing there, and a zero factor changes nothing
-    at all: the skipped cells are final.  The (q-1)^2 bound is unchanged."""
+    at all: the skipped cells are final.  Only at a column without a pivot
+    does the loop look past it: rows r and below are zero up to that column,
+    so it jumps to the next column where one of them is not, or stops when
+    they are all zero.  A full-rank elimination never takes this branch.
+    The (q-1)^2 bound is unchanged."""
     A = asmat(mat, q)
     rows, cols = A.shape
-    r = 0
+    if cols:
+        lead = np.argmax(A != 0, axis=1)
+        if np.all(lead[1:] > lead[:-1]) and np.array_equal(
+            A[:, lead], np.eye(rows, dtype=A.dtype)
+        ):
+            return A, lead.tolist()
+    r = c = 0
     pivots: list[int] = []
-    for c in range(cols):
-        if r == rows:
-            break
+    while r < rows and c < cols:
         nz = np.nonzero(A[r:, c])[0]
         if nz.size == 0:
+            live = np.flatnonzero(A[r:, c + 1 :].any(axis=0))
+            if live.size == 0:
+                break
+            c += 1 + int(live[0])
             continue
         piv = r + int(nz[0])
         if piv != r:
@@ -60,6 +80,7 @@ def rref(mat, q: int) -> tuple[np.ndarray, list[int]]:
         A[r, c:] = row  # row r was in hit and came out 0; restore it
         pivots.append(c)
         r += 1
+        c += 1
     return A[:r], pivots
 
 

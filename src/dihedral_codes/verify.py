@@ -272,13 +272,12 @@ def _pair_weights(field, group, budget):
     One pair per conjugacy class is scanned, as `subgroup_pair_suite` says.
     """
     subs = [S for S in group.all_subgroups() if len(S) % field.q != 0]
+    index_sets = [frozenset(g.index for g in S) for S in subs]
     # (H, K) as index sets -> (representative's code, g, weight): the pair is
     # the representative conjugated by g
     classes = {}
-    for H in subs:
-        h_idx = frozenset(g.index for g in H)
-        for K in subs:
-            k_idx = frozenset(g.index for g in K)
+    for H, h_idx in zip(subs, index_sets):
+        for K, k_idx in zip(subs, index_sets):
             if not h_idx < k_idx:
                 continue
             code, basis = subgroup_pair_code(field, H, K)  # verifies the basis spans

@@ -16,6 +16,7 @@ from dihedral_codes import (
     left_translate,
     subgroup_pair_code,
 )
+from dihedral_codes import codes, modmat
 from dihedral_codes.codes import weights
 from dihedral_codes.modmat import rref
 
@@ -251,6 +252,111 @@ def test_predicted_basis_matches_the_translate_loop(q, p, m):
             assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
             nested += 1
     assert nested == {11: 42, 5: 166, 2: 3}[q]
+
+
+def _pair_code_by_elimination(field, H, K):
+    """The two-elimination construction the closed form replaced: reduce
+    L(H^ - K^), then check that the predicted basis has full rank and the
+    same RREF.  Returns the code and that basis."""
+    code = left_ideal_code(hat(field, H) - hat(field, K))
+    basis = _predicted_basis_by_loop(field, H, K)
+    R, _ = rref(basis, field.q)
+    assert len(R) == code.k and np.array_equal(R, code.generator_matrix)
+    return code, basis
+
+
+def _nested_pairs(group, q):
+    subs = [S for S in group.all_subgroups() if len(S) % q != 0]
+    sets = [{g.index for g in S} for S in subs]
+    return [
+        (H, K) for H, h in zip(subs, sets) for K, k in zip(subs, sets) if h < k
+    ]
+
+
+def _assert_pair_code_is_the_eliminated_one(field, H, K):
+    code, basis = subgroup_pair_code(field, H, K)
+    expect, expect_basis = _pair_code_by_elimination(field, H, K)
+    got = code.generator_matrix
+    assert got.shape == expect.generator_matrix.shape
+    assert got.tobytes() == expect.generator_matrix.tobytes()
+    assert np.array([x.coeffs for x in basis]).tobytes() == expect_basis.tobytes()
+    n = code.n
+    assert code.k == len(basis) == n // len(H) - n // len(K)
+
+
+@pytest.mark.parametrize(
+    "group_cls, q, p, m, pairs",
+    [
+        (DihedralGroup, 11, 3, 2, 42),
+        (DihedralGroup, 5, 3, 3, 166),
+        (DihedralGroup, 5, 3, 2, 42),
+        (DihedralGroup, 2, 5, 2, 3),  # D25 over F_2: odd orders only
+        (DihedralGroup, 7, 3, 3, 166),
+        (DihedralGroup, 13, 5, 2, 96),
+        (AbelianGroup, 11, 3, 2, 12),
+        (AbelianGroup, 5, 3, 2, 12),
+    ],
+)
+def test_closed_form_pair_code_matches_two_eliminations(group_cls, q, p, m, pairs):
+    field, group = PrimeField(q), group_cls(p, m)
+    nested = _nested_pairs(group, q)
+    assert len(nested) == pairs
+    for H, K in nested:
+        _assert_pair_code_is_the_eliminated_one(field, H, K)
+
+
+def test_closed_form_pair_code_matches_two_eliminations_at_3_5_3():
+    """n = 250: the first and the last of the 630 nested pairs with each of
+    the 22 pairs of orders (|H|, |K|), from (1, 2) to (125, 250)."""
+    field, group = PrimeField(3), DihedralGroup(5, 3)
+    nested = _nested_pairs(group, 3)
+    assert len(nested) == 630
+    first, last = {}, {}
+    for H, K in nested:
+        first.setdefault((len(H), len(K)), (H, K))
+        last[len(H), len(K)] = (H, K)
+    assert len(first) == 22
+    for H, K in [*first.values(), *last.values()]:
+        _assert_pair_code_is_the_eliminated_one(field, H, K)
+
+
+def test_pair_code_hands_rref_only_reduced_matrices(monkeypatch):
+    """No elimination: the one matrix `subgroup_pair_code` passes to `rref`
+    is the closed-form RREF itself, returned as it came."""
+    seen = []
+    real = modmat.rref
+
+    def recording(mat, q):
+        R, pivots = real(mat, q)
+        seen.append(np.array_equal(R, np.asarray(mat) % q))
+        return R, pivots
+
+    monkeypatch.setattr(modmat, "rref", recording)
+    field, group = PrimeField(5), DihedralGroup(3, 3)
+    nested = _nested_pairs(group, 5)
+    for H, K in nested:
+        subgroup_pair_code(field, H, K)
+    assert len(seen) == len(nested) and all(seen)
+
+
+def test_pair_code_proof_rejects_a_corrupted_generator(monkeypatch):
+    """e = H^ - K^ with one coefficient of K^ moved: R e != R, so the proof
+    fails with the existing message instead of returning a code."""
+    field, group = PrimeField(5), DihedralGroup(3, 3)
+    H, K = group.subgroup_H(1), group.subgroup_Hstar(1)
+    real_hat = codes.hat
+
+    def corrupt_hat(f, S):
+        x = real_hat(f, S)
+        if len(S) == len(K):
+            c = x.coeffs.copy()
+            c[-1] += 1
+            x = AlgebraElem(group, f, c)
+        return x
+
+    monkeypatch.setattr(codes, "hat", corrupt_hat)
+    with pytest.raises(RuntimeError, match="predicted basis does not span the code"):
+        subgroup_pair_code(field, H, K)
 
 
 def test_right_translate_proves_conjugate_pair_codes():

@@ -17,6 +17,7 @@ from dihedral_codes import (
     matrix_units,
     noncentral_generator,
 )
+from dihedral_codes import modmat
 from dihedral_codes.modmat import asmat, rref, solve
 
 
@@ -204,3 +205,104 @@ def test_rref_matches_dense_oracle_on_rank_deficient_matrices(q, seed):
     A[0] = 0
     assert_same_rref(A, q)
     assert_same_rref(A.T, q)
+
+
+class CountingNumpy:
+    """Stands in for numpy inside `modmat` and counts pivot searches
+    (`np.nonzero` calls); every elimination step makes at least one."""
+
+    def __init__(self):
+        self.searches = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def nonzero(self, a):
+        self.searches += 1
+        return np.nonzero(a)
+
+
+@st.composite
+def reduced_matrices(draw):
+    """A random RREF: k pivot columns in increasing order, identity there,
+    zeros left of each pivot, anything else to its right."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, n))
+    pivots = sorted(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)))
+    R = draw(matrices(q, k, n))
+    for r, c in enumerate(pivots):
+        R[r, :c] = 0
+        R[:, c] = 0
+        R[r, c] = 1
+    return q, R, pivots
+
+
+@settings(max_examples=120, deadline=None)
+@given(reduced_matrices())
+def test_rref_returns_a_reduced_input_without_eliminating(case):
+    q, R, pivots = case
+    counting = CountingNumpy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modmat, "np", counting)
+        got, got_pivots = rref(R, q)
+    assert counting.searches == 0
+    assert got_pivots == pivots and got.tobytes() == R.tobytes()
+    assert_same_rref(R, q)
+
+
+def _near_misses():
+    """Reduced 4 x 9 matrices over F_5 with one defect each."""
+    R = np.array(
+        [
+            [1, 2, 0, 3, 0, 0, 4, 1, 0],
+            [0, 0, 1, 4, 0, 0, 2, 0, 3],
+            [0, 0, 0, 0, 1, 0, 1, 1, 1],
+            [0, 0, 0, 0, 0, 1, 0, 2, 4],
+        ],
+        dtype=np.int64,
+    )
+    zero_row = np.insert(R, 2, 0, axis=0)
+    pivot_two = R.copy()
+    pivot_two[1] = 2 * pivot_two[1] % 5
+    above_pivot = R.copy()
+    above_pivot[0, 4] = 3
+    repeated_lead = np.vstack([R[:2], R[1:]])
+    repeated_lead[2, 3] = 1
+    swapped = R[[1, 0, 2, 3]]
+    return {
+        "reduced": (R, False),
+        "zero row": (zero_row, True),
+        "pivot 2": (pivot_two, True),
+        "nonzero above a pivot": (above_pivot, True),
+        "repeated leading column": (repeated_lead, True),
+        "leading columns out of order": (swapped, True),
+    }
+
+
+@pytest.mark.parametrize("name", list(_near_misses()))
+def test_rref_near_misses_fall_through_to_elimination(name, monkeypatch):
+    A, eliminates = _near_misses()[name]
+    counting = CountingNumpy()
+    monkeypatch.setattr(modmat, "np", counting)
+    R, pivots = rref(A, 5)
+    monkeypatch.undo()
+    assert (counting.searches > 0) == eliminates
+    assert_same_rref(A, 5)
+    if not eliminates:
+        assert R.tobytes() == A.tobytes() and pivots == [0, 2, 4, 5]
+
+
+def test_rref_stops_once_the_rows_below_are_zero(monkeypatch):
+    """Rank 2 in 40 x 300: two pivot searches per pivot, one at the zero
+    column between them and one at the column after the last pivot, where
+    the rows below are found zero; none for the 296 columns after that."""
+    A = np.zeros((40, 300), dtype=np.int64)
+    A[:, 0] = 1
+    A[::2, 2] = 1
+    counting = CountingNumpy()
+    monkeypatch.setattr(modmat, "np", counting)
+    R, pivots = rref(A, 3)
+    monkeypatch.undo()
+    assert pivots == [0, 2] and counting.searches == 2 + 1 + 2 + 1
+    assert_same_rref(A, 3)

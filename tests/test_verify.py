@@ -103,6 +103,15 @@ def test_full_subgroup_pair_check_at_5_3_3(capsys):
     )
 
 
+def test_full_subgroup_pair_check_at_3_5_3(capsys):
+    # n = 250: 630 closed-form pair codes, each proven by matrix identities
+    assert _verify(capsys, 3, 5, 3, ["subgroup-pairs"]) == (
+        0,
+        "PASS subgroup-pairs: 630 nested pairs: dimension+basis exact; "
+        "13 weights within budget\n",
+    )
+
+
 @pytest.mark.parametrize(
     "q, p, m, budget",
     [(11, 3, 2, codes.DEFAULT_BUDGET), (5, 3, 2, codes.DEFAULT_BUDGET),
