@@ -11,12 +11,13 @@ from dihedral_codes import (
     DihedralGroup,
     LinearCode,
     PrimeField,
+    codes,
     hat,
     left_ideal_code,
     left_translate,
+    modmat,
     subgroup_pair_code,
 )
-from dihedral_codes import codes, modmat
 from dihedral_codes.codes import weights
 from dihedral_codes.modmat import rref
 

@@ -15,9 +15,9 @@ from dihedral_codes import (
     PrimeField,
     central_idempotents,
     matrix_units,
+    modmat,
     noncentral_generator,
 )
-from dihedral_codes import modmat
 from dihedral_codes.modmat import asmat, rref, solve
 
 
