@@ -6,14 +6,15 @@ Subcommands:
   verify      run the named verification checks
   compare     check constructed codes against a reference table `n k d_best`
 
-Exit codes: 0 success, 1 a `verify` check failed, 2 inadmissible parameters
-or malformed input (a bad `--coeffs`, `--sub-h`/`--sub-k`, a `--gen pair`
-whose two subgroups are equal, an out-of-range `--j` or a survey `--dim`
-outside 1..2p^m, or an argument that argument parsing rejects, such as a
-negative `--budget`) or a q too large for exact int64 arithmetic
-(2p^m (q-1)^2 >= 2^63), 3 enumeration budget exceeded, 4 I/O failure,
-5 malformed reference table.  Identical inputs produce byte-identical
-output files.
+Exit codes: 0 success, 1 a `verify` check failed, 3 enumeration budget
+exceeded.  `main` alone maps the rest, printing one `error: ` line:
+ValueError -> 2 (an inadmissible (q, p, m), checked before any command
+runs, prints `error: (q, p, m) = (7, 3, 2) is not admissible`; a bad
+`--coeffs`, `--sub-h`/`--sub-k`, a `--gen pair` of two equal subgroups,
+an out-of-range `--j` or survey `--dim`; 2p^m (q-1)^2 >= 2^63, too large
+for exact int64 arithmetic), OSError on read or write -> 4, MalformedTable
+(reference table) -> 5.  Argument parsing exits 2 on what it rejects, such
+as a negative `--budget`.  Identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,19 +25,23 @@ import sys
 
 from .algebra import AlgebraElem
 from .codes import DEFAULT_BUDGET, left_ideal_code, subgroup_pair_code
-from .ff import PrimeField, check_admissible
+from .ff import PrimeField, require_admissible
 from .groups import DihedralGroup
 from .idempotents import central_idempotents, matrix_units, noncentral_generator
 from .survey import abelian_catalog, enumerate_abelian_codes, write_survey_table
 from .verify import CHECK_NAMES, run_checks
 
 EXIT_OK = 0
-EXIT_INADMISSIBLE = 2
+EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
 EXIT_BAD_TABLE = 5
 
 _SUBGROUP_SPEC = re.compile(r"^(h|hstar)(\d+)$")
+
+
+class MalformedTable(ValueError):
+    """A reference table that is not ASCII lines of `n k d_best`."""
 
 
 def _budget(text: str) -> int:
@@ -62,19 +67,6 @@ def _add_common(parser):
     )
 
 
-def _gate_admissible(args) -> bool:
-    """True when (q, p, m) is admissible; otherwise say why on stderr."""
-    try:
-        ok = check_admissible(args.q, args.p, args.m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        ok = False
-    if not ok:
-        print(f"inadmissible parameters (q, p, m) = ({args.q}, {args.p}, {args.m})",
-              file=sys.stderr)
-    return ok
-
-
 def _parse_subgroup(group: DihedralGroup, spec: str):
     mt = _SUBGROUP_SPEC.match(spec)
     if not mt:
@@ -86,9 +78,6 @@ def _parse_subgroup(group: DihedralGroup, spec: str):
 
 
 def cmd_construct(args) -> int:
-    if not _gate_admissible(args):
-        return EXIT_INADMISSIBLE
-
     field = PrimeField(args.q)
     group = DihedralGroup(args.p, args.m)
     if args.gen == "pair":
@@ -121,12 +110,7 @@ def cmd_construct(args) -> int:
                 gen = noncentral_generator(units).f
         code = left_ideal_code(gen)
 
-    try:
-        code.write(args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    code.write(args.out)
     d = code.min_weight(budget=args.budget)
     if d is None:
         print(f"{code.n} {code.k} ?")
@@ -140,20 +124,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    if not _gate_admissible(args):
-        return EXIT_INADMISSIBLE
     n = 2 * args.p ** args.m
     if args.dim is not None and not 1 <= args.dim <= n:
-        print(f"error: --dim {args.dim} out of range 1..{n}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+        raise ValueError(f"--dim {args.dim} out of range 1..{n}")
     field = PrimeField(args.q)
     catalog = abelian_catalog(field, args.p, args.m)
     rows = enumerate_abelian_codes(catalog, dim_filter=args.dim, budget=args.budget)
-    try:
-        write_survey_table(rows, args.q, args.p, args.m, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_survey_table(rows, args.q, args.p, args.m, args.out)
     for dim in sorted({row.dim for row in rows}):
         known = [r.min_weight for r in rows if r.dim == dim and r.min_weight is not None]
         print(f"dim {dim}: best weight {max(known) if known else '?'}")
@@ -172,34 +149,30 @@ def cmd_verify(args) -> int:
 
 
 def _parse_reference_table(path) -> list[tuple[int, int, int]]:
+    """The `n k d_best` rows; MalformedTable for a bad line or a non-ASCII
+    byte (a UnicodeDecodeError would otherwise exit 2 as a ValueError)."""
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'n k d_best', got {line.rstrip()!r}")
-            try:
-                rows.append(tuple(int(t) for t in parts))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: non-integer field") from exc
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split("#", 1)[0].split()
+                if not parts:
+                    continue
+                if len(parts) != 3:
+                    raise MalformedTable(
+                        f"line {lineno}: expected 'n k d_best', got {line.rstrip()!r}"
+                    )
+                try:
+                    rows.append(tuple(int(t) for t in parts))
+                except ValueError:
+                    raise MalformedTable(f"line {lineno}: non-integer field") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedTable(exc) from None
     return rows
 
 
 def cmd_compare(args) -> int:
-    if not _gate_admissible(args):
-        return EXIT_INADMISSIBLE
-    try:
-        reference = _parse_reference_table(args.table)
-    except OSError as exc:
-        print(f"error: cannot read {args.table}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: malformed reference table: {exc}", file=sys.stderr)
-        return EXIT_BAD_TABLE
-
+    reference = _parse_reference_table(args.table)
     field = PrimeField(args.q)
     group = DihedralGroup(args.p, args.m)
     catalog = central_idempotents(field, group)
@@ -275,10 +248,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        require_admissible(args.q, args.p, args.m)
         return args.func(args)
+    except MalformedTable as exc:
+        print(f"error: malformed reference table: {exc}", file=sys.stderr)
+        return EXIT_BAD_TABLE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:  # InadmissibleParameters is a ValueError too
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -174,10 +174,11 @@ def left_ideal_code(x: AlgebraElem) -> LinearCode:
 
 def subgroup_pair_code(
     field: PrimeField, H: list[GroupElem], K: list[GroupElem]
-) -> tuple[LinearCode, list[AlgebraElem]]:
+) -> tuple[LinearCode, np.ndarray]:
     """Code of (F_q G)(H^ - K^) for nested subgroups H <= K, together with
     the predicted basis {r (1 - t) H^} over coset representatives r of K in
-    G and t != 1 of H in K.  The basis is verified to span the code.
+    G and t != 1 of H in K, as the rows of one read-only int64 (k, n)
+    matrix ((0, n) when H = K).  The basis is verified to span the code.
 
     Closed form.  e = H^ - K^ is idempotent, so the code A e is the set of
     x with x = x e: the vectors constant on each left coset gH whose sum
@@ -213,7 +214,7 @@ def subgroup_pair_code(
     hat_H = hat(field, H)
     if h_idx == k_idx:
         code = LinearCode(np.zeros((1, group.order), dtype=np.int64), field.q, group=group)
-        return code, []
+        return code, np.zeros((0, group.order), dtype=np.int64)
     e = hat_H - hat(field, K)
     q, n = field.q, group.order
     ids = np.arange(n)
@@ -245,7 +246,6 @@ def subgroup_pair_code(
     r = np.repeat(k_cosets, len(tau) - 1)
     rt = group.mult_table[np.ix_(k_cosets, tau[1:])].ravel()
     rows = (hat_H.coeffs[T[r]] - hat_H.coeffs[T[rt]]) % q
-    basis = [AlgebraElem(group, field, row) for row in rows]
 
     if not np.array_equal(rows[:, h_lab[rt]] != 0, np.eye(len(rows), dtype=bool)):
         raise RuntimeError("predicted basis is not linearly independent")
@@ -259,4 +259,5 @@ def subgroup_pair_code(
         and np.array_equal(times_R(L[:, pivots]), L)
     ):
         raise RuntimeError("predicted basis does not span the code")
-    return LinearCode(R, q, group=group), basis
+    rows.setflags(write=False)
+    return LinearCode(R, q, group=group), rows

@@ -197,6 +197,55 @@ def test_compare_missing_table(tmp_path):
     assert rc == 4
 
 
+def test_compare_non_ascii_table_is_malformed(tmp_path, capsys):
+    # a UnicodeDecodeError is a ValueError, yet the table is malformed: 5, not 2
+    table = tmp_path / "ref.tbl"
+    table.write_bytes("18 2 15 # d\u2081\n".encode("utf-8"))
+    rc = main(["compare", "--q", "11", "--p", "3", "--m", "2", "--table", str(table)])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed reference table: ")
+
+
+def test_compare_directory_as_table(tmp_path, capsys):
+    rc = main(["compare", "--q", "11", "--p", "3", "--m", "2", "--table", str(tmp_path)])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+
+def test_survey_out_is_a_directory(tmp_path, capsys):
+    rc = main(["survey", "--q", "11", "--p", "3", "--m", "2", "--dim", "2",
+               "--out", str(tmp_path)])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+
+@pytest.mark.parametrize("q, p, m, line", [
+    (7, 3, 2, "error: (q, p, m) = (7, 3, 2) is not admissible\n"),
+    (4, 3, 2, "error: q must be prime, got 4\n"),
+], ids=["inadmissible", "q-not-prime"])
+def test_every_command_refuses_a_bad_triple_alike(tmp_path, capsys, q, p, m, line):
+    table = tmp_path / "ref.tbl"
+    table.write_text("18 2 15\n")
+    out = tmp_path / "out"
+    extra = {
+        "construct": ["--gen", "f", "--out", str(out)],
+        "survey": ["--out", str(out)],
+        "verify": [],
+        "compare": ["--table", str(table)],
+    }
+    for command, args in extra.items():
+        rc = main([command, "--q", str(q), "--p", str(p), "--m", str(m)] + args)
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (2, "", line), command
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["construct", "survey", "compare"])
 def test_q_beyond_int64_bound_exits_2(tmp_path, capsys, command):
     # (1000000103, 3, 2) is admissible, but 18 (q-1)^2 >= 2^63

@@ -181,12 +181,12 @@ def test_subgroup_pair_hstar(field11, d9, units1):
     assert code.same_code(left_ideal_code(units1.e11))
     for x in basis:
         assert code.contains(x)
-        assert x.support_weight() == 12
+        assert np.count_nonzero(x) == 12
 
 
 def test_subgroup_pair_equal_subgroups_zero_code(field11, d9):
     code, basis = subgroup_pair_code(field11, d9.subgroup_H(1), d9.subgroup_H(1))
-    assert code.k == 0 and basis == []
+    assert code.k == 0 and basis.shape == (0, 18)
 
 
 def test_subgroup_pair_trivial_in_b(field11, d9):
@@ -247,10 +247,9 @@ def test_predicted_basis_matches_the_translate_loop(q, p, m):
             if not {g.index for g in H} < {g.index for g in K}:
                 continue
             _, basis = subgroup_pair_code(field, H, K)
-            assert all(isinstance(x, AlgebraElem) for x in basis)
-            got = np.array([x.coeffs for x in basis], dtype=np.int64)
+            assert basis.dtype == np.int64 and not basis.flags.writeable
             expect = _predicted_basis_by_loop(field, H, K)
-            assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+            assert basis.shape == expect.shape and basis.tobytes() == expect.tobytes()
             nested += 1
     assert nested == {11: 42, 5: 166, 2: 3}[q]
 
@@ -280,7 +279,7 @@ def _assert_pair_code_is_the_eliminated_one(field, H, K):
     got = code.generator_matrix
     assert got.shape == expect.generator_matrix.shape
     assert got.tobytes() == expect.generator_matrix.tobytes()
-    assert np.array([x.coeffs for x in basis]).tobytes() == expect_basis.tobytes()
+    assert basis.tobytes() == expect_basis.tobytes()
     n = code.n
     assert code.k == len(basis) == n // len(H) - n // len(K)
 
