@@ -14,12 +14,16 @@ runs, prints `error: (q, p, m) = (7, 3, 2) is not admissible`; a bad
 an out-of-range `--j` or survey `--dim`; 2p^m (q-1)^2 >= 2^63, too large
 for exact int64 arithmetic), OSError on read or write -> 4, MalformedTable
 (reference table) -> 5.  Argument parsing exits 2 on what it rejects, such
-as a negative `--budget`.  Identical inputs give byte-identical files.
+as a negative `--budget`.  `construct` and `survey` test that `--out` opens
+for writing before they compute, so an unwritable path exits 4 at once; a
+run that fails creates or truncates no file.  Identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -77,7 +81,25 @@ def _parse_subgroup(group: DihedralGroup, spec: str):
     return group.subgroup_H(j) if mt.group(1) == "h" else group.subgroup_Hstar(j)
 
 
+def _check_writable(path) -> None:
+    """Raise the OSError that opening `path` for writing would raise, before
+    a command computes what it writes.  Leaves no trace: an existing file is
+    opened without truncation, a missing one is created and removed again."""
+    try:
+        fd = os.open(path, os.O_WRONLY)
+    except FileNotFoundError:
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+        except FileExistsError:  # a dangling symlink; the write will tell
+            return
+        os.close(fd)
+        os.unlink(path)
+    else:
+        os.close(fd)
+
+
 def cmd_construct(args) -> int:
+    _check_writable(args.out)
     field = PrimeField(args.q)
     group = DihedralGroup(args.p, args.m)
     if args.gen == "pair":
@@ -127,6 +149,7 @@ def cmd_survey(args) -> int:
     n = 2 * args.p ** args.m
     if args.dim is not None and not 1 <= args.dim <= n:
         raise ValueError(f"--dim {args.dim} out of range 1..{n}")
+    _check_writable(args.out)
     field = PrimeField(args.q)
     catalog = abelian_catalog(field, args.p, args.m)
     rows = enumerate_abelian_codes(catalog, dim_filter=args.dim, budget=args.budget)

@@ -9,6 +9,7 @@ tolerances anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import traceback
 from dataclasses import dataclass
@@ -17,13 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import modmat
-from .algebra import (
-    AlgebraElem,
-    hat,
-    invert_in_component,
-    is_idempotent,
-    left_translate,
-)
+from .algebra import AlgebraElem, hat, is_idempotent
 from .codes import DEFAULT_BUDGET, left_ideal_code, subgroup_pair_code
 from .ff import PrimeField, phi_prime_power, require_admissible
 from .groups import AbelianGroup, DihedralGroup, gamma
@@ -77,14 +72,29 @@ class VerifyContext:
         return abelian_catalog(self.field, self.p, self.m)
 
     def rng(self):
+        """A fresh stream from the seed; each sampled check starts its own, so
+        a check run alone draws what it draws in a full run."""
         return random.Random(self.seed)
 
-    def random_elem(self, rng):
-        return AlgebraElem(
-            self.dihedral,
-            self.field,
-            [rng.randrange(self.q) for _ in range(self.dihedral.order)],
-        )
+    def draw(self, rng, shape, modulus=None):
+        """An int64 array of `shape` of residues mod `modulus` (default q).
+
+        Each residue is one little-endian 64-bit word of `rng.randbytes`
+        reduced mod the modulus: one call per array, not one `randrange` per
+        residue.  Since 2^64 is not a multiple of the modulus, a residue's
+        probability differs from uniform by less than 1/2^64, so the whole
+        distribution by less than modulus/2^64.  `numpy.random` would draw
+        unbiased residues as fast, but importing it costs every `verify` run
+        memory and start-up time.
+        """
+        modulus = self.q if modulus is None else modulus
+        words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
+        return (words % np.uint64(modulus)).astype(np.int64).reshape(shape)
+
+    def random_elems(self, rng, count):
+        """`count` uniformly drawn elements of F_q D, from one draw."""
+        D, field = self.dihedral, self.field
+        return [AlgebraElem(D, field, c) for c in self.draw(rng, (count, D.order))]
 
 
 def _require(cond: bool, msg: str):
@@ -127,13 +137,11 @@ def check_group_axioms(ctx: VerifyContext) -> str:
             )
             mode = "exhaustive"
         else:
-            rng = ctx.rng()
-            for _ in range(5000):
-                g, h, k = (rng.randrange(n) for _ in range(3))
-                _require(
-                    table[table[g, h], k] == table[g, table[h, k]],
-                    f"associativity fails in {group!r}",
-                )
+            g, h, k = ctx.draw(ctx.rng(), (3, 5000), modulus=n)
+            _require(
+                np.array_equal(table[table[g, h], k], table[g, table[h, k]]),
+                f"associativity fails in {group!r}",
+            )
             mode = "sampled"
         _require(np.array_equal(table[0], np.arange(n)), "identity fails on the left")
         _require(np.array_equal(table[:, 0], np.arange(n)), "identity fails on the right")
@@ -176,12 +184,12 @@ def check_convolution(ctx: VerifyContext) -> str:
     rng = ctx.rng()
     n_triples = 1000 if ctx.dihedral.order <= 18 else 200
     for _ in range(n_triples):
-        x, y, z = (ctx.random_elem(rng) for _ in range(3))
-        _require((x * y) * z == x * (y * z), "convolution not associative")
-        _require(x * (y + z) == x * y + x * z, "convolution not distributive")
+        x, y, z = ctx.random_elems(rng, 3)
+        xy = x * y
+        _require(xy * z == x * (y * z), "convolution not associative")
+        _require(x * (y + z) == xy + x * z, "convolution not distributive")
     e = ctx.catalog.component(1)
-    for _ in range(50):
-        y = ctx.random_elem(rng)
+    for y in ctx.random_elems(rng, 50):
         _require(e * y == y * e, "central element does not commute")
     return f"associativity/distributivity on {n_triples} seeded triples"
 
@@ -239,27 +247,42 @@ def check_noncentral_generator(ctx: VerifyContext) -> str:
 
 
 def check_component_field(ctx: VerifyContext) -> str:
-    """Every nonzero element of F_q<a> e_j inverts inside the component."""
+    """Every nonzero element of F_q<a> e_j inverts inside the component.
+
+    F_q<a> e_j = F_q[a e_j] has dimension d = phi(p^j) (checked), so its
+    first d powers (a e_j)^i = a^i e_j, i < d, are a basis.  If v has an
+    inverse in e_j F_q D e_j, the inverse is a polynomial in v (from v's
+    minimal polynomial, whose constant term is then nonzero), so it lies in
+    F_q[v], inside F_q<a> e_j, and is w = sum x_i a^i e_j for some x.  Since
+    e_j v = v, that x solves x L(v)[:d] = e_j, the rows of L(v)[:d] being
+    a^i v: a d-unknown system in place of the n x n system of
+    `invert_in_component`.  No solution means v has no inverse; a solution
+    passes only when v w = e_j and w v = e_j hold exactly.
+    """
     rng = ctx.rng()
     tested = []
     for j in range(1, ctx.m + 1):
         e = ctx.catalog.component(j)
         # row i < p^m of L(e) is a^i e
-        basis, _ = modmat.rref(e.translates()[: ctx.dihedral.rot_order], ctx.q)
+        powers = e.translates()[: ctx.dihedral.rot_order]
+        basis, _ = modmat.rref(powers, ctx.q)
         d = basis.shape[0]
         _require(d == phi_prime_power(ctx.p, j), f"F_q<a>e_{j} has wrong dimension")
         if ctx.q**d <= 2048:
             combos = itertools.product(range(ctx.q), repeat=d)
             mode = "exhaustive"
         else:
-            combos = [[rng.randrange(ctx.q) for _ in range(d)] for _ in range(64)]
+            combos = ctx.draw(rng, (64, d))
             mode = "sampled"
         count = 0
         for c in combos:
             v = AlgebraElem(ctx.dihedral, ctx.field, np.array(c) @ basis % ctx.q)
             if v.is_zero():
                 continue
-            invert_in_component(v, e)  # raises when not invertible
+            x = modmat.solve(v.translates()[:d].T, e.coeffs, ctx.q)
+            _require(x is not None, "not invertible in component")
+            w = AlgebraElem(ctx.dihedral, ctx.field, x @ powers[:d])
+            _require(v * w == e and w * v == e, "not invertible in component")
             count += 1
         tested.append(f"e_{j}: {count} {mode}")
     return "every tested nonzero element inverts (" + "; ".join(tested) + ")"
@@ -368,13 +391,12 @@ def check_abelian_images(ctx: VerifyContext) -> str:
             np.array_equal(u.e22.coeffs, minus.coeffs),
             f"gamma(e22) != (1-t)/2 etil_{j} as coefficient vectors",
         )
-        for g in ctx.dihedral.elements():
-            lhs = left_translate(g, u.e11)
-            rhs = left_translate(gamma(g, A), plus)
-            _require(
-                np.array_equal(lhs.coeffs, rhs.coeffs),
-                f"gamma(g e11) != gamma(g) (1+t)/2 etil_{j} for g = {g!r}",
-            )
+        # row g of L(x) is g x, and gamma keeps canonical indices (gamma-map),
+        # so gamma(g e11) = gamma(g) gamma(e11) for every g is one matrix identity
+        bad = np.flatnonzero((u.e11.translates() != plus.translates()).any(axis=1))
+        if bad.size:
+            g = ctx.dihedral.from_index(int(bad[0]))
+            raise CheckFailure(f"gamma(g e11) != gamma(g) (1+t)/2 etil_{j} for g = {g!r}")
         img11 = gamma_image_code(left_ideal_code(u.e11), A)
         img22 = gamma_image_code(left_ideal_code(u.e22), A)
         _require(

@@ -1,6 +1,6 @@
 import pytest
 
-from dihedral_codes import LinearCode
+from dihedral_codes import LinearCode, cli
 from dihedral_codes.cli import main
 
 
@@ -95,6 +95,39 @@ def test_construct_io_failure(tmp_path):
     rc = main(["construct", "--q", "11", "--p", "3", "--m", "2", "--gen", "f",
                "--out", str(tmp_path / "missing-dir" / "f.gm")])
     assert rc == 4
+
+
+@pytest.mark.parametrize("command", ["construct", "survey"])
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # the survey at (5, 3, 3) used to run for about 2 s before this exit 4
+    def no_work(*args):
+        raise AssertionError("computed before testing --out")
+
+    monkeypatch.setattr(cli, "abelian_catalog", no_work)
+    monkeypatch.setattr(cli, "central_idempotents", no_work)
+    out = tmp_path / "missing-dir" / "out"
+    extra = ["--gen", "f"] if command == "construct" else []
+    rc = main([command, "--q", "5", "--p", "3", "--m", "3", *extra, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (4, "")
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["survey", "--dim", "0"],
+    ["construct", "--gen", "custom", "--coeffs", "1,x"],
+    ["construct", "--gen", "custom", "--coeffs", "1,2"],
+    ["construct", "--gen", "pair", "--sub-h", "h1", "--sub-k", "h1"],
+], ids=["dim-0", "coeffs-not-int", "coeffs-too-short", "pair-equal"])
+def test_a_failing_run_creates_or_truncates_no_file(tmp_path, capsys, argv):
+    new, old = tmp_path / "new", tmp_path / "old"
+    old.write_text("keep\n")
+    for out in (new, old):
+        command, *options = argv
+        rc = main([command, "--q", "11", "--p", "3", "--m", "2", *options, "--out", str(out)])
+        assert rc == 2 and capsys.readouterr().err.startswith("error: ")
+    assert not new.exists()
+    assert old.read_text() == "keep\n"
 
 
 def test_construct_outputs_are_byte_identical(tmp_path):

@@ -2,11 +2,21 @@
 checks."""
 
 import time
+import types
 
 import numpy as np
 import pytest
 
-from dihedral_codes import DihedralGroup, LinearCode, PrimeField, codes, run_checks, verify
+from dihedral_codes import (
+    AlgebraElem,
+    DihedralGroup,
+    LinearCode,
+    PrimeField,
+    codes,
+    modmat,
+    run_checks,
+    verify,
+)
 from dihedral_codes.cli import main
 
 PINNED_11_3_2 = """\
@@ -209,3 +219,68 @@ def test_coefficient_claim_names_the_vanishing_coset_values(capsys, monkeypatch,
         1,
         "FAIL coefficient-claim: 2 coset values vanish simultaneously\n",
     )
+
+
+@pytest.mark.parametrize("seed", ["-3", str(2**64 + 7)])
+def test_convolution_passes_at_any_integer_seed(capsys, seed):
+    assert _verify(capsys, 11, 3, 2, ["convolution"], "--seed", seed) == (
+        0,
+        "PASS convolution: associativity/distributivity on 1000 seeded triples\n",
+    )
+
+
+def test_streams_from_one_seed_draw_the_same_residues():
+    ctx = verify.VerifyContext(11, 3, 2, seed=5)
+    first, second = ctx.rng(), ctx.rng()
+    xs = ctx.random_elems(first, 3)
+    assert xs == ctx.random_elems(second, 3)
+    assert xs != ctx.random_elems(verify.VerifyContext(11, 3, 2, seed=6).rng(), 3)
+    draws = ctx.draw(first, (500, 3), modulus=18), ctx.draw(second, (500, 3), modulus=18)
+    assert np.array_equal(*draws)
+    assert draws[0].dtype == np.int64 and set(np.unique(draws[0])) == set(range(18))
+
+
+@pytest.mark.parametrize("q, p, m", [(11, 3, 2), (3, 5, 3)])
+def test_a_corrupted_dense_product_fails_convolution(monkeypatch, q, p, m):
+    # one coordinate off in every product with a dense left factor; the
+    # sampled elements are dense at both q
+    convolve = AlgebraElem.convolve
+
+    def corrupted(self, other):
+        xy = convolve(self, other)
+        if self.support_weight() <= self.group.order // 2:
+            return xy
+        wrong = xy.coeffs.copy()
+        wrong[0] += 1
+        return AlgebraElem(self.group, self.field, wrong)
+
+    monkeypatch.setattr(AlgebraElem, "convolve", corrupted)
+    [res] = run_checks(q, p, m, names=["convolution"])
+    assert (res.passed, res.detail) == (False, "convolution not associative")
+
+
+def test_abelian_images_names_the_first_g_whose_translate_differs(monkeypatch):
+    # rows a^4 and a^7 of L((1+t)/2 etil_1) become (1+t)/2 etil_1 itself
+    ctx = verify.VerifyContext(11, 3, 2)
+    group = ctx.abelian_cat.members[2].group
+    table = group.translate_table.copy()
+    table[[4, 7]] = table[0]
+    monkeypatch.setitem(vars(group), "translate_table", table)
+    with pytest.raises(verify.CheckFailure) as exc:
+        verify.check_abelian_images(ctx)
+    assert str(exc.value) == "gamma(g e11) != gamma(g) (1+t)/2 etil_1 for g = a^4"
+
+
+@pytest.mark.parametrize("solver", ["exact", "wrong"])
+def test_a_non_invertible_element_fails_component_field(monkeypatch, solver):
+    # component 1 replaced by 1: F_11<a> = F_11 x F_121 has zero divisors,
+    # which the 3-unknown solve finds unsolvable; a wrong solution fails
+    # the two exact products instead
+    ctx = verify.VerifyContext(11, 3, 1)
+    one = AlgebraElem.one(ctx.dihedral, ctx.field)
+    vars(ctx)["catalog"] = types.SimpleNamespace(component=lambda j: one)
+    monkeypatch.setattr(verify, "phi_prime_power", lambda p, j: p)
+    if solver == "wrong":
+        monkeypatch.setattr(modmat, "solve", lambda A, b, q: np.ones(A.shape[1], np.int64))
+    with pytest.raises(verify.CheckFailure, match="^not invertible in component$"):
+        verify.check_component_field(ctx)
