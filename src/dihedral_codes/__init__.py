@@ -14,6 +14,7 @@ from .algebra import (
     is_central,
     is_idempotent,
     left_translate,
+    products,
 )
 from .codes import (
     DEFAULT_BUDGET,
@@ -90,6 +91,7 @@ __all__ = [
     "multiplicative_order",
     "noncentral_generator",
     "phi_prime_power",
+    "products",
     "run_checks",
     "write_survey_table",
 ]

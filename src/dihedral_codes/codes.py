@@ -6,6 +6,8 @@ written down from the coset structure and proven without elimination.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from math import comb
 
 import numpy as np
@@ -18,6 +20,22 @@ from .groups import GroupElem
 
 DEFAULT_BUDGET = 1 << 24
 
+_scans: ContextVar[dict | None] = ContextVar("scans", default=None)
+
+
+@contextmanager
+def shared_scans(memo: dict):
+    """Inside the block, `weights` keeps each scanned distribution in `memo`,
+    keyed by q and the shape, dtype and bytes of the matrix it received,
+    and returns a kept one instead of scanning that matrix again.  The memo
+    belongs to the caller (one per `verify.run_checks` call), so nothing is
+    shared between blocks with different memos."""
+    token = _scans.set(memo)
+    try:
+        yield memo
+    finally:
+        _scans.reset(token)
+
 
 def weights(G, q: int, budget: int) -> np.ndarray | None:
     """The one route chooser for exact weight distributions.
@@ -26,20 +44,29 @@ def weights(G, q: int, budget: int) -> np.ndarray | None:
     (k = n) has a closed form; otherwise the q^k messages are scanned when
     they fit within the budget, and beyond it the answer is None.  The
     budget only decides whether a value is computed; it never changes one.
-    The counts A_0..A_n come back read-only.
+    The counts A_0..A_n come back read-only.  Within `shared_scans`, a
+    matrix already scanned there is not scanned again; None is never kept.
     """
     k, n = np.shape(G)
+    memo, key = _scans.get(), None
     if k == n:
         # A_w = C(n, w) (q-1)^w, no enumeration needed
         # (object dtype: the counts overflow int64 already for n = 50)
         hist = np.array([comb(n, w) * (q - 1) ** w for w in range(n + 1)], dtype=object)
     elif q**k <= budget:
+        if memo is not None:
+            G = np.asarray(G)
+            key = (q, G.shape, G.dtype.str, G.tobytes())
+            if key in memo:
+                return memo[key]
         hist = weight_histogram(G, q)
     else:
         return None
     if hist[0] != 1 or int(hist.sum()) != q**k:
         raise RuntimeError("weight distribution failed internal sanity check")
     hist.setflags(write=False)
+    if key is not None:
+        memo[key] = hist
     return hist
 
 
@@ -173,7 +200,7 @@ def left_ideal_code(x: AlgebraElem) -> LinearCode:
 
 
 def subgroup_pair_code(
-    field: PrimeField, H: list[GroupElem], K: list[GroupElem]
+    field: PrimeField, H: list[GroupElem], K: list[GroupElem], averages=None
 ) -> tuple[LinearCode, np.ndarray]:
     """Code of (F_q G)(H^ - K^) for nested subgroups H <= K, together with
     the predicted basis {r (1 - t) H^} over coset representatives r of K in
@@ -200,22 +227,27 @@ def subgroup_pair_code(
     (column j takes the column of its own H-coset, or minus the sum of the
     columns of its K-coset when j lies in a last H-coset), so neither a
     dense product nor an elimination is formed.
+
+    `averages`, when given, is (hat(field, H), hat(field, K)), already
+    built and closure-checked by the caller, which a suite over many pairs
+    does once per subgroup rather than once per pair.
     """
     if not H or not K:
         raise ValueError("empty subgroup")
     group = H[0].group
-    if any(g.group != group for g in H + K):
+    # list.count compares by identity first, so one shared group costs no __eq__
+    if [g.group for g in H + K].count(group) != len(H) + len(K):
         raise ValueError("subgroups must live in one group")
     h_idx = frozenset(g.index for g in H)
     k_idx = frozenset(g.index for g in K)
     if not h_idx <= k_idx:
         raise ValueError("H is not contained in K")
 
-    hat_H = hat(field, H)
+    hat_H = hat(field, H) if averages is None else averages[0]
     if h_idx == k_idx:
         code = LinearCode(np.zeros((1, group.order), dtype=np.int64), field.q, group=group)
         return code, np.zeros((0, group.order), dtype=np.int64)
-    e = hat_H - hat(field, K)
+    e = hat_H - (hat(field, K) if averages is None else averages[1])
     q, n = field.q, group.order
     ids = np.arange(n)
     # label each g by the least element of gH (of gK); a label names a coset

@@ -129,12 +129,22 @@ class _Group:
     def inverse(self, g: GroupElem) -> GroupElem:
         if g.group != self:
             raise ValueError("group mismatch")
-        return GroupElem(self, -self.flip**g.j * g.i, g.j)
+        return GroupElem(self, *self._invert(g.i, g.j))
+
+    def inverse_indices(self) -> np.ndarray:
+        """index(g^{-1}) for every g, by the same formula as `inverse`."""
+        idx = np.arange(self.order)
+        i, j = self._invert(idx % self.rot_order, idx // self.rot_order)
+        return i % self.rot_order + j * self.rot_order
 
     def _compose(self, i1, j1, i2, j2):
         # b a b = a^flip gives (a^i b^j)(a^k b^l) = a^{i + flip^j k} b^{j+l};
         # the same expression serves ints and index arrays
         return i1 + self.flip**j1 * i2, j1 + j2
+
+    def _invert(self, i, j):
+        # (a^i b^j)^{-1} = a^{-flip^j i} b^j, for ints and index arrays alike
+        return -self.flip**j * i, j
 
     @cached_property
     def mult_table(self) -> np.ndarray:

@@ -4,6 +4,15 @@ Each check re-derives one block of identities or code parameters from
 scratch for the given (q, p, m).  Checks either pass with a one-line detail
 or fail with the first violated identity; everything is exact, no
 tolerances anywhere.
+
+The algebra runs on stacks: `convolution` and `component-field` draw and
+check their elements in chunks of `algebra.chunk_rows` rows, each product
+of a chunk one call of `algebra.products`, and `hat-idempotents` checks
+absorption one subgroup average against a stack of others.  Checks of one
+`run_checks` call share scans of identical matrices: a weight distribution
+is scanned once per distinct generator matrix and run (see
+`codes.shared_scans`), so `central-codes` and `survey` reuse what
+`subgroup-pairs` scanned.  Each run starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -13,13 +22,13 @@ import math
 import random
 import traceback
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import modmat
-from .algebra import AlgebraElem, hat, is_idempotent
-from .codes import DEFAULT_BUDGET, left_ideal_code, subgroup_pair_code
+from .algebra import AlgebraElem, chunk_rows, hat, is_idempotent, products
+from .codes import DEFAULT_BUDGET, left_ideal_code, shared_scans, subgroup_pair_code
 from .ff import PrimeField, phi_prime_power, require_admissible
 from .groups import AbelianGroup, DihedralGroup, gamma
 from .idempotents import central_idempotents, matrix_units, noncentral_generator
@@ -44,7 +53,8 @@ class CheckResult:
 
 class VerifyContext:
     """Shared objects for one (q, p, m) verification run; the catalogs are
-    built on first use."""
+    built on first use, and `scans` holds the run's weight distributions by
+    generator matrix."""
 
     def __init__(self, q, p, m, budget=DEFAULT_BUDGET, seed=0):
         require_admissible(q, p, m)
@@ -54,6 +64,7 @@ class VerifyContext:
         self.field = PrimeField(q)
         self.dihedral = DihedralGroup(p, m)
         self.abelian = AbelianGroup(p, m)
+        self.scans = {}
 
     @cached_property
     def catalog(self):
@@ -95,6 +106,20 @@ class VerifyContext:
         """`count` uniformly drawn elements of F_q D, from one draw."""
         D, field = self.dihedral, self.field
         return [AlgebraElem(D, field, c) for c in self.draw(rng, (count, D.order))]
+
+    def draw_chunks(self, rng, count, per=1):
+        """`count` successive draws of `per` elements of F_q D, yielded in
+        chunks of at most `chunk_rows` draws, each as a (per, c, n) array.
+
+        A chunk is one `draw` of (c, per, n), and the residues are those of
+        `count` separate `draw(rng, (per, n))` calls: `randbytes` fills
+        32-bit words in stream order, so one call for 8 c per n bytes gives
+        the bytes of c calls for 8 per n.
+        """
+        n = self.dihedral.order
+        step = chunk_rows(self.dihedral)
+        for start in range(0, count, step):
+            yield self.draw(rng, (min(step, count - start), per, n)).transpose(1, 0, 2)
 
 
 def _require(cond: bool, msg: str):
@@ -143,29 +168,36 @@ def check_group_axioms(ctx: VerifyContext) -> str:
                 f"associativity fails in {group!r}",
             )
             mode = "sampled"
-        _require(np.array_equal(table[0], np.arange(n)), "identity fails on the left")
-        _require(np.array_equal(table[:, 0], np.arange(n)), "identity fails on the right")
-        for g in group.elements():
-            _require((g * g.inverse()).is_identity(), f"inverse fails for {g!r}")
-        for row in table:
-            _require(len(set(int(v) for v in row)) == n, "multiplication not cancellative")
+        ids = np.arange(n)
+        _require(np.array_equal(table[0], ids), "identity fails on the left")
+        _require(np.array_equal(table[:, 0], ids), "identity fails on the right")
+        bad = np.flatnonzero(table[ids, group.inverse_indices()] != 0)
+        if bad.size:
+            raise CheckFailure(f"inverse fails for {group.from_index(int(bad[0]))!r}")
+        # no repeated entry in any row
+        _require(np.diff(np.sort(table, axis=1), axis=1).all(), "multiplication not cancellative")
         results.append(mode)
     D = ctx.dihedral
-    for i in range(D.rot_order):
-        lhs = D.b * D.element(i) * D.b
-        _require(lhs == D.element(-i), "b a^i b != a^-i")
+    table, pm = D.mult_table, D.rot_order
+    rot = np.arange(pm)
+    _require(np.array_equal(table[table[pm, rot], pm], -rot % pm), "b a^i b != a^-i")
     A = ctx.abelian
     _require(
         np.array_equal(np.asarray(A.mult_table), np.asarray(A.mult_table).T),
         "abelian group is not commutative",
     )
+    inverse = D.inverse_indices()
     for j in range(D.m + 1):
         for S in (D.subgroup_H(j), D.subgroup_Hstar(j)):
-            idx = {g.index for g in S}
-            for g in S:
-                _require(g.inverse().index in idx, "subgroup not closed under inverse")
-                for h in S:
-                    _require((g * h).index in idx, "subgroup not closed under product")
+            idx = np.array([g.index for g in S])
+            member = np.zeros(D.order, dtype=bool)
+            member[idx] = True
+            # per g in S: g^-1 in S, and g h in S for every h in S
+            inv_ok = member[inverse[idx]]
+            ok = inv_ok & member[table[np.ix_(idx, idx)]].all(axis=1)
+            if not ok.all():
+                _require(inv_ok[ok.argmin()], "subgroup not closed under inverse")
+                raise CheckFailure("subgroup not closed under product")
     return f"group axioms hold (dihedral {results[0]}, abelian {results[1]})"
 
 
@@ -181,34 +213,54 @@ def check_gamma_map(ctx: VerifyContext) -> str:
 
 
 def check_convolution(ctx: VerifyContext) -> str:
+    """(xy)z = x(yz) and x(y + z) = xy + xz on seeded triples, and e_1 y =
+    y e_1 on seeded y, a chunk of triples at a time: x, y, z are the stacks
+    of the chunk's first, second and third elements.  The first failing
+    triple names the identity, as a triple-by-triple loop would."""
     rng = ctx.rng()
+    mul = partial(products, ctx.dihedral, ctx.field)
     n_triples = 1000 if ctx.dihedral.order <= 18 else 200
-    for _ in range(n_triples):
-        x, y, z = ctx.random_elems(rng, 3)
-        xy = x * y
-        _require(xy * z == x * (y * z), "convolution not associative")
-        _require(x * (y + z) == xy + x * z, "convolution not distributive")
-    e = ctx.catalog.component(1)
-    for y in ctx.random_elems(rng, 50):
-        _require(e * y == y * e, "central element does not commute")
+    for x, y, z in ctx.draw_chunks(rng, n_triples, 3):
+        xy = mul(x, y)
+        assoc = (mul(xy, z) != mul(x, mul(y, z))).any(axis=1)
+        dist = (mul(x, (y + z) % ctx.q) != (xy + mul(x, z)) % ctx.q).any(axis=1)
+        failed = assoc | dist
+        if failed.any():
+            _require(not assoc[failed.argmax()], "convolution not associative")
+            raise CheckFailure("convolution not distributive")
+    e = ctx.catalog.component(1).coeffs
+    for [y] in ctx.draw_chunks(rng, 50):
+        ey = np.broadcast_to(e, y.shape)
+        _require(np.array_equal(mul(ey, y), mul(y, ey)), "central element does not commute")
     return f"associativity/distributivity on {n_triples} seeded triples"
 
 
 def check_hat_idempotents(ctx: VerifyContext) -> str:
+    """Every subgroup average is idempotent, and H^ K^ = K^ H^ = K^ for
+    nested H < K.  The absorption products run stacked: H^ against all
+    the K^ above it, then all the H^ below each K^ against it; either way
+    the left factors' supports lie inside the larger subgroup, so each
+    stack gathers few rows of L."""
     field = ctx.field
+    mul = partial(products, ctx.dihedral, field)
     subs = ctx.dihedral.all_subgroups()
-    hats = []
+    hats, sets = [], []
     for S in subs:
         h = hat(field, S)
         _require(is_idempotent(h), f"hat of subgroup of order {len(S)} is not idempotent")
-        hats.append((frozenset(g.index for g in S), h))
-    absorbed = 0
-    for si, hi in hats:
-        for sj, hj in hats:
-            if si < sj:
-                _require(hi * hj == hj, "hat absorption fails for nested subgroups")
-                _require(hj * hi == hj, "hat absorption fails for nested subgroups")
-                absorbed += 1
+        hats.append(h.coeffs)
+        sets.append(frozenset(g.index for g in S))
+    hats = np.array(hats)
+    nested = np.array([[si < sj for sj in sets] for si in sets])  # [i, j]: H_i < H_j
+    for i in range(len(sets)):
+        hj = hats[nested[i]]
+        hi = np.broadcast_to(hats[i], hj.shape)
+        _require(np.array_equal(mul(hi, hj), hj), "hat absorption fails for nested subgroups")
+    for j in range(len(sets)):
+        hi = hats[nested[:, j]]
+        hj = np.broadcast_to(hats[j], hi.shape)
+        _require(np.array_equal(mul(hj, hi), hj), "hat absorption fails for nested subgroups")
+    absorbed = int(nested.sum())
     return f"{len(subs)} subgroup averages idempotent, {absorbed} absorption pairs"
 
 
@@ -258,32 +310,41 @@ def check_component_field(ctx: VerifyContext) -> str:
     a^i v: a d-unknown system in place of the n x n system of
     `invert_in_component`.  No solution means v has no inverse; a solution
     passes only when v w = e_j and w v = e_j hold exactly.
+
+    The elements are built and both products checked a chunk of
+    `chunk_rows` elements at a time; the solves stay one per element.
     """
     rng = ctx.rng()
+    D, q = ctx.dihedral, ctx.q
+    mul = partial(products, D, ctx.field)
+    step = chunk_rows(D)
     tested = []
     for j in range(1, ctx.m + 1):
         e = ctx.catalog.component(j)
         # row i < p^m of L(e) is a^i e
-        powers = e.translates()[: ctx.dihedral.rot_order]
-        basis, _ = modmat.rref(powers, ctx.q)
+        powers = e.translates()[: D.rot_order]
+        basis, _ = modmat.rref(powers, q)
         d = basis.shape[0]
         _require(d == phi_prime_power(ctx.p, j), f"F_q<a>e_{j} has wrong dimension")
-        if ctx.q**d <= 2048:
-            combos = itertools.product(range(ctx.q), repeat=d)
+        if q**d <= 2048:
+            combos = np.array(list(itertools.product(range(q), repeat=d)), dtype=np.int64)
             mode = "exhaustive"
         else:
             combos = ctx.draw(rng, (64, d))
             mode = "sampled"
         count = 0
-        for c in combos:
-            v = AlgebraElem(ctx.dihedral, ctx.field, np.array(c) @ basis % ctx.q)
-            if v.is_zero():
-                continue
-            x = modmat.solve(v.translates()[:d].T, e.coeffs, ctx.q)
-            _require(x is not None, "not invertible in component")
-            w = AlgebraElem(ctx.dihedral, ctx.field, x @ powers[:d])
-            _require(v * w == e and w * v == e, "not invertible in component")
-            count += 1
+        for start in range(0, len(combos), step):
+            v = combos[start : start + step] @ basis % q
+            v = v[v.any(axis=1)]
+            # rows a^i v, i < d, of L(v)
+            xs = [modmat.solve(row[D.translate_table[:d]].T, e.coeffs, q) for row in v]
+            _require(all(x is not None for x in xs), "not invertible in component")
+            w = np.array(xs, dtype=np.int64).reshape(len(v), d) @ powers[:d] % q
+            _require(
+                (mul(v, w) == e.coeffs).all() and (mul(w, v) == e.coeffs).all(),
+                "not invertible in component",
+            )
+            count += len(v)
         tested.append(f"e_{j}: {count} {mode}")
     return "every tested nonzero element inverts (" + "; ".join(tested) + ")"
 
@@ -296,14 +357,16 @@ def _pair_weights(field, group, budget):
     """
     subs = [S for S in group.all_subgroups() if len(S) % field.q != 0]
     index_sets = [frozenset(g.index for g in S) for S in subs]
+    hats = [hat(field, S) for S in subs]  # each average built and checked once
     # (H, K) as index sets -> (representative's code, g, weight): the pair is
     # the representative conjugated by g
     classes = {}
-    for H, h_idx in zip(subs, index_sets):
-        for K, k_idx in zip(subs, index_sets):
+    for H, h_idx, hat_H in zip(subs, index_sets, hats):
+        for K, k_idx, hat_K in zip(subs, index_sets, hats):
             if not h_idx < k_idx:
                 continue
-            code, _ = subgroup_pair_code(field, H, K)  # verifies the basis spans
+            # verifies the basis spans
+            code, _ = subgroup_pair_code(field, H, K, averages=(hat_H, hat_K))
             sizes = f"|H|={len(H)}, |K|={len(K)}"
             expect = group.order // len(H) - group.order // len(K)
             if code.k != expect:
@@ -593,15 +656,16 @@ def run_checks(
             raise ValueError(f"unknown check names: {sorted(unknown)}")
     ctx = VerifyContext(q, p, m, budget=budget, seed=seed)
     results = []
-    for name, fn in CHECKS:
-        if names is not None and name not in names:
-            continue
-        try:
-            detail = fn(ctx)
-            results.append(CheckResult(name, True, detail))
-        except (CheckFailure, RuntimeError, ValueError, ArithmeticError) as exc:
-            results.append(CheckResult(name, False, str(exc)))
-        except Exception as exc:  # a defect in one check must not hide the others
-            traceback.print_exc()
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+    with shared_scans(ctx.scans):
+        for name, fn in CHECKS:
+            if names is not None and name not in names:
+                continue
+            try:
+                detail = fn(ctx)
+                results.append(CheckResult(name, True, detail))
+            except (CheckFailure, RuntimeError, ValueError, ArithmeticError) as exc:
+                results.append(CheckResult(name, False, str(exc)))
+            except Exception as exc:  # a defect in one check must not hide the others
+                traceback.print_exc()
+                results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
     return results

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedral_codes import (
     AbelianGroup,
@@ -14,7 +16,9 @@ from dihedral_codes import (
     is_central,
     is_idempotent,
     left_translate,
+    products,
 )
+from dihedral_codes.algebra import chunk_rows
 
 
 def rand_elem(group, field, rng):
@@ -267,3 +271,51 @@ def test_convolve_matches_full_translate_matrix(group, q):
         for y in (rand_elem(group, field, rng), hat(field, subgroup)):
             full = x.coeffs @ y.translates() % q
             assert np.array_equal(x.convolve(y).coeffs, full)
+
+
+def mult_table_products(group, q, xs, ys):
+    """Oracle in Python ints: (xy)_g = sum_h x_h y_{h^-1 g}, where h^-1 g is
+    found as the k with h k = g in `mult_table`, with no translate table."""
+    solve = np.argsort(group.mult_table, axis=1)  # solve[h, g] = k with h k = g
+    xs, ys = xs.astype(object), ys.astype(object)
+    return (xs[:, :, None] * ys[:, solve]).sum(axis=1) % q
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(GROUPS),
+    st.sampled_from([2, 3, 11, 715827883]),
+    st.integers(0, 4),  # columns of a sparse stack, or 0 for a dense one
+    st.integers(0, 2),  # stack size: below, at or past the chunk boundary
+    st.integers(0, 2**32 - 1),
+)
+def test_products_match_a_mult_table_oracle(group, q, sparse, where, seed):
+    rng = np.random.default_rng(seed)
+    n = group.order
+    cols = rng.choice(n, size=sparse, replace=False) if sparse else np.arange(n)
+    chunk = chunk_rows(group, len(cols))
+    B = [max(chunk - 1, 1), chunk, 2 * chunk + 1][where]
+    xs = np.zeros((B, n), dtype=np.int64)
+    xs[:, cols] = rng.integers(0, q, (B, len(cols)))
+    xs[0, cols] = rng.integers(1, q, len(cols))  # the union support is cols
+    ys = rng.integers(0, q, (B, n))
+    out = products(group, PrimeField(q), xs, ys)
+    assert out.shape == (B, n) and out.dtype == np.int64
+    assert np.array_equal(out, mult_table_products(group, q, xs, ys).astype(np.int64))
+
+
+def test_products_refuse_the_int64_bound_and_mismatched_stacks(d9):
+    with pytest.raises(ValueError, match=r"2\^63"):
+        products(d9, PrimeField(1000000103), np.zeros((1, 18)), np.zeros((1, 18)))
+    with pytest.raises(ValueError, match="stacks"):
+        products(d9, PrimeField(11), np.zeros((2, 18)), np.zeros((3, 18)))
+    with pytest.raises(ValueError, match="stacks"):
+        products(d9, PrimeField(11), np.zeros((2, 9)), np.zeros((2, 9)))
+    assert products(d9, PrimeField(11), np.zeros((0, 18)), np.zeros((0, 18))).shape == (0, 18)
+
+
+def test_chunk_rows_fit_the_scan_kernel_step():
+    # a dense row at n = 250 has a 500 KB index block: one row per chunk
+    assert chunk_rows(DihedralGroup(5, 3)) == 1
+    assert chunk_rows(DihedralGroup(3, 2)) == 101
+    assert chunk_rows(DihedralGroup(3, 2), 0) == chunk_rows(DihedralGroup(3, 2), 1) == 1820

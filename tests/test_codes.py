@@ -164,6 +164,21 @@ def test_none_is_not_cached():
     assert code.min_weight(budget=0) == 2  # computed values are cached
 
 
+def test_shared_scans_keep_scanned_distributions_but_not_refusals():
+    G = np.array([[1, 1, 0], [0, 1, 1]])  # q^k = 9
+    memo = {}
+    with codes.shared_scans(memo):
+        assert weights(G, 3, budget=8) is None
+        assert memo == {}
+        first = weights(G, 3, budget=9)
+        assert first.tolist() == [1, 0, 6, 2] and len(memo) == 1
+        assert weights(G.copy(), 3, budget=9) is first  # same bytes, no second scan
+        assert weights(G, 3, budget=8) is None  # the budget still decides
+        assert weights(G, 5, budget=25) is not first  # q is part of the key
+    assert len(memo) == 2
+    assert weights(G, 3, budget=9) is not first  # outside the block nothing is kept
+
+
 def test_full_space_shortcut(field11, d9):
     code = left_ideal_code(AlgebraElem.one(d9, field11))
     dist = code.weight_distribution(budget=10)  # no enumeration needed

@@ -242,21 +242,92 @@ def test_streams_from_one_seed_draw_the_same_residues():
 
 @pytest.mark.parametrize("q, p, m", [(11, 3, 2), (3, 5, 3)])
 def test_a_corrupted_dense_product_fails_convolution(monkeypatch, q, p, m):
-    # one coordinate off in every product with a dense left factor; the
+    # one coordinate off in every product row with a dense left factor; the
     # sampled elements are dense at both q
-    convolve = AlgebraElem.convolve
+    stacked = verify.products
 
-    def corrupted(self, other):
-        xy = convolve(self, other)
-        if self.support_weight() <= self.group.order // 2:
-            return xy
-        wrong = xy.coeffs.copy()
-        wrong[0] += 1
-        return AlgebraElem(self.group, self.field, wrong)
+    def corrupted(group, field, xs, ys):
+        out = stacked(group, field, xs, ys)
+        dense = np.count_nonzero(xs, axis=1) > group.order // 2
+        out[dense, 0] = (out[dense, 0] + 1) % field.q
+        return out
 
-    monkeypatch.setattr(AlgebraElem, "convolve", corrupted)
+    monkeypatch.setattr(verify, "products", corrupted)
     [res] = run_checks(q, p, m, names=["convolution"])
     assert (res.passed, res.detail) == (False, "convolution not associative")
+
+
+@pytest.mark.parametrize("seed", [5, -3])
+@pytest.mark.parametrize("q, p, m, triples", [(11, 3, 2, 1000), (3, 5, 3, 4)])
+def test_chunked_draws_equal_one_draw_per_triple(seed, q, p, m, triples):
+    # 1000 triples at n = 18 are ten chunks, the last one short; at n = 250
+    # a chunk is one triple
+    ctx = verify.VerifyContext(q, p, m, seed=seed)
+    chunked = ctx.rng()
+    stacks = [c.transpose(1, 0, 2) for c in ctx.draw_chunks(chunked, triples, 3)]
+    central = [c[0] for c in ctx.draw_chunks(chunked, 50)]
+    one_by_one = ctx.rng()
+    each = [[x.coeffs for x in ctx.random_elems(one_by_one, 3)] for _ in range(triples)]
+    assert np.array_equal(np.concatenate(stacks), np.array(each))
+    assert np.array_equal(
+        np.concatenate(central), [x.coeffs for x in ctx.random_elems(one_by_one, 50)]
+    )
+
+
+def _count_scans(monkeypatch):
+    scanned = []
+    scan = codes.weight_histogram
+    monkeypatch.setattr(codes, "weight_histogram", lambda G, q: scanned.append(G) or scan(G, q))
+    return scanned
+
+
+def test_checks_of_one_run_share_scans_of_identical_matrices(monkeypatch):
+    # central-codes' codes and survey's member codes are pair codes that
+    # subgroup-pairs already scanned: 6 + 4 + 17 scans alone, 20 together
+    scanned = _count_scans(monkeypatch)
+    alone = {}
+    for name in ("subgroup-pairs", "central-codes", "survey"):
+        scanned.clear()
+        alone[name] = run_checks(11, 3, 2, names=[name])
+        assert len(scanned) == {"subgroup-pairs": 6, "central-codes": 4, "survey": 17}[name]
+    scanned.clear()
+    together = run_checks(11, 3, 2, names=list(alone))
+    assert together == [r for results in alone.values() for r in results]
+    assert len(scanned) == 20
+    assert len({G.tobytes() for G in scanned}) == 20
+
+
+def test_each_run_scans_afresh(monkeypatch):
+    # the memo belongs to one run: a second run scans every matrix again,
+    # so a corrupted kernel is seen by the run it corrupts
+    checks = ["subgroup-pairs", "central-codes"]
+    assert all(r.passed for r in run_checks(11, 3, 2, names=checks))
+    scanned = _count_scans(monkeypatch)
+    assert all(r.passed for r in run_checks(11, 3, 2, names=checks))
+    assert len(scanned) == 8
+    monkeypatch.setattr(codes, "weight_histogram", lambda G, q: np.zeros(19, dtype=np.int64))
+    [pairs, central] = run_checks(11, 3, 2, names=checks)
+    assert not pairs.passed and not central.passed
+
+
+def test_a_wrong_inverse_is_named_by_the_first_failing_element(monkeypatch):
+    # with the abelian formula, a^i b inverts to a^-i b, wrong from a b on
+    monkeypatch.setattr(DihedralGroup, "_invert", lambda self, i, j: (-i, j))
+    with pytest.raises(verify.CheckFailure, match="^inverse fails for a\\*b$"):
+        verify.check_group_axioms(verify.VerifyContext(11, 3, 2))
+
+
+@pytest.mark.parametrize(
+    "rotations, message",
+    [([0, 1], "subgroup not closed under inverse"), ([0, 1, 8], "subgroup not closed under product")],
+)
+def test_a_set_that_is_no_subgroup_fails_group_axioms(monkeypatch, rotations, message):
+    # {1, a} lacks a^-1 = a^8; {1, a, a^8} has every inverse but not a^2
+    monkeypatch.setattr(
+        DihedralGroup, "subgroup_H", lambda self, j: [self.element(i) for i in rotations]
+    )
+    with pytest.raises(verify.CheckFailure, match=f"^{message}$"):
+        verify.check_group_axioms(verify.VerifyContext(11, 3, 2))
 
 
 def test_abelian_images_names_the_first_g_whose_translate_differs(monkeypatch):
