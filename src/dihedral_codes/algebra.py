@@ -8,18 +8,17 @@ x y = x @ L(y), the left ideal generated by x is the row space of L(x), and
 an inverse inside a component solves x L(u) = e.
 
 One kernel, `products`, forms every product.  It takes two (B, n) stacks
-of residues and returns the B row-wise products: with S the union of the
-supports of the xs rows, out[r] = xs[r, S] @ L(ys[r])[S], so a group
-element or a subgroup average costs a few rows of L, not the whole matrix.
-Rows go in chunks whose index block, rows x |S| x n int64 indices, fits in
-`_kernels.CELLS` bytes (256 KB, the scan kernel's bound), and a chunk holds
-at least one row.  One block serves every chunk of a call: L(ys[r])[S] is
-gathered in place of its own indices, so a call allocates it once.  At
-n = 18 a chunk holds 101 dense rows, and a product costs about 1.2 us,
-against 13-15 us for one `AlgebraElem` product.  At n = 250 a dense row's
-block is 500 KB, so a chunk is one row, as one product always was; four
-dense rows in one block measured 136-194 us per product there, against
-84-107 us one at a time.  `AlgebraElem.convolve` is the one-row call.
+of residues and returns the B row-wise products.  It works in chunks of
+at least one row whose index block, rows x |S| x n int64 indices for S
+the union support of the xs rows, fits in `_kernels.CELLS` bytes (256 KB,
+the scan kernel's bound).  A chunk gathers L only on S_c, the union
+support of its own rows: out[r] = xs[r, S_c] @ L(ys[r])[S_c], so a group
+element or a subgroup average costs a few rows of L.  One block, gathered
+in place of its own indices, serves every chunk.  Only this module and
+`_kernels` know the memory bound; callers hand over whole stacks.  A
+dense chunk holds 101 rows at n = 18 and one row at n = 250, so there a
+stacked call costs what one-row calls cost.  `AlgebraElem.convolve` is
+the one-row call.
 
 Exactness: an entry of x @ L(y) is a sum of `order` products of residues
 below q, so it is at most order (q-1)^2.  Elements and `products` refuse
@@ -62,9 +61,9 @@ def products(group, field: PrimeField, xs, ys) -> np.ndarray:
     """Row-wise products xs[r] ys[r] in F_q G of two (B, n) stacks of
     residues in [0, q), as a new (B, n) int64 array of residues.
 
-    Gathers L(ys[r]) only on the union S of the supports of the xs rows,
-    in chunks of `chunk_rows` rows (see the module docstring).  The inputs
-    must be reduced: the 2^63 bound holds for residues below q only.
+    Chunks of `chunk_rows` rows, each gathered on its own support (see the
+    module docstring).  The inputs must be reduced: the 2^63 bound holds
+    for residues below q only.
     """
     _require_exact(group, field)
     n = group.order
@@ -73,21 +72,22 @@ def products(group, field: PrimeField, xs, ys) -> np.ndarray:
         raise ValueError(f"expected two (B, {n}) stacks, got {xs.shape} and {ys.shape}")
     S = (xs[0] if len(xs) == 1 else xs.any(axis=0)).nonzero()[0]
     step = chunk_rows(group, len(S))
-    xs_S = xs.take(S, axis=1)
     out = np.empty_like(xs)
-    # one index block for every chunk; indices are in range, so "wrap" never
-    # wraps, but unlike "raise" it writes into `out` without a buffer
-    block = np.empty((min(step, len(xs)), len(S), n), dtype=np.int64)
+    # one index block, sized for S, serves every chunk: a chunk gathers on
+    # its own union support S_c, a subset of S, in a prefix of the block
+    block = np.empty(min(step, len(xs)) * len(S) * n, dtype=np.int64)
     for start in range(0, len(xs), step):
-        y = ys[start : start + step]
-        rows = block[: len(y)]
-        # row r of the block indexes y.flat at r n + T[S], so gathering puts
-        # L(y[r])[S] in place of its own indices
-        group.translate_table.take(S, axis=0, out=rows[0], mode="wrap")
+        x, y = xs[start : start + step], ys[start : start + step]
+        S_c = S if len(x) == len(xs) else x.any(axis=0).nonzero()[0]
+        rows = block[: len(y) * len(S_c) * n].reshape(len(y), len(S_c), n)
+        # row r indexes y.flat at r n + T[S_c], so gathering puts L(y[r])[S_c]
+        # in place of its own indices; "wrap" never wraps, as indices are in
+        # range, but unlike "raise" it writes into `rows` without a buffer
+        group.translate_table.take(S_c, axis=0, out=rows[0], mode="wrap")
         if len(y) > 1:
             np.add(rows[0], n * np.arange(1, len(y))[:, None, None], out=rows[1:])
         y.take(rows, out=rows, mode="wrap")
-        np.matmul(xs_S[start : start + step, None], rows, out=out[start : start + step, None])
+        np.matmul(x.take(S_c, axis=1)[:, None], rows, out=out[start : start + step, None])
     out %= field.q
     return out
 

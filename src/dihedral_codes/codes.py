@@ -179,6 +179,9 @@ class LinearCode:
             vals = [int(t) for t in ln.split()]
             if len(vals) != n:
                 raise ValueError(f"row {i} has {len(vals)} entries, expected {n}")
+            bad = [v for v in vals if not 0 <= v < q]
+            if bad:
+                raise ValueError(f"row {i} has {bad[0]}, outside the residues [0, {q})")
             rows[i] = vals
         code = cls(rows, q, group=group)
         if code.k != k:
@@ -207,26 +210,28 @@ def subgroup_pair_code(
     G and t != 1 of H in K, as the rows of one read-only int64 (k, n)
     matrix ((0, n) when H = K).  The basis is verified to span the code.
 
-    Closed form.  e = H^ - K^ is idempotent, so the code A e is the set of
-    x with x = x e: the vectors constant on each left coset gH whose sum
-    over each left coset gK is 0.  Label each coset by its least element
-    and, inside each K-coset, order its H-cosets by label.  The RREF R then
-    has one row 1_C - 1_C' for each H-coset C but the last one C' of its
-    K-coset, with the label of C as its pivot, rows in pivot order; so
-    k = (G:H) - (G:K).  R is written down, not eliminated.
+    Closed form.  Let V hold the vectors that are constant on each left
+    coset gH and sum to 0 over each left coset gK.  Label each coset by its
+    least element and, inside each K-coset, order its H-cosets by label.
+    The RREF R has one row 1_C - 1_C' for each H-coset C but the last one
+    C' of its K-coset, with the label of C as its pivot, rows in pivot
+    order; so k = (G:H) - (G:K).  R is written down from the labels, not
+    eliminated.
 
-    Proof, exact over F_q.  With P the pivot columns, R[:, P] is the
-    identity, so a row v lies in span R exactly when v = v[P] R.
-      1. The predicted basis B is independent: row (r, t) alone is nonzero
-         on the coset rtH, so B on those columns is a nonzero diagonal.
-      2. B lies in span R: B = B[:, P] R, and |B| = k.
-      3. span R lies in A e: R e = R, each row (1_C - 1_C') e read off the
-         sums of the rows g e of L(e) over the cosets C and C'.
-      4. A e lies in span R: L(e) = L(e)[:, P] R.
-    Since the rows of R are 1_C - 1_C', a product X R is one column gather
-    (column j takes the column of its own H-coset, or minus the sum of the
-    columns of its K-coset when j lies in a last H-coset), so neither a
-    dense product nor an elimination is formed.
+    Proof, exact over F_q, with e = H^ - K^, A = F_q G, P the pivot
+    columns, and p_i, l_i the labels of C and C' for row i:
+      (a) the predicted basis B is independent, as B on the columns of the
+          cosets rtH is a nonzero diagonal, and |B| = k;
+      (b) R, B and e lie in V;
+      (c) h e = e for every h in H;
+      (d) row i of R is |H| (p_i e - l_i e), from rows p_i and l_i of L(e).
+    R[:, P] is the identity, and dim V = (G:H) - (G:K) = k, since |H| is
+    invertible and each K-coset sum is |H| times the sum of its H-coset
+    values; so by (a) and (b), span R = V = span B.  V is a left ideal
+    and e lies in it, so A e lies in V.  (d) writes each row of R from two
+    rows of L(e), so R lies in A e; by (c), 1_C e = |H| g_C e for the label
+    g_C of C, so (d) is R e = R.  Hence span R = A e = span B.  Only
+    2k + |H| rows of L(e) are gathered.
 
     `averages`, when given, is (hat(field, H), hat(field, K)), already
     built and closure-checked by the caller, which a suite over many pairs
@@ -258,18 +263,8 @@ def subgroup_pair_code(
     last = np.zeros(n, dtype=np.int64)
     np.maximum.at(last, k_lab[h_cosets], h_cosets)  # last H-coset of each K-coset
     pivots = h_cosets[last[k_lab[h_cosets]] != h_cosets]
-    k = len(pivots)
-    row_of = np.full(n, -1)
-    row_of[pivots] = np.arange(k)
-    # column j of X R is column gather[j] of [X, -(sum of X per K-coset)]
-    gather = np.where(row_of[h_lab] >= 0, row_of[h_lab], k + np.searchsorted(k_cosets, k_lab))
-    by_k_coset = np.argsort(k_lab[pivots], kind="stable")
-
-    def times_R(X):
-        sums = X[:, by_k_coset].reshape(len(X), len(k_cosets), -1).sum(axis=2)
-        return np.concatenate((X, -sums), axis=1)[:, gather] % q
-
-    R = times_R(np.eye(k, dtype=np.int64))
+    lasts = last[k_lab[pivots]]
+    R = ((h_lab == pivots[:, None]).astype(np.int64) - (h_lab == lasts[:, None])) % q
 
     # the predicted basis, row (r, t) = r H^ - r t H^ read as x[T[g]]; r runs
     # over the K-coset labels and t over the H-coset labels inside K
@@ -281,14 +276,16 @@ def subgroup_pair_code(
 
     if not np.array_equal(rows[:, h_lab[rt]] != 0, np.eye(len(rows), dtype=bool)):
         raise RuntimeError("predicted basis is not linearly independent")
-    L = e.translates()
-    coset_sums = L[np.argsort(h_lab, kind="stable")].reshape(len(h_cosets), -1, n).sum(axis=1)
-    C, C_last = np.searchsorted(h_cosets, [pivots, last[k_lab[pivots]]])
+    c = e.coeffs
+    # V: constant on each H-coset (x = x[h_lab]), zero sum over each K-coset
+    in_V = np.vstack((R, rows, c))
+    by_k_coset = in_V[:, np.argsort(k_lab, kind="stable")].reshape(len(in_V), len(k_cosets), -1)
     if not (
-        len(rows) == k
-        and np.array_equal(times_R(rows[:, pivots]), rows)
-        and np.array_equal((coset_sums[C] - coset_sums[C_last]) % q, R)
-        and np.array_equal(times_R(L[:, pivots]), L)
+        len(rows) == len(pivots)
+        and np.array_equal(in_V, in_V[:, h_lab])
+        and not (by_k_coset.sum(axis=2) % q).any()
+        and (c[T[sorted(h_idx)]] == c).all()
+        and np.array_equal(len(h_idx) * (c[T[pivots]] - c[T[lasts]]) % q, R)
     ):
         raise RuntimeError("predicted basis does not span the code")
     rows.setflags(write=False)

@@ -5,10 +5,10 @@ scratch for the given (q, p, m).  Checks either pass with a one-line detail
 or fail with the first violated identity; everything is exact, no
 tolerances anywhere.
 
-The algebra runs on stacks: `convolution` and `component-field` draw and
-check their elements in chunks of `algebra.chunk_rows` rows, each product
-of a chunk one call of `algebra.products`, and `hat-idempotents` checks
-absorption one subgroup average against a stack of others.  Checks of one
+The algebra runs on stacks: `convolution` and `component-field` hand
+whole stacks of elements to `algebra.products`, which alone splits them
+to its memory bound, and `hat-idempotents` checks absorption one subgroup
+average against a stack of others.  Checks of one
 `run_checks` call share scans of identical matrices: a weight distribution
 is scanned once per distinct generator matrix and run (see
 `codes.shared_scans`), so `central-codes` and `survey` reuse what
@@ -27,7 +27,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import modmat
-from .algebra import AlgebraElem, chunk_rows, hat, is_idempotent, products
+from .algebra import hat, is_idempotent, products
 from .codes import DEFAULT_BUDGET, left_ideal_code, shared_scans, subgroup_pair_code
 from .ff import PrimeField, phi_prime_power, require_admissible
 from .groups import AbelianGroup, DihedralGroup, gamma
@@ -94,32 +94,15 @@ class VerifyContext:
         reduced mod the modulus: one call per array, not one `randrange` per
         residue.  Since 2^64 is not a multiple of the modulus, a residue's
         probability differs from uniform by less than 1/2^64, so the whole
-        distribution by less than modulus/2^64.  `numpy.random` would draw
-        unbiased residues as fast, but importing it costs every `verify` run
-        memory and start-up time.
+        distribution by less than modulus/2^64.  `randbytes` fills 32-bit
+        words in stream order, so one call for c arrays of a shape draws what
+        c calls in a row draw.  `numpy.random` would draw unbiased residues as
+        fast, but importing it costs every `verify` run memory and start-up
+        time.
         """
         modulus = self.q if modulus is None else modulus
         words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
-        return (words % np.uint64(modulus)).astype(np.int64).reshape(shape)
-
-    def random_elems(self, rng, count):
-        """`count` uniformly drawn elements of F_q D, from one draw."""
-        D, field = self.dihedral, self.field
-        return [AlgebraElem(D, field, c) for c in self.draw(rng, (count, D.order))]
-
-    def draw_chunks(self, rng, count, per=1):
-        """`count` successive draws of `per` elements of F_q D, yielded in
-        chunks of at most `chunk_rows` draws, each as a (per, c, n) array.
-
-        A chunk is one `draw` of (c, per, n), and the residues are those of
-        `count` separate `draw(rng, (per, n))` calls: `randbytes` fills
-        32-bit words in stream order, so one call for 8 c per n bytes gives
-        the bytes of c calls for 8 per n.
-        """
-        n = self.dihedral.order
-        step = chunk_rows(self.dihedral)
-        for start in range(0, count, step):
-            yield self.draw(rng, (min(step, count - start), per, n)).transpose(1, 0, 2)
+        return (words % np.uint64(modulus)).view(np.int64).reshape(shape)
 
 
 def _require(cond: bool, msg: str):
@@ -214,24 +197,24 @@ def check_gamma_map(ctx: VerifyContext) -> str:
 
 def check_convolution(ctx: VerifyContext) -> str:
     """(xy)z = x(yz) and x(y + z) = xy + xz on seeded triples, and e_1 y =
-    y e_1 on seeded y, a chunk of triples at a time: x, y, z are the stacks
-    of the chunk's first, second and third elements.  The first failing
-    triple names the identity, as a triple-by-triple loop would."""
+    y e_1 on seeded y, each on whole stacks: x, y, z stack the triples'
+    first, second and third elements.  The first failing triple names the
+    identity, as a triple-by-triple loop would."""
     rng = ctx.rng()
     mul = partial(products, ctx.dihedral, ctx.field)
-    n_triples = 1000 if ctx.dihedral.order <= 18 else 200
-    for x, y, z in ctx.draw_chunks(rng, n_triples, 3):
-        xy = mul(x, y)
-        assoc = (mul(xy, z) != mul(x, mul(y, z))).any(axis=1)
-        dist = (mul(x, (y + z) % ctx.q) != (xy + mul(x, z)) % ctx.q).any(axis=1)
-        failed = assoc | dist
-        if failed.any():
-            _require(not assoc[failed.argmax()], "convolution not associative")
-            raise CheckFailure("convolution not distributive")
-    e = ctx.catalog.component(1).coeffs
-    for [y] in ctx.draw_chunks(rng, 50):
-        ey = np.broadcast_to(e, y.shape)
-        _require(np.array_equal(mul(ey, y), mul(y, ey)), "central element does not commute")
+    n = ctx.dihedral.order
+    n_triples = 1000 if n <= 18 else 200
+    x, y, z = ctx.draw(rng, (n_triples, 3, n)).transpose(1, 0, 2)
+    xy = mul(x, y)
+    assoc = (mul(xy, z) != mul(x, mul(y, z))).any(axis=1)
+    dist = (mul(x, (y + z) % ctx.q) != (xy + mul(x, z)) % ctx.q).any(axis=1)
+    failed = assoc | dist
+    if failed.any():
+        _require(not assoc[failed.argmax()], "convolution not associative")
+        raise CheckFailure("convolution not distributive")
+    y = ctx.draw(rng, (50, n))
+    ey = np.broadcast_to(ctx.catalog.component(1).coeffs, y.shape)
+    _require(np.array_equal(mul(ey, y), mul(y, ey)), "central element does not commute")
     return f"associativity/distributivity on {n_triples} seeded triples"
 
 
@@ -311,13 +294,11 @@ def check_component_field(ctx: VerifyContext) -> str:
     `invert_in_component`.  No solution means v has no inverse; a solution
     passes only when v w = e_j and w v = e_j hold exactly.
 
-    The elements are built and both products checked a chunk of
-    `chunk_rows` elements at a time; the solves stay one per element.
+    Both products are checked on one stack per component, one solve each.
     """
     rng = ctx.rng()
     D, q = ctx.dihedral, ctx.q
     mul = partial(products, D, ctx.field)
-    step = chunk_rows(D)
     tested = []
     for j in range(1, ctx.m + 1):
         e = ctx.catalog.component(j)
@@ -332,20 +313,17 @@ def check_component_field(ctx: VerifyContext) -> str:
         else:
             combos = ctx.draw(rng, (64, d))
             mode = "sampled"
-        count = 0
-        for start in range(0, len(combos), step):
-            v = combos[start : start + step] @ basis % q
-            v = v[v.any(axis=1)]
-            # rows a^i v, i < d, of L(v)
-            xs = [modmat.solve(row[D.translate_table[:d]].T, e.coeffs, q) for row in v]
-            _require(all(x is not None for x in xs), "not invertible in component")
-            w = np.array(xs, dtype=np.int64).reshape(len(v), d) @ powers[:d] % q
-            _require(
-                (mul(v, w) == e.coeffs).all() and (mul(w, v) == e.coeffs).all(),
-                "not invertible in component",
-            )
-            count += len(v)
-        tested.append(f"e_{j}: {count} {mode}")
+        v = combos @ basis % q
+        v = v[v.any(axis=1)]
+        # rows a^i v, i < d, of L(v)
+        xs = [modmat.solve(row[D.translate_table[:d]].T, e.coeffs, q) for row in v]
+        _require(all(x is not None for x in xs), "not invertible in component")
+        w = np.array(xs, dtype=np.int64).reshape(len(v), d) @ powers[:d] % q
+        _require(
+            (mul(v, w) == e.coeffs).all() and (mul(w, v) == e.coeffs).all(),
+            "not invertible in component",
+        )
+        tested.append(f"e_{j}: {len(v)} {mode}")
     return "every tested nonzero element inverts (" + "; ".join(tested) + ")"
 
 

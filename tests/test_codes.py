@@ -354,24 +354,57 @@ def test_pair_code_hands_rref_only_reduced_matrices(monkeypatch):
     assert len(seen) == len(nested) and all(seen)
 
 
-def test_pair_code_proof_rejects_a_corrupted_generator(monkeypatch):
-    """e = H^ - K^ with one coefficient of K^ moved: R e != R, so the proof
-    fails with the existing message instead of returning a code."""
+@pytest.mark.parametrize(
+    "corrupted, message",
+    [("H", "predicted basis is not linearly independent"),
+     ("K", "predicted basis does not span the code")],
+    ids=["H", "K"],
+)
+def test_pair_code_proof_rejects_a_corrupted_generator(monkeypatch, corrupted, message):
+    """e = H^ - K^ with one coefficient of H^ or of K^ moved, outside both
+    subgroups: e leaves V, and a moved H^ also puts off-diagonal entries in
+    the predicted basis on its diagonal columns.  So the proof fails with
+    an existing message instead of returning a code."""
     field, group = PrimeField(5), DihedralGroup(3, 3)
     H, K = group.subgroup_H(1), group.subgroup_Hstar(1)
     real_hat = codes.hat
 
     def corrupt_hat(f, S):
         x = real_hat(f, S)
-        if len(S) == len(K):
+        if len(S) == len({"H": H, "K": K}[corrupted]):
             c = x.coeffs.copy()
             c[-1] += 1
             x = AlgebraElem(group, f, c)
         return x
 
     monkeypatch.setattr(codes, "hat", corrupt_hat)
-    with pytest.raises(RuntimeError, match="predicted basis does not span the code"):
+    with pytest.raises(RuntimeError, match=message):
         subgroup_pair_code(field, H, K)
+
+
+@pytest.mark.parametrize(
+    "averages",
+    [
+        # e = 0: in V and fixed by H, but R != |H| (p e - l e) = 0
+        lambda hH, hK, one: (hH, hH),
+        # e = H^ - K^ + (1, ..., 1) is fixed by every g, but sums to |K| over
+        # each K-coset
+        lambda hH, hK, one: (hH, AlgebraElem(hK.group, hK.field, hK.coeffs - 1)),
+        # e is right, but B = {r H'^ - r t H'^} leaves V, as H'^ = H^ + 2 is
+        # not constant on H; its diagonal stays nonzero
+        lambda hH, hK, one: (hH + 2 * one, hK + 2 * one),
+    ],
+    ids=["zero-generator", "e-outside-V", "basis-outside-V"],
+)
+def test_pair_code_proof_rejects_averages_that_break_one_identity(averages):
+    """Each pair of averages breaks one identity of the proof and keeps the
+    others, so dropping that identity's test would return a wrong code or a
+    wrong basis."""
+    field, group = PrimeField(5), DihedralGroup(3, 3)
+    H, K = group.subgroup_H(1), group.subgroup_Hstar(1)
+    wrong = averages(hat(field, H), hat(field, K), AlgebraElem.one(group, field))
+    with pytest.raises(RuntimeError, match="predicted basis does not span the code"):
+        subgroup_pair_code(field, H, K, averages=wrong)
 
 
 def test_right_translate_proves_conjugate_pair_codes():
@@ -425,6 +458,10 @@ def test_from_text_rejects_malformed():
         LinearCode.from_text("4 2 3\n1 0 0 1\n")  # missing a row
     with pytest.raises(ValueError):
         LinearCode.from_text("4 1 3\n1 0 0\n")  # short row
+    with pytest.raises(ValueError, match="row 0 has 6, outside"):
+        LinearCode.from_text("3 1 5\n6 -1 12\n")  # not residues mod 5
+    with pytest.raises(ValueError, match="row 1 has -1, outside"):
+        LinearCode.from_text("3 2 5\n1 0 0\n0 -1 4\n")
 
 
 def test_from_text_rejects_rank_below_header():

@@ -232,9 +232,9 @@ def test_convolution_passes_at_any_integer_seed(capsys, seed):
 def test_streams_from_one_seed_draw_the_same_residues():
     ctx = verify.VerifyContext(11, 3, 2, seed=5)
     first, second = ctx.rng(), ctx.rng()
-    xs = ctx.random_elems(first, 3)
-    assert xs == ctx.random_elems(second, 3)
-    assert xs != ctx.random_elems(verify.VerifyContext(11, 3, 2, seed=6).rng(), 3)
+    xs = ctx.draw(first, (3, 18))
+    assert np.array_equal(xs, ctx.draw(second, (3, 18)))
+    assert not np.array_equal(xs, ctx.draw(verify.VerifyContext(11, 3, 2, seed=6).rng(), (3, 18)))
     draws = ctx.draw(first, (500, 3), modulus=18), ctx.draw(second, (500, 3), modulus=18)
     assert np.array_equal(*draws)
     assert draws[0].dtype == np.int64 and set(np.unique(draws[0])) == set(range(18))
@@ -260,18 +260,20 @@ def test_a_corrupted_dense_product_fails_convolution(monkeypatch, q, p, m):
 @pytest.mark.parametrize("seed", [5, -3])
 @pytest.mark.parametrize("q, p, m, triples", [(11, 3, 2, 1000), (3, 5, 3, 4)])
 def test_chunked_draws_equal_one_draw_per_triple(seed, q, p, m, triples):
-    # 1000 triples at n = 18 are ten chunks, the last one short; at n = 250
-    # a chunk is one triple
+    # `convolution` draws all its triples in one call, then its 50 central
+    # elements; the stream gives the same residues in chunks of any size,
+    # down to one call per triple and one per central element
     ctx = verify.VerifyContext(q, p, m, seed=seed)
+    n = ctx.dihedral.order
+    whole = ctx.rng()
+    stack, central = ctx.draw(whole, (triples, 3, n)), ctx.draw(whole, (50, n))
     chunked = ctx.rng()
-    stacks = [c.transpose(1, 0, 2) for c in ctx.draw_chunks(chunked, triples, 3)]
-    central = [c[0] for c in ctx.draw_chunks(chunked, 50)]
+    bounds = [0, 1, triples // 2, triples]
+    chunks = [ctx.draw(chunked, (b - a, 3, n)) for a, b in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(chunks), stack)
     one_by_one = ctx.rng()
-    each = [[x.coeffs for x in ctx.random_elems(one_by_one, 3)] for _ in range(triples)]
-    assert np.array_equal(np.concatenate(stacks), np.array(each))
-    assert np.array_equal(
-        np.concatenate(central), [x.coeffs for x in ctx.random_elems(one_by_one, 50)]
-    )
+    assert np.array_equal([ctx.draw(one_by_one, (3, n)) for _ in range(triples)], stack)
+    assert np.array_equal([ctx.draw(one_by_one, (n,)) for _ in range(50)], central)
 
 
 def _count_scans(monkeypatch):
