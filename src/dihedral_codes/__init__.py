@@ -8,9 +8,7 @@ abelian code of the same length.
 
 from .algebra import (
     AlgebraElem,
-    NotInvertibleError,
     hat,
-    invert_in_component,
     is_central,
     is_idempotent,
     left_translate,
@@ -67,7 +65,6 @@ __all__ = [
     "LinearCode",
     "MatrixUnits",
     "NonCentralGenerators",
-    "NotInvertibleError",
     "PrimeField",
     "SurveyRow",
     "abelian_catalog",
@@ -79,7 +76,6 @@ __all__ = [
     "gamma",
     "gamma_image_code",
     "hat",
-    "invert_in_component",
     "is_central",
     "is_idempotent",
     "is_prime",

@@ -1,11 +1,9 @@
 """The group algebra F_q G: dense coefficient vectors in canonical element
-order, with convolution product, subgroup averages, centrality tests, and
-inversion inside a component.
+order, with convolution product, subgroup averages and centrality tests.
 
 Every product goes through one matrix: L(x), whose row g is the left
 translate g x, gathered from the group's `translate_table`.  Then
-x y = x @ L(y), the left ideal generated by x is the row space of L(x), and
-an inverse inside a component solves x L(u) = e.
+x y = x @ L(y), and the left ideal generated by x is the row space of L(x).
 
 One kernel, `products`, forms every product.  It takes two (B, n) stacks
 of residues and returns the B row-wise products.  It works in chunks of
@@ -30,14 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import modmat
 from ._kernels import CELLS
 from .ff import PrimeField
 from .groups import GroupElem
-
-
-class NotInvertibleError(ArithmeticError):
-    """The element has no inverse inside the requested component."""
 
 
 def _require_exact(group, field: PrimeField) -> None:
@@ -253,24 +246,3 @@ def is_central(x: AlgebraElem) -> bool:
             return False
     return True
 
-
-def invert_in_component(u: AlgebraElem, e: AlgebraElem) -> AlgebraElem:
-    """Inverse of u inside the component with identity e.
-
-    e must be idempotent and u must lie in the component (u e = u = e u).
-    Found by solving x u = e, that is L(u)^T x = e; then e x e is the
-    inverse, which is unique in e A e because one-sided inverses in a finite
-    dimensional algebra are two-sided.  Both products are re-verified exactly.
-    """
-    u._match(e)
-    if not is_idempotent(e):
-        raise ValueError("e is not idempotent")
-    if u.convolve(e) != u or e.convolve(u) != u:
-        raise ValueError("u does not lie in the component of e")
-    x = modmat.solve(u.translates().T, e.coeffs, u.field.q)
-    if x is None:
-        raise NotInvertibleError("not invertible in component")
-    v = e.convolve(AlgebraElem(u.group, u.field, x)).convolve(e)
-    if u.convolve(v) != e or v.convolve(u) != e:
-        raise NotInvertibleError("not invertible in component")
-    return v

@@ -116,7 +116,8 @@ def cmd_construct(args) -> int:
     elif args.gen == "custom":
         if not args.coeffs:
             raise ValueError("--gen custom needs --coeffs")
-        coeffs = [int(t) for t in args.coeffs.split(",")]
+        # reduced as Python ints, so no entry overflows int64
+        coeffs = [int(t) % args.q for t in args.coeffs.split(",")]
         code = left_ideal_code(AlgebraElem(group, field, coeffs))
     else:
         catalog = central_idempotents(field, group)

@@ -223,15 +223,13 @@ def subgroup_pair_code(
       (a) the predicted basis B is independent, as B on the columns of the
           cosets rtH is a nonzero diagonal, and |B| = k;
       (b) R, B and e lie in V;
-      (c) h e = e for every h in H;
-      (d) row i of R is |H| (p_i e - l_i e), from rows p_i and l_i of L(e).
+      (c) row i of R is |H| (p_i e - l_i e), from rows p_i and l_i of L(e).
     R[:, P] is the identity, and dim V = (G:H) - (G:K) = k, since |H| is
     invertible and each K-coset sum is |H| times the sum of its H-coset
     values; so by (a) and (b), span R = V = span B.  V is a left ideal
-    and e lies in it, so A e lies in V.  (d) writes each row of R from two
-    rows of L(e), so R lies in A e; by (c), 1_C e = |H| g_C e for the label
-    g_C of C, so (d) is R e = R.  Hence span R = A e = span B.  Only
-    2k + |H| rows of L(e) are gathered.
+    and e lies in it, so A e lies in V.  (c) writes each row of R from two
+    rows of L(e), so R lies in A e.  Hence span R = A e = span B.  Only
+    2k rows of L(e) are gathered.
 
     `averages`, when given, is (hat(field, H), hat(field, K)), already
     built and closure-checked by the caller, which a suite over many pairs
@@ -284,7 +282,6 @@ def subgroup_pair_code(
         len(rows) == len(pivots)
         and np.array_equal(in_V, in_V[:, h_lab])
         and not (by_k_coset.sum(axis=2) % q).any()
-        and (c[T[sorted(h_idx)]] == c).all()
         and np.array_equal(len(h_idx) * (c[T[pivots]] - c[T[lasts]]) % q, R)
     ):
         raise RuntimeError("predicted basis does not span the code")

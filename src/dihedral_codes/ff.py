@@ -78,8 +78,10 @@ def phi_prime_power(p: int, j: int) -> int:
 def check_admissible(q: int, p: int, m: int) -> bool:
     """True iff gcd(2 p^m, q) = 1 and q generates the units modulo p^m.
 
-    q must be prime, p an odd prime, m >= 1; violations of those shape
-    requirements raise instead of returning False.
+    For odd p, q generates the units mod p^m iff it generates them mod p
+    and, when m >= 2, q^(p-1) != 1 mod p^2 (primitive roots lift), so the
+    cost does not grow with m.  q must be prime, p an odd prime, m >= 1;
+    violations of those shape requirements raise instead of returning False.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
@@ -87,10 +89,9 @@ def check_admissible(q: int, p: int, m: int) -> bool:
         raise ValueError(f"p must be an odd prime, got {p}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    pm = p ** m
-    if gcd(2 * pm, q) != 1:
+    if gcd(2 * p**m, q) != 1:
         return False
-    return multiplicative_order(q, pm) == phi_prime_power(p, m)
+    return multiplicative_order(q, p) == p - 1 and (m == 1 or pow(q, p - 1, p * p) != 1)
 
 
 def require_admissible(q: int, p: int, m: int) -> None:

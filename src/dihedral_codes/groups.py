@@ -166,9 +166,7 @@ class _Group:
         For a coefficient vector x, x[translate_table] is the matrix L(x)
         whose row g is the left translate g x, since (g x)_h = x_{g^{-1} h}.
         """
-        # each row of mult_table is a permutation with its 0 at g^{-1}
-        inverses = np.argmin(self.mult_table, axis=1)
-        table = self.mult_table[inverses]
+        table = self.mult_table[self.inverse_indices()]
         table.setflags(write=False)
         return table
 
@@ -176,8 +174,7 @@ class _Group:
         """order x len(indices) table: row g holds index(g^{-1} s g) for each
         s in `indices`."""
         T = self.mult_table
-        inverses = self.translate_table[:, 0]  # index(g^{-1} 1)
-        return T[T[inverses][:, indices], np.arange(self.order)[:, None]]
+        return T[T[self.inverse_indices()][:, indices], np.arange(self.order)[:, None]]
 
     # -- subgroups ---------------------------------------------------------
     def subgroup_H(self, j: int) -> list[GroupElem]:

@@ -14,13 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import (
-    AlgebraElem,
-    hat,
-    invert_in_component,
-    is_central,
-    is_idempotent,
-)
+import numpy as np
+
+from .algebra import AlgebraElem, hat, is_central, is_idempotent
 from .ff import PrimeField, require_admissible
 from .groups import DihedralGroup
 
@@ -116,19 +112,33 @@ def central_idempotents(field: PrimeField, group: DihedralGroup) -> CentralCatal
 
 
 def matrix_units(catalog: CentralCatalog, j: int) -> MatrixUnits:
-    """The four matrix units of the component e_j, 1 <= j <= m."""
+    """The four matrix units of the component e = e_j, 1 <= j <= m.
+
+    e21 needs v = (a - a^-1)^-1 e, which has the closed form
+    v = p^-j sum_{k < p^j} k a^(2k+1) e.  Proof: let z = a^2 e.  Then
+    z^(p^j) = e, as a^(p^j) lies in H_{j-1} and so fixes both averages in
+    e = H_j^ - H_{j-1}^.  Also sum_k z^k = 0: 2 is a unit mod p^j, so the
+    sum is sum_{k < p^j} a^k e, and both averages take sum_{k < p^j} a^k to
+    p^j H_0^.  Hence (z - e) sum_k k z^k = p^j e - sum_k z^k = p^j e, where
+    p^j is invertible because q does not divide 2 p^m.  As
+    (a - a^-1) e = a^-1 (z - e), (a - a^-1) v = e.  And since
+    (1 - b)/2 a (1 + b)/2 = (a - a^-1)(1 + b)/4, the textbook
+    e21 = 4 v^2 (1 - b)/2 a (1 + b)/2 e is 2 v e11.  The 16 products and
+    e11 + e22 = e, checked below, prove the units at run time.
+    """
     e = catalog.component(j)
     group, field = catalog.group, catalog.field
     a = AlgebraElem.from_group_elem(group.a, field)
-    a_inv = AlgebraElem.from_group_elem(group.a.inverse(), field)
     pplus, pminus = _halves(group, field)
 
     e11 = pplus * e
     e22 = pminus * e
     e12 = pplus * a * pminus * e
-    u = (a - a_inv) * e
-    u_inv = invert_in_component(u, e)  # cannot fail under admissibility
-    e21 = 4 * (u_inv * u_inv) * pminus * a * pplus * e
+    k = np.arange(group.p**j)
+    c = np.zeros(group.order, dtype=np.int64)
+    c[(2 * k + 1) % group.rot_order] = k
+    v = field.inv(group.p**j) * AlgebraElem(group, field, c) * e
+    e21 = 2 * v * e11
 
     units = MatrixUnits(j, e, e11, e12, e21, e22)
     table = units.as_dict()

@@ -290,9 +290,9 @@ def check_component_field(ctx: VerifyContext) -> str:
     minimal polynomial, whose constant term is then nonzero), so it lies in
     F_q[v], inside F_q<a> e_j, and is w = sum x_i a^i e_j for some x.  Since
     e_j v = v, that x solves x L(v)[:d] = e_j, the rows of L(v)[:d] being
-    a^i v: a d-unknown system in place of the n x n system of
-    `invert_in_component`.  No solution means v has no inverse; a solution
-    passes only when v w = e_j and w v = e_j hold exactly.
+    a^i v: a system in d unknowns, not n.  No solution means v has no
+    inverse; a solution passes only when v w = e_j and w v = e_j hold
+    exactly.
 
     Both products are checked on one stack per component, one solve each.
     """

@@ -9,10 +9,8 @@ from dihedral_codes import (
     AbelianGroup,
     AlgebraElem,
     DihedralGroup,
-    NotInvertibleError,
     PrimeField,
     hat,
-    invert_in_component,
     is_central,
     is_idempotent,
     left_translate,
@@ -157,34 +155,6 @@ def test_left_translate_matches_convolution(field11, d9):
         assert left_translate(g, x) == ge * x
 
 
-def test_invert_identity_of_component(catalog):
-    e1 = catalog.component(1)
-    assert invert_in_component(e1, e1) == e1
-
-
-def test_invert_a_minus_a_inverse(field11, d9, catalog):
-    e1 = catalog.component(1)
-    a = AlgebraElem.from_group_elem(d9.a, field11)
-    a_inv = AlgebraElem.from_group_elem(d9.a.inverse(), field11)
-    u = (a - a_inv) * e1
-    v = invert_in_component(u, e1)
-    assert u * v == e1
-    assert v * u == e1
-    assert v * e1 == v
-
-
-def test_invert_zero_raises(field11, d9, catalog):
-    zero = AlgebraElem.zero(d9, field11)
-    with pytest.raises(NotInvertibleError):
-        invert_in_component(zero, catalog.component(1))
-
-
-def test_invert_requires_component_membership(field11, d9, catalog):
-    one = AlgebraElem.one(d9, field11)
-    with pytest.raises(ValueError):
-        invert_in_component(one, catalog.component(1))
-
-
 def test_coeffs_are_read_only(field11, d9):
     x = AlgebraElem.one(d9, field11)
     with pytest.raises(ValueError):
@@ -215,22 +185,6 @@ def test_convolve_matches_brute_force(group, q):
         for g in group.elements():
             ge = AlgebraElem.from_group_elem(g, field)
             assert list(left_translate(g, y).coeffs) == brute_product(ge, y)
-
-
-@pytest.mark.parametrize("group", [DihedralGroup(3, 2), AbelianGroup(3, 2)], ids=repr)
-def test_invert_in_component_round_trip(field11, group, primitive_idempotents):
-    rng = random.Random(7)
-    for e in primitive_idempotents(field11, group):
-        inverted = 0
-        for _ in range(4):
-            u = e * rand_elem(group, field11, rng) * e
-            if u.is_zero():
-                continue
-            v = invert_in_component(u, e)
-            assert brute_product(u, v) == brute_product(v, u) == list(e.coeffs)
-            assert brute_product(e, v) == list(v.coeffs)
-            inverted += 1
-        assert inverted
 
 
 def test_int64_bound_refuses_wrapping_products(d9):

@@ -56,6 +56,18 @@ def test_construct_custom(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "18 2 15"
 
 
+def test_construct_custom_reduces_an_oversized_entry(tmp_path, capsys):
+    # 99999999999999999999999 does not fit in int64 and is 4 mod 5
+    outs = []
+    for first in ("99999999999999999999999", "4"):
+        out = tmp_path / f"{first[:2]}.gm"
+        rc = main(["construct", "--q", "5", "--p", "3", "--m", "1", "--gen", "custom",
+                   "--coeffs", first + ",0,0,0,0,0", "--out", str(out)])
+        assert rc == 0
+        outs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outs[0] == outs[1]
+
+
 def test_construct_custom_over_budget(tmp_path, capsys):
     coeffs = ",".join(["1"] + ["0"] * 8 + ["10"] + ["0"] * 8)  # 1 - b, k = 9
     out = tmp_path / "c.gm"

@@ -385,10 +385,10 @@ def test_pair_code_proof_rejects_a_corrupted_generator(monkeypatch, corrupted, m
 @pytest.mark.parametrize(
     "averages",
     [
-        # e = 0: in V and fixed by H, but R != |H| (p e - l e) = 0
+        # e = 0: in V, but R != |H| (p e - l e) = 0
         lambda hH, hK, one: (hH, hH),
-        # e = H^ - K^ + (1, ..., 1) is fixed by every g, but sums to |K| over
-        # each K-coset
+        # e = H^ - K^ + (1, ..., 1) is constant on each H-coset, but sums to
+        # |K| over each K-coset
         lambda hH, hK, one: (hH, AlgebraElem(hK.group, hK.field, hK.coeffs - 1)),
         # e is right, but B = {r H'^ - r t H'^} leaves V, as H'^ = H^ + 2 is
         # not constant on H; its diagonal stays nonzero

@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -100,6 +101,28 @@ def test_check_admissible_examples():
     assert check_admissible(5, 3, 2) is True
     assert check_admissible(3, 5, 2) is True
     assert check_admissible(2, 5, 2) is False  # gcd(50, 2) != 1
+
+
+def test_check_admissible_matches_the_order_loop():
+    """The lifting test against q's order mod p^m, found by powering, on all
+    1,872 triples with q < 400 prime, p <= 17 and p^m <= 10^5."""
+    for q in filter(is_prime, range(400)):
+        for p in (3, 5, 7, 11, 13, 17):
+            for m in range(1, 5):
+                pm = p**m
+                brute = gcd(2 * pm, q) == 1 and (
+                    multiplicative_order(q, pm) == phi_prime_power(p, m)
+                )
+                assert check_admissible(q, p, m) is brute, (q, p, m)
+
+
+def test_check_admissible_does_not_loop_over_the_units():
+    # phi(3^40) is about 8 10^18, so one pass over the units would not end
+    t0 = time.perf_counter()
+    assert check_admissible(5, 3, 40) is True
+    assert check_admissible(17, 3, 40) is False  # 17^2 = 1 mod 9
+    assert check_admissible(7, 3, 40) is False  # 7 = 1 mod 3
+    assert time.perf_counter() - t0 < 1
 
 
 def test_check_admissible_validates_shape():

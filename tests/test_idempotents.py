@@ -13,8 +13,10 @@ from dihedral_codes import (
     is_idempotent,
     left_ideal_code,
     matrix_units,
+    modmat,
     noncentral_generator,
     phi_prime_power,
+    products,
 )
 
 
@@ -128,25 +130,53 @@ def test_conjugation_preserves_dimension(units1, gens1):
 
 
 def test_component_subalgebra_is_a_field(field11, d9, catalog):
-    """Every nonzero element of F_11<a> e_1 inverts (all 120 of them)."""
-    from dihedral_codes import invert_in_component
-    from dihedral_codes.modmat import rref
-
+    """Every nonzero element of F_11<a> e_1 inverts (all 120 of them): x
+    solves x L(v) = e_1, and w = e_1 x e_1 is checked by exact products."""
     e1 = catalog.component(1)
     a = AlgebraElem.from_group_elem(d9.a, field11)
     rows, x = [], e1
     for _ in range(9):
         rows.append(x.coeffs)
         x = a * x
-    basis, _ = rref(np.array(rows), 11)
+    basis, _ = modmat.rref(np.array(rows), 11)
     assert basis.shape[0] == phi_prime_power(3, 1)
-    for c0 in range(11):
-        for c1 in range(11):
-            if c0 == c1 == 0:
-                continue
-            v = AlgebraElem(d9, field11, (c0 * basis[0] + c1 * basis[1]) % 11)
-            w = invert_in_component(v, e1)
-            assert v * w == e1
+    vs = np.array([(c0 * basis[0] + c1 * basis[1]) % 11
+                   for c0 in range(11) for c1 in range(11) if c0 or c1])
+    assert len(vs) == 120
+    xs = [modmat.solve(AlgebraElem(d9, field11, v).translates().T, e1.coeffs, 11) for v in vs]
+    assert all(x is not None for x in xs)
+    es = np.tile(e1.coeffs, (len(vs), 1))
+    ws = products(d9, field11, products(d9, field11, es, np.array(xs)), es)
+    assert (products(d9, field11, vs, ws) == e1.coeffs).all()
+    assert (products(d9, field11, ws, vs) == e1.coeffs).all()
+
+
+@pytest.mark.parametrize("q,p,m", [(11, 3, 2), (5, 3, 3), (3, 5, 3), (13, 5, 2), (7, 5, 1)])
+def test_closed_form_inverse_matches_the_solve(q, p, m):
+    """v = p^-j sum_{k < p^j} k a^(2k+1) e_j inverts u = (a - a^-1) e_j, equals
+    the inverse e x e that solving x L(u) = e_j gives, and the e21 that
+    `matrix_units` builds is the textbook 4 x^2 (1 - b)/2 a (1 + b)/2 e_j."""
+    field, group = PrimeField(q), DihedralGroup(p, m)
+    catalog = central_idempotents(field, group)
+    a = AlgebraElem.from_group_elem(group.a, field)
+    a_inv = AlgebraElem.from_group_elem(group.a.inverse(), field)
+    b = AlgebraElem.from_group_elem(group.b, field)
+    one = AlgebraElem.one(group, field)
+    half = field.inv(2)
+    for j in range(1, m + 1):
+        e = catalog.component(j)
+        u = (a - a_inv) * e
+        v = AlgebraElem.zero(group, field)
+        for k in range(p**j):
+            v = v + k * AlgebraElem.from_group_elem(group.a ** (2 * k + 1), field)
+        v = field.inv(p**j) * v * e
+        assert u * v == v * u == e
+        x = modmat.solve(u.translates().T, e.coeffs, q)
+        assert x is not None
+        x = e * AlgebraElem(group, field, x) * e
+        assert v == x
+        e21 = 4 * (x * x) * ((one - b) * half) * a * ((one + b) * half) * e
+        assert matrix_units(catalog, j).e21 == e21
 
 
 @pytest.mark.parametrize("q,p,m", [(11, 3, 1), (7, 5, 1), (3, 5, 1), (5, 3, 2)])
