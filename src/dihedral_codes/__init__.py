@@ -41,6 +41,7 @@ from .survey import (
     AbelianCatalog,
     SurveyRow,
     abelian_catalog,
+    abelian_min_weight,
     enumerate_abelian_codes,
     equivalence_necessary_check,
     format_survey_table,
@@ -68,6 +69,7 @@ __all__ = [
     "PrimeField",
     "SurveyRow",
     "abelian_catalog",
+    "abelian_min_weight",
     "central_idempotents",
     "check_admissible",
     "enumerate_abelian_codes",

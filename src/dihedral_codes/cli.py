@@ -2,22 +2,28 @@
 
 Subcommands:
   construct   build one code, write its generator matrix, print `n k d`
-  survey      enumerate all abelian codes of F_q[C_{p^m} x C_2]
+  survey      list all abelian codes of F_q[C_{p^m} x C_2] with their weights
   verify      run the named verification checks
   compare     check constructed codes against a reference table `n k d_best`
 
+Where the theory settles d, it is written down, not enumerated: every
+survey row (`survey.abelian_min_weight`), `construct --gen e11|e22|ej`,
+`construct --gen pair` (d = 2|H|, see `codes.subgroup_pair_code`) and the
+`e11[j]` lines of `compare`.  Only `f` and `custom` scan their codewords,
+under `--budget`, which `survey` does not take.
+
 Exit codes: 0 success, 1 a `verify` check failed, 3 enumeration budget
-exceeded.  `main` alone maps the rest, printing one `error: ` line:
-ValueError -> 2 (an inadmissible (q, p, m), checked before any command
-runs, prints `error: (q, p, m) = (7, 3, 2) is not admissible`; a bad
-`--coeffs`, `--sub-h`/`--sub-k`, a `--gen pair` of two equal subgroups,
-an out-of-range `--j` or survey `--dim`; 2p^m (q-1)^2 >= 2^63, too large
-for exact int64 arithmetic), OSError on read or write -> 4, MalformedTable
-(reference table) -> 5.  Argument parsing exits 2 on what it rejects, such
-as a negative `--budget`.  `construct` and `survey` test that `--out` opens
-for writing before they compute, so an unwritable path exits 4 at once; a
-run that fails creates or truncates no file.  Identical inputs give
-byte-identical files.
+exceeded (`construct --gen f|custom` only).  `main` alone maps the rest,
+printing one `error: ` line: ValueError -> 2 (an inadmissible (q, p, m),
+checked before any command runs, prints `error: (q, p, m) = (7, 3, 2) is
+not admissible`; a bad `--coeffs`, `--sub-h`/`--sub-k`, a `--gen pair` of
+two equal subgroups, an out-of-range `--j` or survey `--dim`; 2p^m (q-1)^2
+>= 2^63, too large for exact int64 arithmetic), OSError on read or write
+-> 4, MalformedTable (reference table) -> 5.  Argument parsing exits 2 on
+what it rejects, such as a negative `--budget` or a `survey --budget`.
+`construct` and `survey` test that `--out` opens for writing before they
+compute, so an unwritable path exits 4 at once; a run that fails creates
+or truncates no file.  Identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .codes import DEFAULT_BUDGET, left_ideal_code, subgroup_pair_code
 from .ff import PrimeField, require_admissible
 from .groups import DihedralGroup
 from .idempotents import central_idempotents, matrix_units, noncentral_generator
-from .survey import abelian_catalog, enumerate_abelian_codes, write_survey_table
+from .survey import abelian_catalog, abelian_min_weight, enumerate_abelian_codes, write_survey_table
 from .verify import CHECK_NAMES, run_checks
 
 EXIT_OK = 0
@@ -63,6 +69,9 @@ def _add_common(parser):
     parser.add_argument("--q", type=int, required=True, help="field size (prime)")
     parser.add_argument("--p", type=int, required=True, help="odd prime p")
     parser.add_argument("--m", type=int, required=True, help="exponent m >= 1")
+
+
+def _add_budget(parser):
     parser.add_argument(
         "--budget",
         type=_budget,
@@ -102,6 +111,7 @@ def cmd_construct(args) -> int:
     _check_writable(args.out)
     field = PrimeField(args.q)
     group = DihedralGroup(args.p, args.m)
+    d = None  # unless the theory settles it, d comes from the scan
     if args.gen == "pair":
         if not args.sub_h or not args.sub_k:
             raise ValueError("--gen pair needs --sub-h and --sub-k")
@@ -113,6 +123,7 @@ def cmd_construct(args) -> int:
                 f"--sub-h {args.sub_h} and --sub-k {args.sub_k} are the same "
                 "subgroup, so the pair code is zero"
             )
+        d = 2 * len(H)  # proven in subgroup_pair_code's docstring
     elif args.gen == "custom":
         if not args.coeffs:
             raise ValueError("--gen custom needs --coeffs")
@@ -120,21 +131,26 @@ def cmd_construct(args) -> int:
         coeffs = [int(t) % args.q for t in args.coeffs.split(",")]
         code = left_ideal_code(AlgebraElem(group, field, coeffs))
     else:
+        # code(e11), code(e22) and code(e_j) have the generator matrices of
+        # the abelian rows {plus_j}, {minus_j} and both (see abelian-images)
         catalog = central_idempotents(field, group)
+        j = args.j
         if args.gen == "ej":
-            gen = catalog.component(args.j)
+            gen = catalog.component(j)
+            d = abelian_min_weight({j}, {j}, args.p, args.m)
         else:
-            units = matrix_units(catalog, args.j)
+            units = matrix_units(catalog, j)
             if args.gen == "e11":
-                gen = units.e11
+                gen, d = units.e11, abelian_min_weight({j}, (), args.p, args.m)
             elif args.gen == "e22":
-                gen = units.e22
+                gen, d = units.e22, abelian_min_weight((), {j}, args.p, args.m)
             else:  # f
                 gen = noncentral_generator(units).f
         code = left_ideal_code(gen)
 
     code.write(args.out)
-    d = code.min_weight(budget=args.budget)
+    if d is None:
+        d = code.min_weight(budget=args.budget)
     if d is None:
         print(f"{code.n} {code.k} ?")
         print(
@@ -153,11 +169,10 @@ def cmd_survey(args) -> int:
     _check_writable(args.out)
     field = PrimeField(args.q)
     catalog = abelian_catalog(field, args.p, args.m)
-    rows = enumerate_abelian_codes(catalog, dim_filter=args.dim, budget=args.budget)
+    rows = enumerate_abelian_codes(catalog, dim_filter=args.dim)
     write_survey_table(rows, args.q, args.p, args.m, args.out)
     for dim in sorted({row.dim for row in rows}):
-        known = [r.min_weight for r in rows if r.dim == dim and r.min_weight is not None]
-        print(f"dim {dim}: best weight {max(known) if known else '?'}")
+        print(f"dim {dim}: best weight {max(r.min_weight for r in rows if r.dim == dim)}")
     print(f"{len(rows)} rows written to {args.out}")
     return EXIT_OK
 
@@ -202,12 +217,13 @@ def cmd_compare(args) -> int:
     catalog = central_idempotents(field, group)
     for j in range(1, args.m + 1):
         units = matrix_units(catalog, j)
-        for label, gen in (
-            (f"f[j={j}]", noncentral_generator(units).f),
-            (f"e11[j={j}]", units.e11),
+        for label, gen, d in (
+            (f"f[j={j}]", noncentral_generator(units).f, None),
+            (f"e11[j={j}]", units.e11, abelian_min_weight({j}, (), args.p, args.m)),
         ):
             code = left_ideal_code(gen)
-            d = code.min_weight(budget=args.budget)
+            if d is None:
+                d = code.min_weight(budget=args.budget)
             if d is None:
                 print(f"{label} {code.n} {code.k} ? - unknown (budget)")
                 continue
@@ -231,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_construct = sub.add_parser("construct", help="build a code and export its matrix")
     _add_common(p_construct)
+    _add_budget(p_construct)
     p_construct.add_argument("--j", type=int, default=1, help="component index (default 1)")
     p_construct.add_argument(
         "--gen",
@@ -252,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification checks")
     _add_common(p_verify)
+    _add_budget(p_verify)
     p_verify.add_argument(
         "--check",
         action="append",
@@ -263,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compare = sub.add_parser("compare", help="compare against a reference table")
     _add_common(p_compare)
+    _add_budget(p_compare)
     p_compare.add_argument("--table", required=True, help="reference table `n k d_best`")
     p_compare.set_defaults(func=cmd_compare)
 

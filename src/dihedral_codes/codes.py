@@ -231,6 +231,11 @@ def subgroup_pair_code(
     rows of L(e), so R lies in A e.  Hence span R = A e = span B.  Only
     2k rows of L(e) are gathered.
 
+    Minimum weight: d = 2|H| when H < K.  A nonzero word of V is nonzero
+    on some coset gK; its values c_i on the H-cosets there satisfy
+    |H| sum c_i = 0, so sum c_i = 0 and at least two c_i are nonzero, each
+    on |H| coordinates.  Each row 1_C - 1_C' of R has weight exactly 2|H|.
+
     `averages`, when given, is (hat(field, H), hat(field, K)), already
     built and closure-checked by the caller, which a suite over many pairs
     does once per subgroup rather than once per pair.

@@ -13,17 +13,36 @@ class InadmissibleParameters(ValueError):
     """(q, p, m) fails the standing hypothesis required by a construction."""
 
 
+# The first 13 primes: as Miller-Rabin bases they decide every n below
+# PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017)).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division.  Moduli here are desk-scale."""
+    """Exact primality for n < PRIME_LIMIT (about 3.3e24) by deterministic
+    Miller-Rabin, in time polynomial in the digits of n; larger n raise
+    ValueError rather than risk a wrong answer."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality of {n} is decided only below {PRIME_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:  # b^(n-1) != 1, or 1 has a square root other than +-1
             return False
-        d += 2
     return True
 
 

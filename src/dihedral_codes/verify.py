@@ -13,6 +13,10 @@ average against a stack of others.  Checks of one
 is scanned once per distinct generator matrix and run (see
 `codes.shared_scans`), so `central-codes` and `survey` reuse what
 `subgroup-pairs` scanned.  Each run starts with an empty memo.
+
+`survey` and `nonequivalence` are the independent oracle of the survey's
+closed form: they scan each abelian row within the budget from its stacked
+member bases and compare the scan with `survey.abelian_min_weight`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import modmat
 from .algebra import hat, is_idempotent, products
-from .codes import DEFAULT_BUDGET, left_ideal_code, shared_scans, subgroup_pair_code
+from .codes import DEFAULT_BUDGET, left_ideal_code, shared_scans, subgroup_pair_code, weights
 from .ff import PrimeField, phi_prime_power, require_admissible
 from .groups import AbelianGroup, DihedralGroup, gamma
 from .idempotents import central_idempotents, matrix_units, noncentral_generator
@@ -541,18 +545,35 @@ def check_coefficient_claim(ctx: VerifyContext) -> str:
     return f"all {code.size() - 1} nonzero codewords: <= 1 vanishing coset value"
 
 
+def _scanned_weights(ctx: VerifyContext, rows) -> list[int | None]:
+    """Each survey row's minimum weight scanned from its stacked member
+    bases, None beyond the budget; a scan that disagrees with the row's
+    closed form fails the check, naming the mask."""
+    scanned = []
+    for row in rows:
+        dist = weights(ctx.abelian_cat.basis(row.mask), ctx.q, ctx.budget)
+        w = None if dist is None else int(np.flatnonzero(dist)[1])
+        _require(
+            w in (None, row.min_weight),
+            f"survey row mask={row.mask}: scan {w} != closed form {row.min_weight}",
+        )
+        scanned.append(w)
+    return scanned
+
+
 def check_survey(ctx: VerifyContext) -> str:
     acat = ctx.abelian_cat
     expect_dims = [1, 1]
     for j in range(1, ctx.m + 1):
         expect_dims += [phi_prime_power(ctx.p, j)] * 2
     _require(list(acat.dims) == expect_dims, f"component dims {acat.dims} != {expect_dims}")
-    rows = enumerate_abelian_codes(acat, budget=ctx.budget)
+    rows = enumerate_abelian_codes(acat)
     _require(len(rows) == 2 ** len(acat) - 1, "survey does not cover every subset")
     full = rows[-1]
     _require(full.dim == ctx.abelian.order, "full-catalog subset is not the whole algebra")
-    _require(full.min_weight == 1, "whole algebra should have weight 1")
-    known = sum(1 for r in rows if r.min_weight is not None)
+    scanned = _scanned_weights(ctx, rows)
+    _require(scanned[-1] == 1, "whole algebra should have weight 1")
+    known = sum(w is not None for w in scanned)
     return f"{len(rows)} rows; dims consistent; {known} weights exact, rest beyond budget"
 
 
@@ -560,15 +581,13 @@ def check_nonequivalence(ctx: VerifyContext) -> str:
     if (ctx.p, ctx.m) != (3, 2):
         return "skipped: the survey argument is stated for p=3, m=2"
     acat = ctx.abelian_cat
-    rows = enumerate_abelian_codes(acat, dim_filter=2, budget=ctx.budget)
+    rows = enumerate_abelian_codes(acat, dim_filter=2)
     _require(len(rows) == 3, f"expected 3 dimension-2 abelian codes, found {len(rows)}")
-    _require(
-        all(r.min_weight is not None for r in rows),
-        f"dimension-2 abelian weights are beyond budget {ctx.budget}",
-    )
-    weights = sorted(r.min_weight for r in rows)
-    _require(weights == [9, 12, 12], f"dimension-2 weights {weights} != [9, 12, 12]")
-    _require(max(weights) < 13, "an abelian dimension-2 code reaches weight 13")
+    scanned = _scanned_weights(ctx, rows)
+    _require(None not in scanned, f"dimension-2 abelian weights are beyond budget {ctx.budget}")
+    dim2 = sorted(scanned)
+    _require(dim2 == [9, 12, 12], f"dimension-2 weights {dim2} != [9, 12, 12]")
+    _require(max(dim2) < 13, "an abelian dimension-2 code reaches weight 13")
     if ctx.q in (2, 3, 5, 7):
         return "dim-2 abelian weights are [9, 12, 12]; f-code comparison skipped"
     code_f = left_ideal_code(ctx.noncentral[1].f)

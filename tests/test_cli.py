@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from dihedral_codes import LinearCode, cli
@@ -162,14 +164,26 @@ def test_survey_dim2(tmp_path, capsys):
 
 def test_survey_full_row_count(tmp_path, capsys):
     out = tmp_path / "s.tbl"
-    rc = main(["survey", "--q", "11", "--p", "3", "--m", "2",
-               "--budget", "20000", "--out", str(out)])
+    rc = main(["survey", "--q", "11", "--p", "3", "--m", "2", "--out", str(out)])
     assert rc == 0
-    lines = out.read_text().strip().split("\n")
+    text = out.read_text()
+    lines = text.strip().split("\n")
     assert lines[0] == "11 3 2"
     assert len(lines) == 64
     assert lines[-1] == "63 18 1"
-    assert "dim 18: best weight 1" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "dim 18: best weight 1" in stdout
+    assert "?" not in text + stdout
+
+
+def test_survey_takes_no_budget(tmp_path, capsys):
+    out = tmp_path / "s.tbl"
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--q", "11", "--p", "3", "--m", "2", "--budget", "5",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_survey_inadmissible(tmp_path):
@@ -273,7 +287,13 @@ def test_survey_out_is_a_directory(tmp_path, capsys):
 @pytest.mark.parametrize("q, p, m, line", [
     (7, 3, 2, "error: (q, p, m) = (7, 3, 2) is not admissible\n"),
     (4, 3, 2, "error: q must be prime, got 4\n"),
-], ids=["inadmissible", "q-not-prime"])
+    # 2^61 - 1 is prime and 1 mod 3; trial division ran for minutes on it
+    (2305843009213693951, 3, 1,
+     "error: (q, p, m) = (2305843009213693951, 3, 1) is not admissible\n"),
+    # the least strong pseudoprime to all 13 Miller-Rabin bases
+    (3317044064679887385961981, 3, 1, "error: primality of 3317044064679887385961981 "
+     "is decided only below 3317044064679887385961981\n"),
+], ids=["inadmissible", "q-not-prime", "q-mersenne-61", "q-beyond-the-proven-range"])
 def test_every_command_refuses_a_bad_triple_alike(tmp_path, capsys, q, p, m, line):
     table = tmp_path / "ref.tbl"
     table.write_text("18 2 15\n")
@@ -305,3 +325,93 @@ def test_q_beyond_int64_bound_exits_2(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "2^63" in err
+
+
+def _run(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_settled_weights_need_no_scan(tmp_path, capsys, monkeypatch):
+    """survey, construct --gen e11|e22|ej|pair and the e11 lines of compare
+    write d down from the theory, so they run with the scan kernel broken."""
+    import dihedral_codes._kernels as kernels
+    import dihedral_codes.codes as codes
+
+    def no_scan(*args):
+        raise AssertionError("scanned a code whose weight the theory settles")
+
+    monkeypatch.setattr(kernels, "weight_histogram", no_scan)
+    monkeypatch.setattr(codes, "weight_histogram", no_scan)
+    t = ["--q", "3", "--p", "5", "--m", "3"]
+    out = str(tmp_path / "x")
+    rc, stdout, _ = _run(capsys, ["survey", *t, "--out", out])
+    assert rc == 0 and "?" not in stdout + open(out).read()
+    assert stdout.startswith("dim 1: best weight 250\n")
+    for gen, line in [
+        (["--gen", "e11", "--j", "2"], "250 20 20\n"),
+        (["--gen", "e22", "--j", "3"], "250 100 4\n"),
+        (["--gen", "ej", "--j", "2"], "250 40 10\n"),
+        (["--gen", "pair", "--sub-h", "h3", "--sub-k", "h2"], "250 200 2\n"),
+        (["--gen", "pair", "--sub-h", "h2", "--sub-k", "hstar2"], "250 25 10\n"),
+    ]:
+        assert _run(capsys, ["construct", *t, *gen, "--out", out]) == (0, line, ""), gen
+    table = tmp_path / "ref.tbl"
+    table.write_text("250 4 200\n")
+    rc, stdout, _ = _run(capsys, ["compare", *t, "--budget", "0", "--table", str(table)])
+    assert rc == 0
+    assert [ln for ln in stdout.splitlines() if ln.startswith("e11")] == [
+        "e11[j=1] 250 4 100 200 below",
+        "e11[j=2] 250 20 20 - no reference",
+        "e11[j=3] 250 100 4 - no reference",
+    ]
+
+
+# the triples whose e11/e22/ej and pair codes are checked against the scan
+CONSTRUCT_TRIPLES = [
+    (11, 3, 2), (5, 3, 2), (3, 5, 2), (5, 3, 3), (3, 5, 3), (13, 5, 2), (7, 5, 1),
+    (3, 5, 1), (11, 3, 1),
+]
+
+
+@pytest.mark.parametrize("q, p, m", CONSTRUCT_TRIPLES)
+def test_construct_closed_forms_match_the_scan(tmp_path, capsys, q, p, m):
+    """Oracle: the d that construct writes down for e11, e22, ej at every
+    component and for every nested pair of chain subgroups equals the scan
+    of the matrix it wrote, wherever the scan fits in the budget."""
+    t = ["--q", str(q), "--p", str(p), "--m", str(m)]
+    specs = [f"{c}{i}" for c in ("h", "hstar") for i in range(m + 1)]
+    gens = [["--gen", g, "--j", str(j)] for j in range(1, m + 1) for g in ("e11", "e22", "ej")]
+    gens += [["--gen", "pair", "--sub-h", h, "--sub-k", k] for h in specs for k in specs]
+    out, scanned = tmp_path / "x.gm", 0
+    for gen in gens:
+        rc, stdout, _ = _run(capsys, ["construct", *t, *gen, "--out", str(out)])
+        if rc == 2:  # a pair that is not nested
+            continue
+        n, k, d = (int(v) for v in stdout.split())
+        assert rc == 0 and n == 2 * p**m, gen
+        w = LinearCode.read(out).min_weight(budget=1 << 21)
+        if w is not None:
+            assert d == w, gen
+            scanned += 1
+    assert scanned >= 3
+
+
+@pytest.mark.parametrize("gen", ["e11", "e22", "ej"])
+@pytest.mark.parametrize("j", ["0", "3"])
+def test_construct_component_out_of_range(tmp_path, capsys, gen, j):
+    out = tmp_path / "x.gm"
+    rc, stdout, err = _run(capsys, ["construct", "--q", "11", "--p", "3", "--m", "2",
+                                    "--gen", gen, "--j", j, "--out", str(out)])
+    assert (rc, stdout, err) == (2, "", f"error: component index {j} out of range 1..2\n")
+    assert not out.exists()
+
+
+def test_an_admissible_q_beyond_int64_exits_2_at_once(tmp_path, capsys):
+    # 2^61 + 15 is prime and 2 mod 3, so (q, 3, 1) is admissible
+    start = time.perf_counter()
+    rc, stdout, err = _run(capsys, ["construct", "--q", "2305843009213693967", "--p", "3",
+                                    "--m", "1", "--gen", "f", "--out", str(tmp_path / "f.gm")])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, stdout) == (2, "") and err.startswith("error: ") and "2^63" in err

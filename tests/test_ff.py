@@ -147,3 +147,48 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(32):
         assert is_prime(n) == (n in primes)
+
+
+def _trial_division(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize("n, prime", [
+    (2**61 - 1, True),
+    (10**24 + 7, True),
+    (2**61 - 1 + 2, False),
+    (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, False),  # to bases 2 .. 23
+    (318665857834031151167461, False),  # to bases 2 .. 37
+    ((2**31 - 1) * 1000000007, False),
+])
+def test_is_prime_on_large_and_pseudoprime_cases(n, prime):
+    start = time.perf_counter()
+    assert is_prime(n) is prime
+    assert time.perf_counter() - start < 0.1
+
+
+def test_is_prime_refuses_beyond_its_proven_range():
+    from dihedral_codes.ff import PRIME_LIMIT
+
+    # PRIME_LIMIT is composite, yet a strong pseudoprime to all 13 bases
+    assert PRIME_LIMIT == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match="decided only below"):
+        is_prime(PRIME_LIMIT)
+    with pytest.raises(ValueError, match="decided only below"):
+        PrimeField(PRIME_LIMIT)
+    # a small factor still decides
+    assert is_prime(PRIME_LIMIT + 1) is False and is_prime(PRIME_LIMIT + 2) is False

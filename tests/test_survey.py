@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedral_codes import (
     DEFAULT_BUDGET,
@@ -7,12 +11,14 @@ from dihedral_codes import (
     InadmissibleParameters,
     PrimeField,
     abelian_catalog,
+    abelian_min_weight,
     enumerate_abelian_codes,
     equivalence_necessary_check,
     format_survey_table,
     gamma_image_code,
     left_ideal_code,
 )
+from dihedral_codes.codes import weights
 
 
 @pytest.fixture(scope="module")
@@ -53,30 +59,26 @@ def test_dim2_rows_frozen(acat):
 
 
 def test_full_survey_row_count_and_dims(acat):
-    rows = enumerate_abelian_codes(acat, budget=20000)
+    rows = enumerate_abelian_codes(acat)
     assert len(rows) == 63
     assert [r.mask for r in rows] == list(range(1, 64))
     for r in rows:
         expect = sum(acat.dims[b] for b in range(6) if r.mask >> b & 1)
         assert r.dim == expect
-        if r.min_weight is None:
-            assert 11 ** r.dim > 20000 and r.dim < 18
-    # the whole algebra: exact without enumeration
+        assert type(r.min_weight) is int and 1 <= r.min_weight <= 18
+    # the whole algebra
     assert rows[-1].dim == 18 and rows[-1].min_weight == 1
 
 
 def test_direct_sum_weight_bound(acat):
     """A sum of components contains each component, so its minimum weight
     is at most the smallest component minimum."""
-    rows = {r.mask: r for r in enumerate_abelian_codes(acat, budget=20000)}
+    rows = {r.mask: r for r in enumerate_abelian_codes(acat)}
     singles = {b: rows[1 << b].min_weight for b in range(6)}
     for mask, row in rows.items():
         bits = [b for b in range(6) if mask >> b & 1]
-        if row.min_weight is None or len(bits) < 2:
-            continue
-        if any(singles[b] is None for b in bits):
-            continue
-        assert row.min_weight <= min(singles[b] for b in bits)
+        if len(bits) >= 2:
+            assert row.min_weight <= min(singles[b] for b in bits)
 
 
 def test_survey_table_format(acat):
@@ -85,8 +87,9 @@ def test_survey_table_format(acat):
     assert text == "11 3 2\n3 2 9\n4 2 12\n8 2 12\n"
 
 
-# the survey table at (3, 5, 2) as the earlier per-row elimination of L(sum)
-# wrote it: 15 exact rows, 47 '?' rows and the full-space row
+# the survey table at (3, 5, 2): rows 1-15 and 63 as the earlier per-row
+# elimination of L(sum) and scan wrote them, rows 16-62 (beyond the default
+# budget, once written '?') from the closed form
 PINNED_3_5_2 = """\
 3 5 2
 1 1 50
@@ -104,53 +107,53 @@ PINNED_3_5_2 = """\
 13 9 10
 14 9 10
 15 10 5
-16 20 ?
-17 21 ?
-18 21 ?
-19 22 ?
-20 24 ?
-21 25 ?
-22 25 ?
-23 26 ?
-24 24 ?
-25 25 ?
-26 25 ?
-27 26 ?
-28 28 ?
-29 29 ?
-30 29 ?
-31 30 ?
-32 20 ?
-33 21 ?
-34 21 ?
-35 22 ?
-36 24 ?
-37 25 ?
-38 25 ?
-39 26 ?
-40 24 ?
-41 25 ?
-42 25 ?
-43 26 ?
-44 28 ?
-45 29 ?
-46 29 ?
-47 30 ?
-48 40 ?
-49 41 ?
-50 41 ?
-51 42 ?
-52 44 ?
-53 45 ?
-54 45 ?
-55 46 ?
-56 44 ?
-57 45 ?
-58 45 ?
-59 46 ?
-60 48 ?
-61 49 ?
-62 49 ?
+16 20 4
+17 21 4
+18 21 4
+19 22 4
+20 24 4
+21 25 2
+22 25 4
+23 26 2
+24 24 4
+25 25 4
+26 25 4
+27 26 4
+28 28 4
+29 29 2
+30 29 4
+31 30 2
+32 20 4
+33 21 4
+34 21 4
+35 22 4
+36 24 4
+37 25 4
+38 25 4
+39 26 4
+40 24 4
+41 25 4
+42 25 2
+43 26 2
+44 28 4
+45 29 4
+46 29 2
+47 30 2
+48 40 2
+49 41 2
+50 41 2
+51 42 2
+52 44 2
+53 45 2
+54 45 2
+55 46 2
+56 44 2
+57 45 2
+58 45 2
+59 46 2
+60 48 2
+61 49 2
+62 49 2
 63 50 1
 """
 
@@ -161,10 +164,11 @@ def test_survey_table_pinned_at_3_5_2():
 
 
 def test_survey_table_unknown_marker(acat):
-    rows = enumerate_abelian_codes(acat, dim_filter=12, budget=20000)
-    text = format_survey_table(rows, 11, 3, 2)
-    for line in text.strip().split("\n")[1:]:
-        assert line.endswith(" 12 ?")
+    # no row is written '?': the dimension-12 rows, beyond any scan budget
+    # below 11^12, carry their closed-form weights
+    rows = enumerate_abelian_codes(acat, dim_filter=12)
+    assert format_survey_table(rows, 11, 3, 2) == "11 3 2\n31 12 2\n47 12 2\n48 12 2\n"
+    assert "?" not in format_survey_table(enumerate_abelian_codes(acat), 11, 3, 2)
 
 
 def test_gamma_image_is_the_abelian_ideal(units1, acat):
@@ -235,24 +239,35 @@ def test_catalog_code_is_the_ideal_of_the_masked_sum(q, p, m):
 
 @pytest.mark.parametrize("q, p, m", [(11, 3, 2), (5, 3, 2), (3, 5, 2)])
 def test_survey_weights_match_the_rref_route(q, p, m):
-    """Oracle: a row's weight from the stacked member bases equals the
-    minimum weight of the row's code through its canonical RREF."""
+    """Oracle: a row's closed-form weight equals the minimum weight of the
+    row's code scanned through its canonical RREF, on every row within the
+    budget."""
     acat = abelian_catalog(PrimeField(q), p, m)
-    rows = enumerate_abelian_codes(acat, budget=DEFAULT_BUDGET)
-    for row in rows:
-        assert row.min_weight == acat.code(row.mask).min_weight(budget=DEFAULT_BUDGET)
-    assert sum(row.min_weight is not None for row in rows) > 15
+    scanned = 0
+    for row in enumerate_abelian_codes(acat):
+        w = acat.code(row.mask).min_weight(budget=DEFAULT_BUDGET)
+        if w is not None:
+            assert w == row.min_weight, row
+            scanned += 1
+    assert scanned > 15
 
 
-def test_survey_rows_need_no_elimination(acat, monkeypatch):
+def test_survey_rows_need_no_elimination(monkeypatch):
     """The catalog has verified that the member codes are independent, so
-    no row eliminates its stacked basis."""
+    neither the survey, nor `AbelianCatalog.basis`, nor the row scan of the
+    `survey` check eliminates."""
     import dihedral_codes.modmat as modmat
+    from dihedral_codes.verify import VerifyContext, check_survey
 
+    ctx = VerifyContext(11, 3, 2, budget=11**4)
+    acat = ctx.abelian_cat  # built, with its eliminations, before the patch
     real, calls = modmat.rref, []
     monkeypatch.setattr(modmat, "rref", lambda *args: calls.append(1) or real(*args))
-    rows = enumerate_abelian_codes(acat, budget=11**4)
-    assert len(rows) == 63 and calls == []
+    rows = enumerate_abelian_codes(acat)
+    assert len(rows) == 63
+    assert all(len(acat.basis(row.mask)) == row.dim for row in rows)
+    assert check_survey(ctx) == "63 rows; dims consistent; 13 weights exact, rest beyond budget"
+    assert calls == []
     acat.code(63)  # the patch does see an elimination
     assert calls == [1]
 
@@ -278,3 +293,92 @@ def test_equivalence_check_dimension_mismatch(units1, catalog):
     a = left_ideal_code(units1.e11)
     b = left_ideal_code(catalog.component(1))
     assert equivalence_necessary_check(a, b) == "impossible"
+
+
+# every triple the closed form is checked at; rows are scanned within ORACLE_BUDGET
+ORACLE_TRIPLES = [
+    (11, 3, 2), (5, 3, 2), (3, 5, 2), (5, 3, 3), (3, 5, 3), (7, 5, 1), (5, 7, 1),
+    (3, 7, 2), (11, 3, 1), (13, 5, 2), (3, 5, 1), (5, 3, 1), (23, 3, 2),
+]
+ORACLE_BUDGET = 1 << 21
+
+
+def _scanned_min_weight(G, q, budget):
+    dist = weights(G, q, budget)
+    return None if dist is None else int(np.flatnonzero(dist)[1])
+
+
+@pytest.mark.parametrize("q, p, m", ORACLE_TRIPLES)
+def test_abelian_min_weight_matches_the_scan(q, p, m):
+    """Oracle: the closed form equals the exhaustive scan of the row's
+    stacked member bases on every row within the budget."""
+    acat = abelian_catalog(PrimeField(q), p, m)
+    scanned = 0
+    for row in enumerate_abelian_codes(acat):
+        w = _scanned_min_weight(acat.basis(row.mask), q, ORACLE_BUDGET)
+        if w is not None:
+            assert w == row.min_weight, row
+            scanned += 1
+    assert scanned >= 10
+
+
+def test_abelian_min_weight_small_cases():
+    # delta({j}, m) = 2 p^(m-j) for j >= 1 and p^m for j = 0
+    assert abelian_min_weight({0}, (), 3, 2) == 18
+    assert abelian_min_weight({0}, {0}, 3, 2) == 9
+    assert abelian_min_weight({1}, (), 3, 2) == 12
+    assert abelian_min_weight({1}, {1}, 3, 2) == 6
+    assert abelian_min_weight({0, 1, 2}, {0, 1, 2}, 3, 2) == 1
+    assert abelian_min_weight({0, 1, 2}, {0}, 3, 2) == 2
+    assert abelian_min_weight({2}, {0, 1}, 5, 2) == 4
+    with pytest.raises(ValueError):
+        abelian_min_weight((), (), 3, 2)
+
+
+def _admissible_small_triples():
+    from dihedral_codes import check_admissible, is_prime
+
+    return [
+        (q, p, m)
+        for p, m in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3))
+        for q in range(3, 60)
+        if is_prime(q) and check_admissible(q, p, m)
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog(q, p, m):
+    return abelian_catalog(PrimeField(q), p, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_admissible_small_triples()), st.data())
+def test_abelian_min_weight_matches_the_scan_at_random_triples(triple, data):
+    """Oracle: a random row within the budget of a random small admissible
+    triple; the closed form equals the scan."""
+    q, p, m = triple
+    acat, budget = _catalog(q, p, m), 1 << 16
+    rows = [r for r in enumerate_abelian_codes(acat) if q**r.dim <= budget]
+    row = data.draw(st.sampled_from(rows), label="row")
+    plus = [j for j in range(m + 1) if row.mask >> 2 * j & 1]
+    minus = [j for j in range(m + 1) if row.mask >> 2 * j + 1 & 1]
+    assert _scanned_min_weight(acat.basis(row.mask), q, budget) == abelian_min_weight(
+        plus, minus, p, m
+    )
+
+
+def test_survey_check_names_the_row_whose_scan_disagrees(monkeypatch):
+    import dihedral_codes.verify as verify
+    from dihedral_codes import SurveyRow, run_checks
+
+    real = verify.enumerate_abelian_codes
+
+    def off_by_one(acat, dim_filter=None):
+        return [SurveyRow(r.mask, r.dim, r.min_weight + (r.mask == 3))
+                for r in real(acat, dim_filter)]
+
+    monkeypatch.setattr(verify, "enumerate_abelian_codes", off_by_one)
+    survey, noneq = run_checks(11, 3, 2, names=["survey", "nonequivalence"])
+    assert not survey.passed and not noneq.passed
+    assert survey.detail == "survey row mask=3: scan 9 != closed form 10"
+    assert noneq.detail == survey.detail
