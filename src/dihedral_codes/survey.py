@@ -161,11 +161,10 @@ def abelian_min_weight(plus, minus, p: int, m: int) -> int:
     In every case d equals the formula.
     """
     plus, minus = frozenset(plus), frozenset(minus)
+    if not plus | minus or not plus | minus <= frozenset(range(m + 1)):
+        raise ValueError(f"members must be a nonempty subset of components 0..{m}")
     terms = [(1, plus & minus), (2, plus), (2, minus)]
-    weights = [c * _cyclic_min_weight(S, p, m) for c, S in terms if S]
-    if not weights:
-        raise ValueError("an abelian code needs at least one member")
-    return min(weights)
+    return min(c * _cyclic_min_weight(S, p, m) for c, S in terms if S)
 
 
 def enumerate_abelian_codes(

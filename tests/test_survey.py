@@ -331,8 +331,9 @@ def test_abelian_min_weight_small_cases():
     assert abelian_min_weight({0, 1, 2}, {0, 1, 2}, 3, 2) == 1
     assert abelian_min_weight({0, 1, 2}, {0}, 3, 2) == 2
     assert abelian_min_weight({2}, {0, 1}, 5, 2) == 4
-    with pytest.raises(ValueError):
-        abelian_min_weight((), (), 3, 2)
+    for plus, minus in [((), ()), ({3}, ()), ((), {0, -1})]:
+        with pytest.raises(ValueError, match="nonempty subset of components 0..2"):
+            abelian_min_weight(plus, minus, 3, 2)
 
 
 def _admissible_small_triples():
