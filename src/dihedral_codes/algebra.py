@@ -20,8 +20,8 @@ the one-row call.
 
 Exactness: an entry of x @ L(y) is a sum of `order` products of residues
 below q, so it is at most order (q-1)^2.  Elements and `products` refuse
-any (G, q) for which that bound reaches 2^63, so no int64 product or sum
-can wrap.
+any (G, q) for which that bound reaches 2^63
+(`ff.require_int64_products`), so no int64 product or sum can wrap.
 """
 
 from __future__ import annotations
@@ -29,16 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import CELLS
-from .ff import PrimeField
+from .ff import PrimeField, require_int64_products
 from .groups import GroupElem
-
-
-def _require_exact(group, field: PrimeField) -> None:
-    bound = group.order * (field.q - 1) ** 2
-    if bound >= 1 << 63:
-        raise ValueError(
-            f"|G| (q-1)^2 = {bound} reaches 2^63; int64 products would overflow"
-        )
 
 
 def chunk_rows(group, support: int | None = None) -> int:
@@ -58,7 +50,7 @@ def products(group, field: PrimeField, xs, ys) -> np.ndarray:
     module docstring).  The inputs must be reduced: the 2^63 bound holds
     for residues below q only.
     """
-    _require_exact(group, field)
+    require_int64_products(field.q, group.p, group.m)
     n = group.order
     xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
     if xs.shape != ys.shape or xs.shape[1:] != (n,):
@@ -94,7 +86,7 @@ class AlgebraElem:
     __slots__ = ("group", "field", "coeffs")
 
     def __init__(self, group, field: PrimeField, coeffs):
-        _require_exact(group, field)
+        require_int64_products(field.q, group.p, group.m)
         c = np.asarray(coeffs, dtype=np.int64) % field.q
         if c.shape != (group.order,):
             raise ValueError(

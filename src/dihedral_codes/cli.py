@@ -12,13 +12,22 @@ survey row (`survey.abelian_min_weight`), `construct --gen e11|e22|ej`,
 `e11[j]` lines of `compare`.  Only `f` and `custom` scan their codewords,
 under `--budget`, which `survey` does not take.
 
+`survey` takes every field from the closed forms of the `survey` module,
+so it runs on this module, `ff`, `survey` and `check_names` alone and
+never imports numpy.  `construct`, `verify` and `compare` import the algebra stack
+inside their handlers; `check_names` gives `verify --check` its choices
+without importing `verify`.
+
 Exit codes: 0 success, 1 a `verify` check failed, 3 enumeration budget
 exceeded (`construct --gen f|custom` only).  `main` alone maps the rest,
 printing one `error: ` line: ValueError -> 2 (an inadmissible (q, p, m),
 checked before any command runs, prints `error: (q, p, m) = (7, 3, 2) is
 not admissible`; a bad `--coeffs`, `--sub-h`/`--sub-k`, a `--gen pair` of
-two equal subgroups, an out-of-range `--j` or survey `--dim`; 2p^m (q-1)^2
->= 2^63, too large for exact int64 arithmetic), OSError on read or write
+two equal subgroups, an out-of-range `--j` or survey `--dim`; for
+`construct`, `survey` and `compare`, 2p^m (q-1)^2 >= 2^63, too large for
+exact int64 arithmetic, refused by the same gate before the order of q
+mod p is computed, so at once even for a huge p or m; `verify` reports
+the checks that would overflow as FAIL instead), OSError on read or write
 -> 4, MalformedTable (reference table) -> 5.  Argument parsing exits 2 on
 what it rejects, such as a negative `--budget` or a `survey --budget`.
 `construct` and `survey` test that `--out` opens for writing before they
@@ -33,13 +42,9 @@ import os
 import re
 import sys
 
-from .algebra import AlgebraElem
-from .codes import DEFAULT_BUDGET, left_ideal_code, subgroup_pair_code
-from .ff import PrimeField, require_admissible
-from .groups import DihedralGroup
-from .idempotents import central_idempotents, matrix_units, noncentral_generator
-from .survey import abelian_catalog, abelian_min_weight, enumerate_abelian_codes, write_survey_table
-from .verify import CHECK_NAMES, run_checks
+from .check_names import CHECK_NAMES
+from .ff import DEFAULT_BUDGET, PrimeField, require_admissible
+from .survey import abelian_min_weight, enumerate_abelian_codes, write_survey_table
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -80,7 +85,7 @@ def _add_budget(parser):
     )
 
 
-def _parse_subgroup(group: DihedralGroup, spec: str):
+def _parse_subgroup(group, spec: str):
     mt = _SUBGROUP_SPEC.match(spec)
     if not mt:
         raise ValueError(f"bad subgroup spec {spec!r}; use h<j> or hstar<j>")
@@ -108,6 +113,11 @@ def _check_writable(path) -> None:
 
 
 def cmd_construct(args) -> int:
+    from .algebra import AlgebraElem
+    from .codes import left_ideal_code, subgroup_pair_code
+    from .groups import DihedralGroup
+    from .idempotents import central_idempotents, matrix_units, noncentral_generator
+
     _check_writable(args.out)
     field = PrimeField(args.q)
     group = DihedralGroup(args.p, args.m)
@@ -167,9 +177,7 @@ def cmd_survey(args) -> int:
     if args.dim is not None and not 1 <= args.dim <= n:
         raise ValueError(f"--dim {args.dim} out of range 1..{n}")
     _check_writable(args.out)
-    field = PrimeField(args.q)
-    catalog = abelian_catalog(field, args.p, args.m)
-    rows = enumerate_abelian_codes(catalog, dim_filter=args.dim)
+    rows = enumerate_abelian_codes(args.p, args.m, dim_filter=args.dim)
     write_survey_table(rows, args.q, args.p, args.m, args.out)
     for dim in sorted({row.dim for row in rows}):
         print(f"dim {dim}: best weight {max(r.min_weight for r in rows if r.dim == dim)}")
@@ -178,6 +186,8 @@ def cmd_survey(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks
+
     names = args.check if args.check else None
     results = run_checks(
         args.q, args.p, args.m, names=names, budget=args.budget, seed=args.seed
@@ -211,6 +221,10 @@ def _parse_reference_table(path) -> list[tuple[int, int, int]]:
 
 
 def cmd_compare(args) -> int:
+    from .codes import left_ideal_code
+    from .groups import DihedralGroup
+    from .idempotents import central_idempotents, matrix_units, noncentral_generator
+
     reference = _parse_reference_table(args.table)
     field = PrimeField(args.q)
     group = DihedralGroup(args.p, args.m)
@@ -291,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        require_admissible(args.q, args.p, args.m)
+        # verify reports a check that would overflow int64 as FAIL instead
+        require_admissible(args.q, args.p, args.m, int64_products=args.command != "verify")
         return args.func(args)
     except MalformedTable as exc:
         print(f"error: malformed reference table: {exc}", file=sys.stderr)

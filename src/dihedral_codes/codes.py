@@ -1,7 +1,9 @@
 """Left ideals of a group algebra as linear codes: generator matrices in
 reduced row echelon form, exact minimum weight and weight distribution by
-exhaustive message enumeration, and the subgroup-pair codes, whose RREF is
-written down from the coset structure and proven without elimination.
+exhaustive message enumeration, the subgroup-pair codes, whose RREF is
+written down from the coset structure and proven without elimination, and
+the image of a dihedral code under the coordinate bijection gamma with the
+necessary test for an equivalence to an abelian code.
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ import numpy as np
 from . import modmat
 from ._kernels import weight_histogram
 from .algebra import AlgebraElem, hat
-from .ff import PrimeField
-from .groups import GroupElem
-
-DEFAULT_BUDGET = 1 << 24
+from .ff import DEFAULT_BUDGET, PrimeField
+from .groups import AbelianGroup, DihedralGroup, GroupElem
 
 _scans: ContextVar[dict | None] = ContextVar("scans", default=None)
 
@@ -82,7 +82,19 @@ class LinearCode:
     def __init__(self, rows, q: int, group=None):
         PrimeField(q)  # refuses a q that is not prime
         R, _ = modmat.rref(rows, q)
-        R = np.ascontiguousarray(R)
+        self._store(np.ascontiguousarray(R), q, group)
+
+    @classmethod
+    def _from_rref(cls, R: np.ndarray, q: int, group=None) -> "LinearCode":
+        """The code whose canonical RREF is R, a C-contiguous int64 array of
+        residues mod the prime q that the caller has proven reduced (see
+        `subgroup_pair_code`).  R is kept as it is, with no copy, field
+        test or elimination: the result equals `LinearCode(R, q, group)`."""
+        code = cls.__new__(cls)
+        code._store(R, q, group)
+        return code
+
+    def _store(self, R: np.ndarray, q: int, group) -> None:
         R.setflags(write=False)
         self.q = q
         self.generator_matrix = R
@@ -253,8 +265,8 @@ def subgroup_pair_code(
 
     hat_H = hat(field, H) if averages is None else averages[0]
     if h_idx == k_idx:
-        code = LinearCode(np.zeros((1, group.order), dtype=np.int64), field.q, group=group)
-        return code, np.zeros((0, group.order), dtype=np.int64)
+        zero = np.zeros((0, group.order), dtype=np.int64)
+        return LinearCode._from_rref(zero, field.q, group=group), zero
     e = hat_H - (hat(field, K) if averages is None else averages[1])
     q, n = field.q, group.order
     ids = np.arange(n)
@@ -291,4 +303,33 @@ def subgroup_pair_code(
     ):
         raise RuntimeError("predicted basis does not span the code")
     rows.setflags(write=False)
-    return LinearCode(R, q, group=group), rows
+    return LinearCode._from_rref(R, q, group=group), rows
+
+
+def gamma_image_code(code: LinearCode, target: AbelianGroup | None = None) -> LinearCode:
+    """Image of a dihedral-group code under the coordinate bijection.
+
+    The bijection preserves the canonical index, so the matrix is reused
+    verbatim; only the group the coordinates refer to changes."""
+    if not isinstance(code.group, DihedralGroup):
+        raise ValueError("gamma_image_code needs a code over a dihedral group")
+    if target is None:
+        target = AbelianGroup(code.group.p, code.group.m)
+    if (target.p, target.m) != (code.group.p, code.group.m):
+        raise ValueError("parameter mismatch between code group and target group")
+    return LinearCode(code.generator_matrix, code.q, group=target)
+
+
+def equivalence_necessary_check(
+    code_a: LinearCode, code_b: LinearCode, budget: int = DEFAULT_BUDGET
+) -> str:
+    """'impossible' when length, dimension, or weight distribution rule out
+    a combinatorial equivalence; 'possible' otherwise, also when a weight
+    distribution lies beyond the budget.  Never a proof of equivalence, only
+    of its absence."""
+    if code_a.n != code_b.n or code_a.k != code_b.k or code_a.q != code_b.q:
+        return "impossible"
+    da = code_a.weight_distribution(budget=budget)
+    db = None if da is None else code_b.weight_distribution(budget=budget)
+    # an unknown distribution rules nothing out
+    return "possible" if db is None or np.array_equal(da, db) else "impossible"

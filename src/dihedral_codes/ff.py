@@ -1,16 +1,25 @@
-"""Exact arithmetic in prime fields F_q and the modular-order checks that
-gate every construction in this package.
+"""Exact arithmetic in prime fields F_q, the modular-order checks that
+gate every construction in this package, and the numeric limits the other
+layers share: the int64 range of group-algebra products and the default
+enumeration budget.
 
-Everything here is integer arithmetic; no floating point anywhere.
+Everything here is integer arithmetic; no floating point anywhere, and no
+numpy, so the CLI can gate a command before it loads the algebra stack.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 
 
 class InadmissibleParameters(ValueError):
     """(q, p, m) fails the standing hypothesis required by a construction."""
+
+
+# the default cap on q^k, the messages an exhaustive enumeration may scan
+DEFAULT_BUDGET = 1 << 24
+INT64_LIMIT = 1 << 63
 
 
 # The first 13 primes: as Miller-Rabin bases they decide every n below
@@ -94,6 +103,50 @@ def phi_prime_power(p: int, j: int) -> int:
     return p ** (j - 1) * (p - 1)
 
 
+@cache  # every AlgebraElem asks, so one (q, p, m) is worked out once
+def product_bound(q: int, p: int, m: int) -> int:
+    """min(2 p^m (q-1)^2, 2^63).  An entry of a product in F_q G with
+    |G| = 2 p^m, summed before it is reduced mod q, is at most
+    2 p^m (q-1)^2.  The product is capped once it reaches 2^63, so a huge
+    m costs at most 63 multiplications and p^m is never formed."""
+    bound = 2 * (q - 1) ** 2
+    for _ in range(m):
+        if bound >= INT64_LIMIT:
+            break
+        bound *= p
+    return min(bound, INT64_LIMIT)
+
+
+def require_int64_products(q: int, p: int, m: int) -> None:
+    """Raise ValueError when a product in F_q G, |G| = 2 p^m, could wrap
+    int64, that is when 2 p^m (q-1)^2 >= 2^63.  The error states the
+    product as a number for m <= 64, and as a formula beyond, where it
+    would take p^m to write down."""
+    if product_bound(q, p, m) >= INT64_LIMIT:
+        size = 2 * p**m * (q - 1) ** 2 if m <= 64 else f"2 * {p}^{m} * {q - 1}^2"
+        raise ValueError(f"|G| (q-1)^2 = {size} reaches 2^63; int64 products would overflow")
+
+
+def _passes_quick_tests(q: int, p: int, m: int) -> bool:
+    """Every test of `check_admissible` but the order of q mod p, each in
+    time polynomial in the digits of q, p and m.
+
+    gcd(2 p^m, q) = 1 exactly when q is not 2 or p, as q is prime.  A
+    generator of the units mod p is a quadratic non-residue, so
+    q^((p-1)/2) = -1 mod p (Euler's criterion) is necessary."""
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return (
+        q not in (2, p)
+        and pow(q, (p - 1) // 2, p) == p - 1
+        and (m == 1 or pow(q, p - 1, p * p) != 1)
+    )
+
+
 def check_admissible(q: int, p: int, m: int) -> bool:
     """True iff gcd(2 p^m, q) = 1 and q generates the units modulo p^m.
 
@@ -101,20 +154,21 @@ def check_admissible(q: int, p: int, m: int) -> bool:
     and, when m >= 2, q^(p-1) != 1 mod p^2 (primitive roots lift), so the
     cost does not grow with m.  q must be prime, p an odd prime, m >= 1;
     violations of those shape requirements raise instead of returning False.
+    The order of q mod p, a loop of up to p - 1 steps, runs last.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if gcd(2 * p**m, q) != 1:
-        return False
-    return multiplicative_order(q, p) == p - 1 and (m == 1 or pow(q, p - 1, p * p) != 1)
+    return _passes_quick_tests(q, p, m) and multiplicative_order(q, p) == p - 1
 
 
-def require_admissible(q: int, p: int, m: int) -> None:
+def require_admissible(q: int, p: int, m: int, int64_products: bool = False) -> None:
     """The gate of every construction that needs the standing hypothesis:
-    raise InadmissibleParameters unless `check_admissible(q, p, m)`."""
-    if not check_admissible(q, p, m):
+    raise InadmissibleParameters unless `check_admissible(q, p, m)`.
+
+    With `int64_products`, also raise the ValueError of
+    `require_int64_products` for an oversize triple.  That test runs after
+    the quick tests and before the order of q mod p, whose loop grows with
+    p, so an oversize triple is refused at once."""
+    ok = _passes_quick_tests(q, p, m)
+    if ok and int64_products:
+        require_int64_products(q, p, m)
+    if not (ok and multiplicative_order(q, p) == p - 1):
         raise InadmissibleParameters(f"(q, p, m) = ({q}, {p}, {m}) is not admissible")

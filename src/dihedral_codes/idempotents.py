@@ -5,6 +5,10 @@ subgroup; each nontrivial component carries a set of 2x2 matrix units, and
 conjugating e11 by alpha = e11 + e12 + e22 produces the non-central
 idempotent f = e11 - e12 whose left ideal is the interesting code.
 
+The abelian catalog holds the 2(m+1) primitive idempotents of
+F_q[C_{p^m} x C_2] and the code of each; it is the scanned oracle of the
+closed-form survey (`survey`, `verify`'s `survey` check).
+
 All identities are re-verified exactly at construction time and failures
 raise, so a wrong formula cannot propagate silently.
 """
@@ -17,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElem, hat, is_central, is_idempotent
+from .codes import LinearCode, left_ideal_code
 from .ff import PrimeField, require_admissible
-from .groups import DihedralGroup
+from .groups import AbelianGroup, DihedralGroup
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,37 @@ class NonCentralGenerators:
     f: AlgebraElem
     alpha: AlgebraElem
     alpha_inv: AlgebraElem
+
+
+@dataclass(frozen=True)
+class AbelianCatalog:
+    """Primitive idempotents ((1 +/- t)/2) etil_j, j = 0..m, in bit order
+    (plus_0, minus_0, plus_1, minus_1, ...), with the code of each."""
+
+    group: AbelianGroup
+    field: PrimeField
+    members: tuple[AlgebraElem, ...]
+    codes: tuple[LinearCode, ...]
+
+    def __len__(self):
+        return len(self.members)
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(code.k for code in self.codes)
+
+    def basis(self, mask: int) -> np.ndarray:
+        """The stacked generator matrices of the members this bitmask
+        selects: a basis of the row's code, as the member codes are
+        independent (checked by `abelian_catalog`)."""
+        if not 0 < mask < 1 << len(self.members):
+            raise ValueError(f"mask {mask} selects no nonempty subset of the catalog")
+        return np.vstack([c.generator_matrix for b, c in enumerate(self.codes) if mask >> b & 1])
+
+    def code(self, mask: int) -> LinearCode:
+        """The survey row with this bitmask: the span of the selected member
+        codes, which for orthogonal idempotents is the ideal of their sum."""
+        return LinearCode(self.basis(mask), self.field.q, group=self.group)
 
 
 def chain_idempotents(field: PrimeField, group) -> list[AlgebraElem]:
@@ -184,3 +220,22 @@ def noncentral_generator(units: MatrixUnits) -> NonCentralGenerators:
         raise RuntimeError("closed form of f does not match e11 - e12")
 
     return NonCentralGenerators(units, f, alpha, alpha_inv)
+
+
+def abelian_catalog(field: PrimeField, p: int, m: int) -> AbelianCatalog:
+    """The 2(m+1) primitive idempotents of F_q[C_{p^m} x C_2], verified
+    idempotent, pairwise orthogonal, and summing to 1, whose codes are
+    verified to span the algebra independently."""
+    require_admissible(field.q, p, m)
+    group = AbelianGroup(p, m)
+    halves = _halves(group, field)
+    members = [h * e for e in chain_idempotents(field, group) for h in halves]
+    check_decomposition(members, "abelian catalog")
+
+    catalog = AbelianCatalog(
+        group, field, tuple(members), tuple(left_ideal_code(x) for x in members)
+    )
+    # independent member codes give every row the sum of its members' dims
+    if catalog.code((1 << len(members)) - 1).k != group.order:
+        raise RuntimeError("abelian catalog member codes are not independent")
+    return catalog

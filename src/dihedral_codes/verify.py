@@ -15,8 +15,10 @@ is scanned once per distinct generator matrix and run (see
 `subgroup-pairs` scanned.  Each run starts with an empty memo.
 
 `survey` and `nonequivalence` are the independent oracle of the survey's
-closed form: they scan each abelian row within the budget from its stacked
-member bases and compare the scan with `survey.abelian_min_weight`.
+closed forms: they build the abelian catalog (`idempotents.abelian_catalog`),
+compare its member dimensions with phi(p^j), scan each abelian row within
+the budget from its stacked member bases and compare the scan with
+`survey.abelian_min_weight`.
 """
 
 from __future__ import annotations
@@ -32,16 +34,20 @@ import numpy as np
 
 from . import modmat
 from .algebra import hat, is_idempotent, products
-from .codes import DEFAULT_BUDGET, left_ideal_code, shared_scans, subgroup_pair_code, weights
-from .ff import PrimeField, phi_prime_power, require_admissible
-from .groups import AbelianGroup, DihedralGroup, gamma
-from .idempotents import central_idempotents, matrix_units, noncentral_generator
-from .survey import (
-    abelian_catalog,
-    enumerate_abelian_codes,
+from .check_names import CHECK_NAMES
+from .codes import (
+    DEFAULT_BUDGET,
     equivalence_necessary_check,
     gamma_image_code,
+    left_ideal_code,
+    shared_scans,
+    subgroup_pair_code,
+    weights,
 )
+from .ff import PrimeField, phi_prime_power, require_admissible
+from .groups import AbelianGroup, DihedralGroup, gamma
+from .idempotents import abelian_catalog, central_idempotents, matrix_units, noncentral_generator
+from .survey import enumerate_abelian_codes
 
 
 class CheckFailure(AssertionError):
@@ -567,7 +573,7 @@ def check_survey(ctx: VerifyContext) -> str:
     for j in range(1, ctx.m + 1):
         expect_dims += [phi_prime_power(ctx.p, j)] * 2
     _require(list(acat.dims) == expect_dims, f"component dims {acat.dims} != {expect_dims}")
-    rows = enumerate_abelian_codes(acat)
+    rows = enumerate_abelian_codes(ctx.p, ctx.m)
     _require(len(rows) == 2 ** len(acat) - 1, "survey does not cover every subset")
     full = rows[-1]
     _require(full.dim == ctx.abelian.order, "full-catalog subset is not the whole algebra")
@@ -581,7 +587,7 @@ def check_nonequivalence(ctx: VerifyContext) -> str:
     if (ctx.p, ctx.m) != (3, 2):
         return "skipped: the survey argument is stated for p=3, m=2"
     acat = ctx.abelian_cat
-    rows = enumerate_abelian_codes(acat, dim_filter=2)
+    rows = enumerate_abelian_codes(ctx.p, ctx.m, dim_filter=2)
     _require(len(rows) == 3, f"expected 3 dimension-2 abelian codes, found {len(rows)}")
     scanned = _scanned_weights(ctx, rows)
     _require(None not in scanned, f"dimension-2 abelian weights are beyond budget {ctx.budget}")
@@ -608,28 +614,8 @@ def check_nonequivalence(ctx: VerifyContext) -> str:
     return "no dim-2 abelian code reaches weight 13; f-code ruled inequivalent to all 3"
 
 
-CHECKS = [
-    ("field-axioms", check_field_axioms),
-    ("group-axioms", check_group_axioms),
-    ("gamma-map", check_gamma_map),
-    ("convolution", check_convolution),
-    ("hat-idempotents", check_hat_idempotents),
-    ("central-catalog", check_central_catalog),
-    ("matrix-units", check_matrix_units),
-    ("noncentral-generator", check_noncentral_generator),
-    ("component-field", check_component_field),
-    ("subgroup-pairs", check_subgroup_pairs),
-    ("powers-basis", check_powers_basis),
-    ("abelian-images", check_abelian_images),
-    ("gamma-isometry", check_gamma_isometry),
-    ("central-codes", check_central_codes),
-    ("example-code", check_example_code),
-    ("coefficient-claim", check_coefficient_claim),
-    ("survey", check_survey),
-    ("nonequivalence", check_nonequivalence),
-]
-
-CHECK_NAMES = [name for name, _ in CHECKS]
+# check_<name> with "-" read as "_", paired by name, in the order of CHECK_NAMES
+CHECKS = [(name, globals()["check_" + name.replace("-", "_")]) for name in CHECK_NAMES]
 
 
 def run_checks(

@@ -137,7 +137,7 @@ def test_criterion_7_nonequivalence_survey(field11, gens1):
     """All 63 abelian codes of F_11[C_9 x C_2]: no dimension-2 code reaches
     weight 13; the f-code is parameter-inequivalent to every one of them."""
     acat = abelian_catalog(field11, 3, 2)
-    rows = enumerate_abelian_codes(acat)
+    rows = enumerate_abelian_codes(3, 2)
     assert len(rows) == 63
     dim2 = [r for r in rows if r.dim == 2]
     assert len(dim2) == 3

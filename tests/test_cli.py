@@ -1,9 +1,16 @@
+import importlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from dihedral_codes import LinearCode, cli
+from dihedral_codes import LinearCode, cli, idempotents
 from dihedral_codes.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_construct_flagship(tmp_path, capsys):
@@ -117,8 +124,8 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, com
     def no_work(*args):
         raise AssertionError("computed before testing --out")
 
-    monkeypatch.setattr(cli, "abelian_catalog", no_work)
-    monkeypatch.setattr(cli, "central_idempotents", no_work)
+    monkeypatch.setattr(cli, "enumerate_abelian_codes", no_work)
+    monkeypatch.setattr(idempotents, "central_idempotents", no_work)
     out = tmp_path / "missing-dir" / "out"
     extra = ["--gen", "f"] if command == "construct" else []
     rc = main([command, "--q", "5", "--p", "3", "--m", "3", *extra, "--out", str(out)])
@@ -415,3 +422,102 @@ def test_an_admissible_q_beyond_int64_exits_2_at_once(tmp_path, capsys):
                                     "--m", "1", "--gen", "f", "--out", str(tmp_path / "f.gm")])
     assert time.perf_counter() - start < 1.0
     assert (rc, stdout) == (2, "") and err.startswith("error: ") and "2^63" in err
+
+
+@pytest.mark.parametrize("command", ["construct", "survey", "compare"])
+def test_an_oversize_triple_exits_2_at_once(tmp_path, capsys, command):
+    # (5, 3, 40) is admissible, but 2 3^40 4^2 >= 2^63: the group of order
+    # 2 3^40 (or the 2^82 survey rows) used to be built until a timeout
+    table = tmp_path / "ref.tbl"
+    table.write_text("18 2 15\n")
+    extra = {
+        "construct": ["--gen", "f", "--out", str(tmp_path / "f.gm")],
+        "survey": ["--out", str(tmp_path / "s.tbl")],
+        "compare": ["--table", str(table)],
+    }[command]
+    start = time.perf_counter()
+    rc, stdout, err = _run(capsys, [command, "--q", "5", "--p", "3", "--m", "40", *extra])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, stdout) == (2, "")
+    assert err == f"error: |G| (q-1)^2 = {2 * 3**40 * 16} reaches 2^63; int64 products would overflow\n"
+    assert not (tmp_path / "f.gm").exists() and not (tmp_path / "s.tbl").exists()
+
+
+@pytest.mark.parametrize("q, line", [
+    # 5 is a square mod 2^61 - 1, so no generator of its units: not admissible
+    (5, "error: (q, p, m) = (5, 2305843009213693951, 1) is not admissible\n"),
+    # 7 passes every quick test; the order loop would take 2^61 steps
+    (7, f"error: |G| (q-1)^2 = {2 * 2305843009213693951 * 36} reaches 2^63; "
+        "int64 products would overflow\n"),
+], ids=["q5", "q7"])
+def test_a_huge_p_exits_2_at_once(tmp_path, capsys, q, line):
+    start = time.perf_counter()
+    rc, stdout, err = _run(capsys, ["construct", "--q", str(q), "--p", "2305843009213693951",
+                                    "--m", "1", "--gen", "f", "--out", str(tmp_path / "f.gm")])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, stdout, err) == (2, "", line)
+
+
+def _python(code, *args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_survey_imports_no_numpy(tmp_path):
+    """Every survey field is a closed form, so neither importing the CLI nor
+    a full survey loads numpy; construct does."""
+    out = _python(
+        "import contextlib, io, sys\n"
+        "import dihedral_codes.cli as cli\n"
+        "print('numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['survey', '--q', '5', '--p', '3', '--m', '3',\n"
+        "                     '--out', sys.argv[1]]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['construct', '--q', '11', '--p', '3', '--m', '2',\n"
+        "                     '--gen', 'e11', '--out', sys.argv[2]]) == 0\n"
+        "print('numpy' in sys.modules)\n",
+        str(tmp_path / "s.tbl"), str(tmp_path / "e11.gm"),
+    )
+    assert out == "False\nFalse\nTrue\n"
+    assert len((tmp_path / "s.tbl").read_text().splitlines()) == 1 + 255
+
+
+# where each exported name is defined
+HOMES = {
+    "algebra": ["AlgebraElem", "hat", "is_central", "is_idempotent", "left_translate",
+                "products"],
+    "check_names": ["CHECK_NAMES"],
+    "codes": ["LinearCode", "equivalence_necessary_check", "gamma_image_code",
+              "left_ideal_code", "subgroup_pair_code"],
+    "ff": ["DEFAULT_BUDGET", "InadmissibleParameters", "PrimeField", "check_admissible",
+           "is_prime", "multiplicative_order", "phi_prime_power"],
+    "groups": ["AbelianGroup", "DihedralGroup", "GroupElem", "gamma"],
+    "idempotents": ["AbelianCatalog", "CentralCatalog", "MatrixUnits", "NonCentralGenerators",
+                    "abelian_catalog", "central_idempotents", "matrix_units",
+                    "noncentral_generator"],
+    "survey": ["SurveyRow", "abelian_min_weight", "enumerate_abelian_codes",
+               "format_survey_table", "write_survey_table"],
+    "verify": ["CheckResult", "run_checks", "subgroup_pair_suite"],
+}
+
+
+def test_every_exported_name_resolves():
+    """The package loads its names on first use: each name of `__all__`
+    resolves to the object of its home module and `dir()` lists it, while
+    importing the package alone loads no numpy."""
+    import dihedral_codes
+
+    assert sorted(dihedral_codes.__all__) == sorted(n for names in HOMES.values() for n in names)
+    for module, names in HOMES.items():
+        home = importlib.import_module(f"dihedral_codes.{module}")
+        for name in names:
+            assert getattr(dihedral_codes, name) is getattr(home, name), name
+    assert set(dihedral_codes.__all__) <= set(dir(dihedral_codes))
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        dihedral_codes.nonexistent  # noqa: B018
+    assert _python("import sys, dihedral_codes; print('numpy' in sys.modules)") == "False\n"

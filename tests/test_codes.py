@@ -336,22 +336,43 @@ def test_closed_form_pair_code_matches_two_eliminations_at_3_5_3():
 
 
 def test_pair_code_hands_rref_only_reduced_matrices(monkeypatch):
-    """No elimination: the one matrix `subgroup_pair_code` passes to `rref`
-    is the closed-form RREF itself, returned as it came."""
+    """No elimination: `subgroup_pair_code` stores its closed-form RREF
+    through `LinearCode._from_rref`, so it hands `rref` no matrix at all,
+    the zero code of H = K included."""
     seen = []
     real = modmat.rref
 
     def recording(mat, q):
-        R, pivots = real(mat, q)
-        seen.append(np.array_equal(R, np.asarray(mat) % q))
-        return R, pivots
+        seen.append(np.array(mat))
+        return real(mat, q)
 
     monkeypatch.setattr(modmat, "rref", recording)
     field, group = PrimeField(5), DihedralGroup(3, 3)
     nested = _nested_pairs(group, 5)
-    for H, K in nested:
+    for H, K in nested + [(K, K) for _, K in nested]:
         subgroup_pair_code(field, H, K)
-    assert len(seen) == len(nested) and all(seen)
+    assert len(nested) == 166 and seen == []
+
+
+@pytest.mark.parametrize("q, p, m", [(11, 3, 2), (5, 3, 3)])
+def test_pair_code_from_rref_equals_the_eliminated_code(q, p, m):
+    """The code `_from_rref` stores equals `LinearCode(R)`, which reduces R
+    again, for every nested pair and every H = K: same matrix, dtype,
+    flags, parameters and group."""
+    field, group = PrimeField(q), DihedralGroup(p, m)
+    subs = group.all_subgroups()
+    pairs = [(H, H) for H in subs] + _nested_pairs(group, q)
+    for H, K in pairs:
+        code, _ = subgroup_pair_code(field, H, K)
+        R = code.generator_matrix
+        ref = LinearCode(R, q, group=group)
+        assert (code.q, code.n, code.k, code.group) == (ref.q, ref.n, ref.k, ref.group)
+        assert R.dtype == ref.generator_matrix.dtype == np.int64
+        assert R.shape == ref.generator_matrix.shape
+        assert R.tobytes() == ref.generator_matrix.tobytes()
+        assert R.flags.c_contiguous and not R.flags.writeable
+        assert code.same_code(ref) and ref.same_code(code)
+    assert len(pairs) > len(subs)
 
 
 @pytest.mark.parametrize(

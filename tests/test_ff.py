@@ -6,12 +6,14 @@ import pytest
 
 from dihedral_codes import (
     AlgebraElem,
+    InadmissibleParameters,
     PrimeField,
     check_admissible,
     is_prime,
     multiplicative_order,
     phi_prime_power,
 )
+from dihedral_codes.ff import product_bound, require_admissible, require_int64_products
 
 
 def test_construction_rejects_non_prime():
@@ -123,6 +125,52 @@ def test_check_admissible_does_not_loop_over_the_units():
     assert check_admissible(17, 3, 40) is False  # 17^2 = 1 mod 9
     assert check_admissible(7, 3, 40) is False  # 7 = 1 mod 3
     assert time.perf_counter() - t0 < 1
+
+
+def test_check_admissible_never_forms_p_to_the_m():
+    # gcd(2 p^m, q) = 1 is read as q not in {2, p}; building 2 3^(10^7)
+    # for the gcd took 5.4 s
+    t0 = time.perf_counter()
+    assert check_admissible(5, 3, 10**7) is True
+    assert check_admissible(3, 3, 10**7) is False
+    assert check_admissible(2, 3, 10**7) is False
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_product_bound_is_the_capped_product():
+    for q, p, m in [(11, 3, 2), (3, 5, 3), (2, 3, 1), (1000000103, 3, 2), (5, 3, 40)]:
+        assert product_bound(q, p, m) == min(2 * p**m * (q - 1) ** 2, 1 << 63)
+    t0 = time.perf_counter()
+    assert product_bound(3, 3, 10**9) == 1 << 63  # p^m is never formed
+    assert time.perf_counter() - t0 < 0.1
+    # 2 3^36 4^2 < 2^63 <= 2 3^37 4^2: the first triple refused
+    require_int64_products(5, 3, 36)
+    with pytest.raises(ValueError, match=f"^[|]G[|] [(]q-1[)]\\^2 = {2 * 3**37 * 16} reaches"):
+        require_int64_products(5, 3, 37)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"= 2 \* 3\^1000000000 \* 4\^2 reaches 2\^63"):
+        require_int64_products(5, 3, 10**9)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_require_admissible_refuses_an_oversize_triple_before_the_order_loop():
+    # 7 is a non-residue mod 2^61 - 1, so only the 2^61-step order loop
+    # could tell whether (7, 2^61 - 1, 1) is admissible
+    big = 2305843009213693951
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="2\\^63") as exc:
+        require_admissible(7, big, 1, int64_products=True)
+    assert not isinstance(exc.value, InadmissibleParameters)
+    # a triple that fails a quick test is inadmissible, however large
+    with pytest.raises(InadmissibleParameters):
+        require_admissible(big, 3, 1, int64_products=True)
+    with pytest.raises(InadmissibleParameters):
+        require_admissible(5, big, 1, int64_products=True)
+    assert time.perf_counter() - t0 < 0.1
+    # without the flag an oversize admissible triple passes the gate
+    require_admissible(5, 3, 40)
+    with pytest.raises(ValueError, match="2\\^63"):
+        require_admissible(5, 3, 40, int64_products=True)
 
 
 def test_check_admissible_validates_shape():

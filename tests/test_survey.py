@@ -10,6 +10,7 @@ from dihedral_codes import (
     AbelianGroup,
     InadmissibleParameters,
     PrimeField,
+    SurveyRow,
     abelian_catalog,
     abelian_min_weight,
     enumerate_abelian_codes,
@@ -50,7 +51,7 @@ def test_inadmissible_rejected():
 
 
 def test_dim2_rows_frozen(acat):
-    rows = enumerate_abelian_codes(acat, dim_filter=2)
+    rows = enumerate_abelian_codes(3, 2, dim_filter=2)
     assert [(r.mask, r.dim, r.min_weight) for r in rows] == [
         (3, 2, 9),
         (4, 2, 12),
@@ -59,7 +60,7 @@ def test_dim2_rows_frozen(acat):
 
 
 def test_full_survey_row_count_and_dims(acat):
-    rows = enumerate_abelian_codes(acat)
+    rows = enumerate_abelian_codes(3, 2)
     assert len(rows) == 63
     assert [r.mask for r in rows] == list(range(1, 64))
     for r in rows:
@@ -73,7 +74,7 @@ def test_full_survey_row_count_and_dims(acat):
 def test_direct_sum_weight_bound(acat):
     """A sum of components contains each component, so its minimum weight
     is at most the smallest component minimum."""
-    rows = {r.mask: r for r in enumerate_abelian_codes(acat)}
+    rows = {r.mask: r for r in enumerate_abelian_codes(3, 2)}
     singles = {b: rows[1 << b].min_weight for b in range(6)}
     for mask, row in rows.items():
         bits = [b for b in range(6) if mask >> b & 1]
@@ -82,7 +83,7 @@ def test_direct_sum_weight_bound(acat):
 
 
 def test_survey_table_format(acat):
-    rows = enumerate_abelian_codes(acat, dim_filter=2)
+    rows = enumerate_abelian_codes(3, 2, dim_filter=2)
     text = format_survey_table(rows, 11, 3, 2)
     assert text == "11 3 2\n3 2 9\n4 2 12\n8 2 12\n"
 
@@ -159,16 +160,16 @@ PINNED_3_5_2 = """\
 
 
 def test_survey_table_pinned_at_3_5_2():
-    rows = enumerate_abelian_codes(abelian_catalog(PrimeField(3), 5, 2))
+    rows = enumerate_abelian_codes(5, 2)
     assert format_survey_table(rows, 3, 5, 2) == PINNED_3_5_2
 
 
 def test_survey_table_unknown_marker(acat):
     # no row is written '?': the dimension-12 rows, beyond any scan budget
     # below 11^12, carry their closed-form weights
-    rows = enumerate_abelian_codes(acat, dim_filter=12)
+    rows = enumerate_abelian_codes(3, 2, dim_filter=12)
     assert format_survey_table(rows, 11, 3, 2) == "11 3 2\n31 12 2\n47 12 2\n48 12 2\n"
-    assert "?" not in format_survey_table(enumerate_abelian_codes(acat), 11, 3, 2)
+    assert "?" not in format_survey_table(enumerate_abelian_codes(3, 2), 11, 3, 2)
 
 
 def test_gamma_image_is_the_abelian_ideal(units1, acat):
@@ -220,7 +221,7 @@ def _masked_sum(acat, mask):
 
 def test_equivalence_check_impossible_for_f(acat, gens1):
     code_f = left_ideal_code(gens1.f)
-    for row in enumerate_abelian_codes(acat, dim_filter=2):
+    for row in enumerate_abelian_codes(3, 2, dim_filter=2):
         gen = _masked_sum(acat, row.mask)
         assert equivalence_necessary_check(code_f, left_ideal_code(gen)) == "impossible"
 
@@ -244,7 +245,7 @@ def test_survey_weights_match_the_rref_route(q, p, m):
     budget."""
     acat = abelian_catalog(PrimeField(q), p, m)
     scanned = 0
-    for row in enumerate_abelian_codes(acat):
+    for row in enumerate_abelian_codes(p, m):
         w = acat.code(row.mask).min_weight(budget=DEFAULT_BUDGET)
         if w is not None:
             assert w == row.min_weight, row
@@ -263,7 +264,7 @@ def test_survey_rows_need_no_elimination(monkeypatch):
     acat = ctx.abelian_cat  # built, with its eliminations, before the patch
     real, calls = modmat.rref, []
     monkeypatch.setattr(modmat, "rref", lambda *args: calls.append(1) or real(*args))
-    rows = enumerate_abelian_codes(acat)
+    rows = enumerate_abelian_codes(3, 2)
     assert len(rows) == 63
     assert all(len(acat.basis(row.mask)) == row.dim for row in rows)
     assert check_survey(ctx) == "63 rows; dims consistent; 13 weights exact, rest beyond budget"
@@ -275,10 +276,10 @@ def test_survey_rows_need_no_elimination(monkeypatch):
 def test_catalog_rejects_dependent_member_codes(acat, monkeypatch):
     """The catalog's one rank check is what guarantees every row's
     dimension, so it must fire when member codes overlap."""
-    import dihedral_codes.survey as survey
+    import dihedral_codes.idempotents as idempotents
 
-    real = survey.left_ideal_code
-    monkeypatch.setattr(survey, "left_ideal_code", lambda x: real(acat.members[0]))
+    real = idempotents.left_ideal_code
+    monkeypatch.setattr(idempotents, "left_ideal_code", lambda x: real(acat.members[0]))
     with pytest.raises(RuntimeError, match="not independent"):
         abelian_catalog(acat.field, 3, 2)
 
@@ -314,12 +315,31 @@ def test_abelian_min_weight_matches_the_scan(q, p, m):
     stacked member bases on every row within the budget."""
     acat = abelian_catalog(PrimeField(q), p, m)
     scanned = 0
-    for row in enumerate_abelian_codes(acat):
+    for row in enumerate_abelian_codes(p, m):
         w = _scanned_min_weight(acat.basis(row.mask), q, ORACLE_BUDGET)
         if w is not None:
             assert w == row.min_weight, row
             scanned += 1
     assert scanned >= 10
+
+
+@pytest.mark.parametrize("q, p, m", ORACLE_TRIPLES)
+def test_closed_form_rows_match_the_catalog(q, p, m):
+    """Oracle: the rows built from phi(p^j) alone equal the rows built from
+    the dimensions of the catalog's verified member codes, with the same
+    closed-form weights, at every dimension filter."""
+    dims = _catalog(q, p, m).dims
+    from_catalog = []
+    for mask in range(1, 1 << len(dims)):
+        plus = [j for j in range(m + 1) if mask >> 2 * j & 1]
+        minus = [j for j in range(m + 1) if mask >> 2 * j + 1 & 1]
+        dim = sum(k for b, k in enumerate(dims) if mask >> b & 1)
+        from_catalog.append(SurveyRow(mask, dim, abelian_min_weight(plus, minus, p, m)))
+    assert enumerate_abelian_codes(p, m) == from_catalog
+    for dim in {1, 2, *dims, 2 * p**m}:
+        assert enumerate_abelian_codes(p, m, dim_filter=dim) == [
+            r for r in from_catalog if r.dim == dim
+        ]
 
 
 def test_abelian_min_weight_small_cases():
@@ -359,7 +379,7 @@ def test_abelian_min_weight_matches_the_scan_at_random_triples(triple, data):
     triple; the closed form equals the scan."""
     q, p, m = triple
     acat, budget = _catalog(q, p, m), 1 << 16
-    rows = [r for r in enumerate_abelian_codes(acat) if q**r.dim <= budget]
+    rows = [r for r in enumerate_abelian_codes(p, m) if q**r.dim <= budget]
     row = data.draw(st.sampled_from(rows), label="row")
     plus = [j for j in range(m + 1) if row.mask >> 2 * j & 1]
     minus = [j for j in range(m + 1) if row.mask >> 2 * j + 1 & 1]
@@ -374,9 +394,9 @@ def test_survey_check_names_the_row_whose_scan_disagrees(monkeypatch):
 
     real = verify.enumerate_abelian_codes
 
-    def off_by_one(acat, dim_filter=None):
+    def off_by_one(p, m, dim_filter=None):
         return [SurveyRow(r.mask, r.dim, r.min_weight + (r.mask == 3))
-                for r in real(acat, dim_filter)]
+                for r in real(p, m, dim_filter)]
 
     monkeypatch.setattr(verify, "enumerate_abelian_codes", off_by_one)
     survey, noneq = run_checks(11, 3, 2, names=["survey", "nonequivalence"])
