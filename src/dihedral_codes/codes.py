@@ -87,9 +87,10 @@ class LinearCode:
     @classmethod
     def _from_rref(cls, R: np.ndarray, q: int, group=None) -> "LinearCode":
         """The code whose canonical RREF is R, a C-contiguous int64 array of
-        residues mod the prime q that the caller has proven reduced (see
-        `subgroup_pair_code`).  R is kept as it is, with no copy, field
-        test or elimination: the result equals `LinearCode(R, q, group)`."""
+        residues mod the prime q that the caller has proven reduced: a
+        closed form (see `subgroup_pair_code`) or another code's stored
+        matrix (see `gamma_image_code`).  R is kept as it is, with no copy,
+        field test or elimination: the result equals `LinearCode(R, q, group)`."""
         code = cls.__new__(cls)
         code._store(R, q, group)
         return code
@@ -152,16 +153,6 @@ class LinearCode:
             raise ValueError("code carries no group")
         G, T = self.generator_matrix, self.group.translate_table
         return self._absorbs(*(G[:, T[g.index]] for g in self.group.generators()))
-
-    def right_translate(self, g: GroupElem) -> "LinearCode":
-        """The code C g = {x g : x in C}.  Coordinate h of x lands on hg, so
-        column h of the generator matrix moves to column `mult_table[h, g]`;
-        the moved matrix is reduced again to its canonical RREF."""
-        if self.group is None:
-            raise ValueError("code carries no group")
-        moved = np.empty_like(self.generator_matrix)
-        moved[:, self.group.mult_table[:, g.index]] = self.generator_matrix
-        return LinearCode(moved, self.q, group=self.group)
 
     # -- serialization -------------------------------------------------------
     def to_text(self) -> str:
@@ -248,6 +239,14 @@ def subgroup_pair_code(
     |H| sum c_i = 0, so sum c_i = 0 and at least two c_i are nonzero, each
     on |H| coordinates.  Each row 1_C - 1_C' of R has weight exactly 2|H|.
 
+    Weight distribution: it depends on |H| and |K| alone.  A word of V is
+    its values on the H-cosets, each repeated |H| times, and on each of
+    the (G:K) K-cosets those s = (K:H) values form a word of the zero-sum
+    code of length s.  So, up to a permutation of coordinates, V is (G:K)
+    copies of that code with each coordinate repeated |H| times, and its
+    weight enumerator is
+        [((1 + (q-1) z^|H|)^s + (q-1)(1 - z^|H|)^s) / q]^(G:K).
+
     `averages`, when given, is (hat(field, H), hat(field, K)), already
     built and closure-checked by the caller, which a suite over many pairs
     does once per subgroup rather than once per pair.
@@ -309,15 +308,16 @@ def subgroup_pair_code(
 def gamma_image_code(code: LinearCode, target: AbelianGroup | None = None) -> LinearCode:
     """Image of a dihedral-group code under the coordinate bijection.
 
-    The bijection preserves the canonical index, so the matrix is reused
-    verbatim; only the group the coordinates refer to changes."""
+    The bijection preserves the canonical index, so the code's stored RREF
+    is reused verbatim, with no elimination; only the group the coordinates
+    refer to changes."""
     if not isinstance(code.group, DihedralGroup):
         raise ValueError("gamma_image_code needs a code over a dihedral group")
     if target is None:
         target = AbelianGroup(code.group.p, code.group.m)
     if (target.p, target.m) != (code.group.p, code.group.m):
         raise ValueError("parameter mismatch between code group and target group")
-    return LinearCode(code.generator_matrix, code.q, group=target)
+    return LinearCode._from_rref(code.generator_matrix, code.q, group=target)
 
 
 def equivalence_necessary_check(

@@ -170,12 +170,6 @@ class _Group:
         table.setflags(write=False)
         return table
 
-    def conjugates(self, indices) -> np.ndarray:
-        """order x len(indices) table: row g holds index(g^{-1} s g) for each
-        s in `indices`."""
-        T = self.mult_table
-        return T[T[self.inverse_indices()][:, indices], np.arange(self.order)[:, None]]
-
     # -- subgroups ---------------------------------------------------------
     def subgroup_H(self, j: int) -> list[GroupElem]:
         """The chain subgroup <a^{p^j}> in canonical order.

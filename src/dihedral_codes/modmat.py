@@ -9,9 +9,9 @@ and a row lies in a code when appending it to that matrix keeps the rank.
 An elimination step touches only the rows with a nonzero entry in the pivot
 column, and only from that column on; `rref` says why the rest is final.
 It skips the columns that are zero below the last pivot, and stops once
-those rows are all zero.  A matrix that is already reduced comes back as it
-is after one vectorized test, so a closed-form RREF (the subgroup-pair
-codes) costs no elimination when `LinearCode` stores it.
+those rows are all zero.  A matrix proven reduced elsewhere (a closed-form
+RREF, or a code's stored matrix) never comes here: `LinearCode._from_rref`
+stores it as it is.
 
 Exactness: elimination only ever forms one product of two residues below q
 and subtracts it from a residue, so every intermediate is at most (q-1)^2 in
@@ -40,10 +40,6 @@ def rref(mat, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_q.  Returns (R, pivot_columns);
     R keeps only the nonzero rows.
 
-    An input that is already reduced is returned as it is: its leading
-    columns strictly increase and hold the identity, which also rules out a
-    zero row (its leading column would hold 0).
-
     The step at pivot (r, c) updates only the rows with a nonzero factor in
     column c, from column c on.  Rows r and below are zero left of c, so the
     pivot row would subtract nothing there, and a zero factor changes nothing
@@ -51,15 +47,11 @@ def rref(mat, q: int) -> tuple[np.ndarray, list[int]]:
     does the loop look past it: rows r and below are zero up to that column,
     so it jumps to the next column where one of them is not, or stops when
     they are all zero.  A full-rank elimination never takes this branch.
+    An input that is already reduced takes one step per pivot, and each
+    step's pivot column is nonzero in its own row only.
     The (q-1)^2 bound is unchanged."""
     A = asmat(mat, q)
     rows, cols = A.shape
-    if cols:
-        lead = np.argmax(A != 0, axis=1)
-        if np.all(lead[1:] > lead[:-1]) and np.array_equal(
-            A[:, lead], np.eye(rows, dtype=A.dtype)
-        ):
-            return A, lead.tolist()
     r = c = 0
     pivots: list[int] = []
     while r < rows and c < cols:

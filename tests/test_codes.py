@@ -428,30 +428,6 @@ def test_pair_code_proof_rejects_averages_that_break_one_identity(averages):
         subgroup_pair_code(field, H, K, averages=wrong)
 
 
-def test_right_translate_proves_conjugate_pair_codes():
-    # (H, K) = (<a^3>, <a^3, b>) at (5, 3, 3); conjugating by a gives
-    # K^a = <a^3, a^-2 b>, whose code is the right translate C a
-    field, group = PrimeField(5), DihedralGroup(3, 3)
-    H, K = group.subgroup_H(1), group.subgroup_Hstar(1)
-    rep, _ = subgroup_pair_code(field, H, K)
-    a = group.a
-    K_a = [a.inverse() * k * a for k in K]
-    conj, _ = subgroup_pair_code(field, H, sorted(K_a, key=lambda g: g.index))
-    assert conj.same_code(rep.right_translate(a))
-    # a left ideal is its own left translate, so only the right one proves this
-    assert not conj.same_code(rep)
-    assert rep.right_translate(group.identity).same_code(rep)
-    # the (9, 27) code shares |H| = 9 with the (9, 18) one but is no translate
-    other, _ = subgroup_pair_code(field, H, group.subgroup_H(0))
-    assert (rep.k, other.k) == (3, 4)
-    assert not any(other.same_code(rep.right_translate(g)) for g in group.elements())
-
-
-def test_right_translate_needs_a_group():
-    with pytest.raises(ValueError, match="no group"):
-        LinearCode([[1, 2, 0]], 5).right_translate(DihedralGroup(3, 1).a)
-
-
 def test_generator_matrix_format_round_trip(gens1):
     code = left_ideal_code(gens1.f)
     text = code.to_text()

@@ -210,15 +210,3 @@ def test_group_law_matches_per_family_formulas(cls, p, m):
             i, j = _reference_product(group, g, h)
             assert g * h == group.element(i, j)
             assert table[g.index, h.index] == i + j * pm
-
-
-@pytest.mark.parametrize("group", [DihedralGroup(3, 2), AbelianGroup(3, 2)])
-def test_conjugates_match_element_arithmetic(group):
-    members = [0, 2, 4, group.rot_order + 1]
-    table = group.conjugates(members)
-    assert table.shape == (group.order, len(members))
-    for g in group.elements():
-        expect = [(g.inverse() * group.from_index(s) * g).index for s in members]
-        assert table[g.index].tolist() == expect
-    if isinstance(group, AbelianGroup):
-        assert (table == members).all()

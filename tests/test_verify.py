@@ -13,6 +13,7 @@ from dihedral_codes import (
     LinearCode,
     PrimeField,
     codes,
+    idempotents,
     modmat,
     run_checks,
     verify,
@@ -122,37 +123,73 @@ def test_full_subgroup_pair_check_at_3_5_3(capsys):
     )
 
 
+def _pair_enumerator(q, h, s, cosets):
+    """A_0..A_n of (G:K) copies of the zero-sum code of length s = (K:H),
+    each coordinate repeated h = |H| times: the weight enumerator
+    [((1 + (q-1) z^h)^s + (q-1)(1 - z^h)^s) / q]^(G:K), by polynomial
+    arithmetic on coefficient lists."""
+
+    def mul(a, b):
+        c = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                c[i + j] += x * y
+        return c
+
+    def power(a, e):
+        r = [1]
+        for _ in range(e):
+            r = mul(r, a)
+        return r
+
+    plus, minus = power([1, q - 1], s), power([1, -1], s)
+    block = [(x + (q - 1) * y) // q for x, y in zip(plus, minus)]  # in z^h
+    spread = [0] * (h * s + 1)
+    spread[::h] = block
+    return power(spread, cosets)
+
+
 @pytest.mark.parametrize(
     "q, p, m, budget",
     [(11, 3, 2, codes.DEFAULT_BUDGET), (5, 3, 2, codes.DEFAULT_BUDGET),
-     (3, 5, 2, codes.DEFAULT_BUDGET), (5, 3, 3, 5**6)],
+     (3, 5, 2, codes.DEFAULT_BUDGET), (5, 3, 3, 5**6), (13, 5, 2, codes.DEFAULT_BUDGET)],
 )
 def test_every_pair_weight_matches_a_scan_of_its_own_code(q, p, m, budget):
-    # a conjugate pair takes its class representative's weight; scan its own
-    # code instead
+    # a pair takes the weight of the first pair of its (|H|, |K|); scan its
+    # own code instead, and compare the scan with the lemma's enumerator
+    group = DihedralGroup(p, m)
     checked = 0
-    for _, _, code, w in verify._pair_weights(PrimeField(q), DihedralGroup(p, m), budget):
+    for H, K, code, w in verify._pair_weights(PrimeField(q), group, budget):
         hist = codes.weights(code.generator_matrix, q, budget)
         assert w == (None if hist is None else int(np.flatnonzero(hist)[1]))
-        checked += w is not None
+        if hist is not None:
+            expect = _pair_enumerator(q, len(H), len(K) // len(H), group.order // len(K))
+            assert hist.tolist() == expect
+            checked += 1
     assert checked > 0
 
 
-@pytest.mark.parametrize("q, p, m, budget, scans", [(5, 3, 3, 5**8, 7), (11, 3, 2, 1 << 24, 6)])
+@pytest.mark.parametrize(
+    "q, p, m, budget, scans",
+    [(5, 3, 3, 5**8, 7), (11, 3, 2, 1 << 24, 6), (3, 5, 3, 1 << 24, 5), (13, 5, 2, 1 << 24, 3)],
+)
 def test_suite_scans_once_per_conjugacy_class(monkeypatch, q, p, m, budget, scans):
-    # 27 within-budget pairs in 7 classes at (5, 3, 3); 18 in 6 at (11, 3, 2)
+    # one scan per (|H|, |K|) within the budget, never more than one per
+    # conjugacy class: 27 within-budget pairs in 7 size classes at
+    # (5, 3, 3), 18 in 6 at (11, 3, 2), 13 in 5 at (3, 5, 3), 11 in 3 at
+    # (13, 5, 2)
     calls = []
     scan = codes.weight_histogram
     monkeypatch.setattr(codes, "weight_histogram", lambda G, q: calls.append(1) or scan(G, q))
-    weights = {5: 27, 11: 18}[q]
+    weights = {5: 27, 11: 18, 3: 13, 13: 11}[q]
     assert verify.subgroup_pair_suite(PrimeField(q), DihedralGroup(p, m), budget)[1] == weights
     assert len(calls) == scans
 
 
 def test_wrong_representative_weight_fails_at_the_same_pair(capsys, monkeypatch):
-    # among the pairs within 5^8, only the three conjugate (18, 54) pairs
-    # give [54, 2] codes; a scan of every pair meets their representative
-    # first and reports it with this line
+    # among the pairs within 5^8, only the three (18, 54) pairs give
+    # [54, 2] codes; a scan of every pair meets the first of them first and
+    # reports it with this line
     min_weight = LinearCode.min_weight
 
     def wrong(self, budget=codes.DEFAULT_BUDGET):
@@ -166,14 +203,18 @@ def test_wrong_representative_weight_fails_at_the_same_pair(capsys, monkeypatch)
     )
 
 
-def test_a_member_that_is_no_right_translate_fails(capsys, monkeypatch):
-    # with the translation undone, the second (6, 18) pair is compared with
-    # its representative's own code, which differs from its code
-    monkeypatch.setattr(LinearCode, "right_translate", lambda self, g: self)
-    assert _verify(capsys, 5, 3, 3, ["subgroup-pairs"], "--budget", "390625") == (
+def test_a_broken_matrix_unit_fails_the_check(capsys, monkeypatch):
+    # the check only builds the units: the proof inside `matrix_units` must
+    # turn a wrong e21 into the FAIL line
+    units = idempotents.MatrixUnits
+
+    def doubled(j, component, e11, e12, e21, e22):
+        return units(j, component, e11, e12, 2 * e21, e22)
+
+    monkeypatch.setattr(idempotents, "MatrixUnits", doubled)
+    assert _verify(capsys, 11, 3, 2, ["matrix-units"]) == (
         1,
-        "FAIL subgroup-pairs: code for |H|=6, |K|=18 is not a right translate "
-        "of its class representative\n",
+        "FAIL matrix-units: matrix-unit identity e12 e21 failed in component 1\n",
     )
 
 
