@@ -82,7 +82,8 @@ class LinearCode:
     def __init__(self, rows, q: int, group=None):
         PrimeField(q)  # refuses a q that is not prime
         R, _ = modmat.rref(rows, q)
-        self._store(np.ascontiguousarray(R), q, group)
+        # R views rref's whole working array; keep a copy of its k rows only
+        self._store(R.copy(), q, group)
 
     @classmethod
     def _from_rref(cls, R: np.ndarray, q: int, group=None) -> "LinearCode":

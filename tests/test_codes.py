@@ -428,6 +428,15 @@ def test_pair_code_proof_rejects_averages_that_break_one_identity(averages):
         subgroup_pair_code(field, H, K, averages=wrong)
 
 
+def test_a_code_holds_its_k_rows_only(gens1):
+    # rref eliminates in an n x n working array; the code keeps a k x n copy,
+    # and its gamma image shares that copy instead of reducing it again
+    code = left_ideal_code(gens1.f)
+    G = code.generator_matrix
+    assert G.shape == (2, 18) and G.flags.owndata and not G.flags.writeable
+    assert codes.gamma_image_code(code).generator_matrix is G
+
+
 def test_generator_matrix_format_round_trip(gens1):
     code = left_ideal_code(gens1.f)
     text = code.to_text()
