@@ -13,17 +13,20 @@ survey row (`survey.abelian_min_weight`), `construct --gen e11|e22|ej`,
 under `--budget`, which `survey` does not take.
 
 `survey` takes every field from the closed forms of the `survey` module,
-so it runs on this module, `ff`, `survey` and `check_names` alone and
-never imports numpy.  `construct`, `verify` and `compare` import the algebra stack
-inside their handlers; `check_names` gives `verify --check` its choices
-without importing `verify`.
+and `construct --gen e11|e22|ej|pair` writes the canonical RREF of its
+code from the coset labels of `closed_forms`, proven there in O(k n)
+integer steps; so neither imports numpy.  `construct --gen f|custom`,
+`verify` and `compare` import the algebra stack inside their handlers;
+`check_names` gives `verify --check` its choices without importing
+`verify`.
 
 Exit codes: 0 success, 1 a `verify` check failed, 3 enumeration budget
 exceeded (`construct --gen f|custom` only).  `main` alone maps the rest,
 printing one `error: ` line: ValueError -> 2 (an inadmissible (q, p, m),
 checked before any command runs, prints `error: (q, p, m) = (7, 3, 2) is
 not admissible`; a bad `--coeffs`, `--sub-h`/`--sub-k`, a `--gen pair` of
-two equal subgroups, an out-of-range `--j` or survey `--dim`; for
+two equal subgroups, an out-of-range `--j` or survey `--dim`; a closed-form
+matrix or a survey of more than `ff.WRITE_LIMIT` residues; for
 `construct`, `survey` and `compare`, 2p^m (q-1)^2 >= 2^63, too large for
 exact int64 arithmetic, refused by the same gate before the order of q
 mod p is computed, so at once even for a huge p or m; `verify` reports
@@ -39,11 +42,23 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 from .check_names import CHECK_NAMES
-from .ff import DEFAULT_BUDGET, PrimeField, require_admissible
+from .closed_forms import (
+    canonical_rows,
+    central_pair,
+    parse_subgroup,
+    write_generator_matrix,
+)
+from .ff import (
+    DEFAULT_BUDGET,
+    PrimeField,
+    phi_prime_power,
+    require_admissible,
+    require_write_size,
+)
+from .groups import DihedralGroup
 from .survey import abelian_min_weight, enumerate_abelian_codes, write_survey_table
 
 EXIT_OK = 0
@@ -51,9 +66,6 @@ EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
 EXIT_BAD_TABLE = 5
-
-_SUBGROUP_SPEC = re.compile(r"^(h|hstar)(\d+)$")
-
 
 class MalformedTable(ValueError):
     """A reference table that is not ASCII lines of `n k d_best`."""
@@ -85,16 +97,6 @@ def _add_budget(parser):
     )
 
 
-def _parse_subgroup(group, spec: str):
-    mt = _SUBGROUP_SPEC.match(spec)
-    if not mt:
-        raise ValueError(f"bad subgroup spec {spec!r}; use h<j> or hstar<j>")
-    j = int(mt.group(2))
-    if not 0 <= j <= group.m:
-        raise ValueError(f"subgroup index {j} out of range 0..{group.m}")
-    return group.subgroup_H(j) if mt.group(1) == "h" else group.subgroup_Hstar(j)
-
-
 def _check_writable(path) -> None:
     """Raise the OSError that opening `path` for writing would raise, before
     a command computes what it writes.  Leaves no trace: an existing file is
@@ -113,54 +115,58 @@ def _check_writable(path) -> None:
 
 
 def cmd_construct(args) -> int:
-    from .algebra import AlgebraElem
-    from .codes import left_ideal_code, subgroup_pair_code
-    from .groups import DihedralGroup
-    from .idempotents import central_idempotents, matrix_units, noncentral_generator
-
     _check_writable(args.out)
-    field = PrimeField(args.q)
+    if args.gen in ("f", "custom"):
+        return _construct_scanned(args)
     group = DihedralGroup(args.p, args.m)
-    d = None  # unless the theory settles it, d comes from the scan
     if args.gen == "pair":
         if not args.sub_h or not args.sub_k:
             raise ValueError("--gen pair needs --sub-h and --sub-k")
-        H = _parse_subgroup(group, args.sub_h)
-        K = _parse_subgroup(group, args.sub_k)
-        code, _ = subgroup_pair_code(field, H, K)
-        if code.k == 0:
+        H = parse_subgroup(group, args.sub_h)
+        K = parse_subgroup(group, args.sub_k)
+        if not H.within(K):
+            raise ValueError("H is not contained in K")
+        if H == K:
             raise ValueError(
                 f"--sub-h {args.sub_h} and --sub-k {args.sub_k} are the same "
                 "subgroup, so the pair code is zero"
             )
-        d = 2 * len(H)  # proven in subgroup_pair_code's docstring
-    elif args.gen == "custom":
+        twist, d = False, 2 * H.order  # d proven in subgroup_pair_code's docstring
+    else:
+        # code(e11), code(e22) and code(e_j) are the abelian rows {plus_j},
+        # {minus_j} and both (see verify's abelian-images)
+        j = args.j
+        H, K, twist = central_pair(group, args.gen, j)
+        plus, minus = {"e11": ({j}, ()), "e22": ((), {j}), "ej": ({j}, {j})}[args.gen]
+        d = abelian_min_weight(plus, minus, args.p, args.m)
+    n = group.order
+    k = n // H.order - n // K.order  # dim V(H, K) = (G:H) - (G:K)
+    require_write_size(k * n, f"the [{n}, {k}] generator matrix")
+    write_generator_matrix(args.out, n, args.q, canonical_rows(H, K, args.q, twist))
+    print(f"{n} {k} {d}")
+    return EXIT_OK
+
+
+def _construct_scanned(args) -> int:
+    """`construct --gen f|custom`: eliminate L(x), scan under the budget."""
+    from .algebra import AlgebraElem
+    from .codes import left_ideal_code
+    from .idempotents import central_idempotents, matrix_units, noncentral_generator
+
+    field = PrimeField(args.q)
+    group = DihedralGroup(args.p, args.m)
+    if args.gen == "custom":
         if not args.coeffs:
             raise ValueError("--gen custom needs --coeffs")
         # reduced as Python ints, so no entry overflows int64
         coeffs = [int(t) % args.q for t in args.coeffs.split(",")]
-        code = left_ideal_code(AlgebraElem(group, field, coeffs))
+        gen = AlgebraElem(group, field, coeffs)
     else:
-        # code(e11), code(e22) and code(e_j) have the generator matrices of
-        # the abelian rows {plus_j}, {minus_j} and both (see abelian-images)
-        catalog = central_idempotents(field, group)
-        j = args.j
-        if args.gen == "ej":
-            gen = catalog.component(j)
-            d = abelian_min_weight({j}, {j}, args.p, args.m)
-        else:
-            units = matrix_units(catalog, j)
-            if args.gen == "e11":
-                gen, d = units.e11, abelian_min_weight({j}, (), args.p, args.m)
-            elif args.gen == "e22":
-                gen, d = units.e22, abelian_min_weight((), {j}, args.p, args.m)
-            else:  # f
-                gen = noncentral_generator(units).f
-        code = left_ideal_code(gen)
-
+        units = matrix_units(central_idempotents(field, group), args.j)
+        gen = noncentral_generator(units).f
+    code = left_ideal_code(gen)
     code.write(args.out)
-    if d is None:
-        d = code.min_weight(budget=args.budget)
+    d = code.min_weight(budget=args.budget)
     if d is None:
         print(f"{code.n} {code.k} ?")
         print(
@@ -177,10 +183,15 @@ def cmd_survey(args) -> int:
     if args.dim is not None and not 1 <= args.dim <= n:
         raise ValueError(f"--dim {args.dim} out of range 1..{n}")
     _check_writable(args.out)
+    n_rows = (1 << 2 * (args.m + 1)) - 1
+    require_write_size(3 * n_rows, f"the survey of {n_rows} rows")
     rows = enumerate_abelian_codes(args.p, args.m, dim_filter=args.dim)
     write_survey_table(rows, args.q, args.p, args.m, args.out)
-    for dim in sorted({row.dim for row in rows}):
-        print(f"dim {dim}: best weight {max(r.min_weight for r in rows if r.dim == dim)}")
+    best = {}  # one pass over the rows, not one per dimension
+    for row in rows:
+        best[row.dim] = max(best.get(row.dim, 0), row.min_weight)
+    for dim in sorted(best):
+        print(f"dim {dim}: best weight {best[dim]}")
     print(f"{len(rows)} rows written to {args.out}")
     return EXIT_OK
 
@@ -221,34 +232,30 @@ def _parse_reference_table(path) -> list[tuple[int, int, int]]:
 
 
 def cmd_compare(args) -> int:
+    """One f[j] line from the scanned code(f), one e11[j] line from the
+    closed forms: code(e11) at j is [2p^m, phi(p^j), 4p^(m-j)]."""
     from .codes import left_ideal_code
-    from .groups import DihedralGroup
     from .idempotents import central_idempotents, matrix_units, noncentral_generator
 
     reference = _parse_reference_table(args.table)
-    field = PrimeField(args.q)
     group = DihedralGroup(args.p, args.m)
-    catalog = central_idempotents(field, group)
+    catalog = central_idempotents(PrimeField(args.q), group)
     for j in range(1, args.m + 1):
-        units = matrix_units(catalog, j)
-        for label, gen, d in (
-            (f"f[j={j}]", noncentral_generator(units).f, None),
-            (f"e11[j={j}]", units.e11, abelian_min_weight({j}, (), args.p, args.m)),
+        code = left_ideal_code(noncentral_generator(matrix_units(catalog, j)).f)
+        for label, n, k, d in (
+            (f"f[j={j}]", code.n, code.k, code.min_weight(budget=args.budget)),
+            (f"e11[j={j}]", group.order, phi_prime_power(args.p, j),
+             abelian_min_weight({j}, (), args.p, args.m)),
         ):
-            code = left_ideal_code(gen)
             if d is None:
-                d = code.min_weight(budget=args.budget)
-            if d is None:
-                print(f"{label} {code.n} {code.k} ? - unknown (budget)")
+                print(f"{label} {n} {k} ? - unknown (budget)")
                 continue
-            ref = next(
-                (r[2] for r in reference if r[0] == code.n and r[1] == code.k), None
-            )
+            ref = next((r[2] for r in reference if r[0] == n and r[1] == k), None)
             if ref is None:
-                print(f"{label} {code.n} {code.k} {d} - no reference")
+                print(f"{label} {n} {k} {d} - no reference")
             else:
                 verdict = "matches" if d == ref else ("below" if d < ref else "above")
-                print(f"{label} {code.n} {code.k} {d} {ref} {verdict}")
+                print(f"{label} {n} {k} {d} {ref} {verdict}")
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from . import modmat
 from ._kernels import weight_histogram
 from .algebra import AlgebraElem, hat
+from .closed_forms import format_generator_matrix, write_generator_matrix
 from .ff import DEFAULT_BUDGET, PrimeField
 from .groups import AbelianGroup, DihedralGroup, GroupElem
 
@@ -158,14 +159,10 @@ class LinearCode:
     # -- serialization -------------------------------------------------------
     def to_text(self) -> str:
         """Bit-exact format: 'n k q' then k rows of residues."""
-        lines = [f"{self.n} {self.k} {self.q}"]
-        for row in self.generator_matrix:
-            lines.append(" ".join(str(int(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        return format_generator_matrix(self.n, self.q, self.generator_matrix.tolist())
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.to_text())
+        write_generator_matrix(path, self.n, self.q, self.generator_matrix.tolist())
 
     @classmethod
     def from_text(cls, text: str, group=None) -> "LinearCode":

@@ -1,7 +1,7 @@
 """Exact arithmetic in prime fields F_q, the modular-order checks that
 gate every construction in this package, and the numeric limits the other
-layers share: the int64 range of group-algebra products and the default
-enumeration budget.
+layers share: the int64 range of group-algebra products, the default
+enumeration budget and the most residues one command writes.
 
 Everything here is integer arithmetic; no floating point anywhere, and no
 numpy, so the CLI can gate a command before it loads the algebra stack.
@@ -20,6 +20,13 @@ class InadmissibleParameters(ValueError):
 # the default cap on q^k, the messages an exhaustive enumeration may scan
 DEFAULT_BUDGET = 1 << 24
 INT64_LIMIT = 1 << 63
+# The most residues one command may write: k n for a generator matrix that
+# `construct` writes from its closed form, 3 per row of a `survey` (every
+# row it enumerates, also under --dim).  A command above it is refused
+# before it builds anything.  On a 2-core VM the largest survey within it,
+# 2^20 - 1 rows at (5, 3, 9), takes 16 s and 302 MB peak RSS, and a
+# closed-form [4374, 486] matrix 0.6 s and 44 MB.
+WRITE_LIMIT = 1 << 22
 
 
 # The first 13 primes: as Miller-Rabin bases they decide every n below
@@ -125,6 +132,13 @@ def require_int64_products(q: int, p: int, m: int) -> None:
     if product_bound(q, p, m) >= INT64_LIMIT:
         size = 2 * p**m * (q - 1) ** 2 if m <= 64 else f"2 * {p}^{m} * {q - 1}^2"
         raise ValueError(f"|G| (q-1)^2 = {size} reaches 2^63; int64 products would overflow")
+
+
+def require_write_size(residues: int, what: str) -> None:
+    """Raise ValueError when `what`, a text of `residues` residues, would
+    exceed WRITE_LIMIT."""
+    if residues > WRITE_LIMIT:
+        raise ValueError(f"{what} holds {residues} residues, beyond the write limit {WRITE_LIMIT}")
 
 
 def _passes_quick_tests(q: int, p: int, m: int) -> bool:

@@ -5,13 +5,15 @@ Every element is a^i b^j (written a^i t^j in the abelian group) and carries
 the canonical index i + j p^m.  That index order is THE coordinate order for
 all coefficient vectors, generator matrices, and file exports, so the
 bijection between the two groups is the identity permutation on coordinates.
+
+numpy loads only in the array tables (`inverse_indices`, `mult_table`,
+`translate_table`), so the elements, the group law and the subgroups serve
+the numpy-free commands too.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-
-import numpy as np
 
 from .ff import is_prime
 
@@ -133,6 +135,8 @@ class _Group:
 
     def inverse_indices(self) -> np.ndarray:
         """index(g^{-1}) for every g, by the same formula as `inverse`."""
+        import numpy as np
+
         idx = np.arange(self.order)
         i, j = self._invert(idx % self.rot_order, idx // self.rot_order)
         return i % self.rot_order + j * self.rot_order
@@ -149,6 +153,8 @@ class _Group:
     @cached_property
     def mult_table(self) -> np.ndarray:
         """order x order table of canonical indices: table[g, h] = index(g*h)."""
+        import numpy as np
+
         pm = self.rot_order
         idx = np.arange(self.order)
         i1, j1 = (idx % pm)[:, None], (idx // pm)[:, None]

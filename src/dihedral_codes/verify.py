@@ -35,6 +35,7 @@ import numpy as np
 from . import modmat
 from .algebra import hat, is_idempotent, products
 from .check_names import CHECK_NAMES
+from .closed_forms import canonical_rows, central_pair
 from .codes import (
     DEFAULT_BUDGET,
     equivalence_necessary_check,
@@ -257,15 +258,30 @@ def check_hat_idempotents(ctx: VerifyContext) -> str:
     return f"{len(subs)} subgroup averages idempotent, {absorbed} absorption pairs"
 
 
+def _require_closed_form(ctx: VerifyContext, code, gen: str, j: int) -> None:
+    """The eliminated code(gen) at component j must be, entry for entry,
+    the matrix `construct` writes from its closed form."""
+    H, K, twist = central_pair(ctx.dihedral, gen, j)
+    rows = canonical_rows(H, K, ctx.q, twist)
+    _require(
+        code.generator_matrix.tolist() == rows,
+        f"code({gen}, j={j}) differs from its closed form",
+    )
+
+
 def check_central_catalog(ctx: VerifyContext) -> str:
-    cat = ctx.catalog  # construction re-verifies idempotency/centrality/orthogonality/sum
+    """The catalog, built and re-verified (idempotent, central, orthogonal,
+    summing to 1), with the dimension of each member's code; each code(e_j)
+    must equal its closed form."""
+    cat = ctx.catalog
     dims = [left_ideal_code(cat.e11_0).k, left_ideal_code(cat.e22_0).k]
     _require(dims == [1, 1], f"one-dimensional components have dims {dims}")
     parts = []
     for j in range(1, ctx.m + 1):
-        d = left_ideal_code(cat.component(j)).k
-        expect = 2 * phi_prime_power(ctx.p, j)
+        code = left_ideal_code(cat.component(j))
+        d, expect = code.k, 2 * phi_prime_power(ctx.p, j)
         _require(d == expect, f"component {j} has dimension {d}, expected {expect}")
+        _require_closed_form(ctx, code, "ej", j)
         parts.append(f"dim e_{j}: {d}")
     return f"{len(cat.members())} idempotents; dims 1, 1, " + ", ".join(parts)
 
@@ -466,6 +482,9 @@ def check_gamma_isometry(ctx: VerifyContext) -> str:
 
 
 def check_central_codes(ctx: VerifyContext) -> str:
+    """code(e11) and code(e22) at each component: dimension phi(p^j), the
+    matrix of the closed form, and, within the budget, the scanned weight
+    4p^(m-j)."""
     parts = []
     for j in range(1, ctx.m + 1):
         expect_dim = phi_prime_power(ctx.p, j)
@@ -477,6 +496,7 @@ def check_central_codes(ctx: VerifyContext) -> str:
                 code.k == expect_dim,
                 f"dim code({name}, j={j}) = {code.k}, expected {expect_dim}",
             )
+            _require_closed_form(ctx, code, name, j)
             w = code.min_weight(budget=ctx.budget)
             if w is None:
                 shown = "?"

@@ -7,8 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from dihedral_codes import LinearCode, cli, idempotents
+from dihedral_codes import (
+    DihedralGroup,
+    LinearCode,
+    PrimeField,
+    cli,
+    idempotents,
+    left_ideal_code,
+    subgroup_pair_code,
+)
 from dihedral_codes.cli import main
+from dihedral_codes.ff import WRITE_LIMIT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -382,26 +391,49 @@ CONSTRUCT_TRIPLES = [
 ]
 
 
+def _eliminated_text(q, p, m, gen):
+    """The `.gm` text of the elimination route: `left_ideal_code` of the
+    catalog's e11, e22 or e_j, or the proven `subgroup_pair_code`."""
+    field, group = PrimeField(q), DihedralGroup(p, m)
+    if gen[1] == "pair":
+        H, K = (
+            group.subgroup_Hstar(int(s[5:])) if s.startswith("hstar") else group.subgroup_H(int(s[1:]))
+            for s in (gen[3], gen[5])
+        )
+        return subgroup_pair_code(field, H, K)[0].to_text()
+    catalog, j = idempotents.central_idempotents(field, group), int(gen[3])
+    if gen[1] == "ej":
+        x = catalog.component(j)
+    else:
+        x = getattr(idempotents.matrix_units(catalog, j), gen[1])
+    return left_ideal_code(x).to_text()
+
+
 @pytest.mark.parametrize("q, p, m", CONSTRUCT_TRIPLES)
 def test_construct_closed_forms_match_the_scan(tmp_path, capsys, q, p, m):
-    """Oracle: the d that construct writes down for e11, e22, ej at every
-    component and for every nested pair of chain subgroups equals the scan
-    of the matrix it wrote, wherever the scan fits in the budget."""
+    """Oracle: the matrix construct writes for e11, e22, ej at every
+    component and for every nested pair of chain subgroups is, byte for
+    byte, the one the elimination route gives, and the d it writes down
+    equals the scan of that matrix wherever the scan fits in the budget."""
     t = ["--q", str(q), "--p", str(p), "--m", str(m)]
     specs = [f"{c}{i}" for c in ("h", "hstar") for i in range(m + 1)]
     gens = [["--gen", g, "--j", str(j)] for j in range(1, m + 1) for g in ("e11", "e22", "ej")]
     gens += [["--gen", "pair", "--sub-h", h, "--sub-k", k] for h in specs for k in specs]
-    out, scanned = tmp_path / "x.gm", 0
+    out, scanned, written = tmp_path / "x.gm", 0, 0
     for gen in gens:
         rc, stdout, _ = _run(capsys, ["construct", *t, *gen, "--out", str(out)])
         if rc == 2:  # a pair that is not nested
             continue
         n, k, d = (int(v) for v in stdout.split())
         assert rc == 0 and n == 2 * p**m, gen
+        assert out.read_text() == _eliminated_text(q, p, m, gen), gen
+        written += 1
         w = LinearCode.read(out).min_weight(budget=1 << 21)
         if w is not None:
             assert d == w, gen
             scanned += 1
+    # h_j <= h_i, h_j <= hstar_i and hstar_j <= hstar_i for i <= j, less H = K
+    assert written == 3 * m + 3 * (m + 1) * (m + 2) // 2 - 2 * (m + 1)
     assert scanned >= 3
 
 
@@ -467,24 +499,65 @@ def _python(code, *args):
 
 
 def test_survey_imports_no_numpy(tmp_path):
-    """Every survey field is a closed form, so neither importing the CLI nor
-    a full survey loads numpy; construct does."""
+    """Every survey field and every matrix of construct --gen e11|e22|ej|pair
+    is a closed form, so neither importing the CLI, a full survey nor those
+    constructs load numpy; construct --gen f does."""
     out = _python(
         "import contextlib, io, sys\n"
         "import dihedral_codes.cli as cli\n"
+        "t = ['--q', '11', '--p', '3', '--m', '2']\n"
         "print('numpy' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['survey', '--q', '5', '--p', '3', '--m', '3',\n"
         "                     '--out', sys.argv[1]]) == 0\n"
         "print('numpy' in sys.modules)\n"
+        "for gen in (['e11'], ['e22', '--j', '2'], ['ej'],\n"
+        "            ['pair', '--sub-h', 'h2', '--sub-k', 'hstar1']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['construct', *t, '--gen', *gen, '--out', sys.argv[2]]) == 0\n"
+        "print('numpy' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['construct', '--q', '11', '--p', '3', '--m', '2',\n"
-        "                     '--gen', 'e11', '--out', sys.argv[2]]) == 0\n"
+        "    assert cli.main(['construct', *t, '--gen', 'f', '--out', sys.argv[2]]) == 0\n"
         "print('numpy' in sys.modules)\n",
-        str(tmp_path / "s.tbl"), str(tmp_path / "e11.gm"),
+        str(tmp_path / "s.tbl"), str(tmp_path / "x.gm"),
     )
-    assert out == "False\nFalse\nTrue\n"
+    assert out == "False\nFalse\nFalse\nTrue\n"
     assert len((tmp_path / "s.tbl").read_text().splitlines()) == 1 + 255
+
+
+@pytest.mark.parametrize("argv, line", [
+    # k n = 354294 * 1062882; the catalog route died with a MemoryError
+    (["construct", "--q", "5", "--p", "3", "--m", "12", "--gen", "e11", "--j", "12"],
+     f"error: the [1062882, 354294] generator matrix holds {354294 * 1062882} residues, "
+     "beyond the write limit 4194304\n"),
+    (["construct", "--q", "3", "--p", "5", "--m", "5", "--gen", "pair",
+      "--sub-h", "h5", "--sub-k", "hstar0"],
+     "error: the [6250, 6249] generator matrix holds 39056250 residues, "
+     "beyond the write limit 4194304\n"),
+    (["survey", "--q", "5", "--p", "3", "--m", "10"],
+     "error: the survey of 4194303 rows holds 12582909 residues, "
+     "beyond the write limit 4194304\n"),
+    (["survey", "--q", "5", "--p", "3", "--m", "30", "--dim", "2"],
+     f"error: the survey of {4**31 - 1} rows holds {3 * (4**31 - 1)} residues, "
+     "beyond the write limit 4194304\n"),
+], ids=["e11-j12", "pair", "survey-m10", "survey-m30-dim"])
+def test_an_oversize_write_exits_2_at_once(tmp_path, capsys, argv, line):
+    """WRITE_LIMIT refuses a matrix or table too large to write before
+    anything is built, with one error line and no file."""
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert _run(capsys, [*argv, "--out", str(out)]) == (2, "", line)
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+
+
+def test_the_write_limit_refuses_no_tested_command():
+    """The largest writes of the tests, CI and goldens stay within it: the
+    survey at (5, 3, 6) and code(e_3) at (3, 5, 3)."""
+    assert 3 * (4**7 - 1) <= WRITE_LIMIT
+    assert 200 * 250 <= WRITE_LIMIT
+    # the first survey above it is m = 10, whatever q and p
+    assert 3 * (4**10 - 1) <= WRITE_LIMIT < 3 * (4**11 - 1)
 
 
 # where each exported name is defined
