@@ -13,12 +13,14 @@ survey row (`survey.abelian_min_weight`), `construct --gen e11|e22|ej`,
 under `--budget`, which `survey` does not take.
 
 `survey` takes every field from the closed forms of the `survey` module,
-and `construct --gen e11|e22|ej|pair` writes the canonical RREF of its
-code from the coset labels of `closed_forms`, proven there in O(k n)
-integer steps; so neither imports numpy.  `construct --gen f|custom`,
-`verify` and `compare` import the algebra stack inside their handlers;
-`check_names` gives `verify --check` its choices without importing
-`verify`.
+so it runs on this module, `ff`, `survey` and `check_names` alone.
+`construct --gen e11|e22|ej|pair` writes the canonical RREF of its code
+from the coset labels of `closed_forms`, proven there in O(k n) integer
+steps, and adds only `closed_forms` and `groups`.  Neither imports numpy.
+`construct --gen f|custom`, `verify` and `compare` import the algebra
+stack; every handler imports what it needs beyond `survey` itself, so
+importing this module costs no more than a survey needs.  `check_names`
+gives `verify --check` its choices without importing `verify`.
 
 Exit codes: 0 success, 1 a `verify` check failed, 3 enumeration budget
 exceeded (`construct --gen f|custom` only).  `main` alone maps the rest,
@@ -45,12 +47,6 @@ import os
 import sys
 
 from .check_names import CHECK_NAMES
-from .closed_forms import (
-    canonical_rows,
-    central_pair,
-    parse_subgroup,
-    write_generator_matrix,
-)
 from .ff import (
     DEFAULT_BUDGET,
     PrimeField,
@@ -58,7 +54,6 @@ from .ff import (
     require_admissible,
     require_write_size,
 )
-from .groups import DihedralGroup
 from .survey import abelian_min_weight, enumerate_abelian_codes, write_survey_table
 
 EXIT_OK = 0
@@ -115,6 +110,10 @@ def _check_writable(path) -> None:
 
 
 def cmd_construct(args) -> int:
+    from .closed_forms import canonical_rows, central_pair, parse_subgroup
+    from .gm import write_generator_matrix
+    from .groups import DihedralGroup
+
     _check_writable(args.out)
     if args.gen in ("f", "custom"):
         return _construct_scanned(args)
@@ -151,6 +150,7 @@ def _construct_scanned(args) -> int:
     """`construct --gen f|custom`: eliminate L(x), scan under the budget."""
     from .algebra import AlgebraElem
     from .codes import left_ideal_code
+    from .groups import DihedralGroup
     from .idempotents import central_idempotents, matrix_units, noncentral_generator
 
     field = PrimeField(args.q)
@@ -235,6 +235,7 @@ def cmd_compare(args) -> int:
     """One f[j] line from the scanned code(f), one e11[j] line from the
     closed forms: code(e11) at j is [2p^m, phi(p^j), 4p^(m-j)]."""
     from .codes import left_ideal_code
+    from .groups import DihedralGroup
     from .idempotents import central_idempotents, matrix_units, noncentral_generator
 
     reference = _parse_reference_table(args.table)

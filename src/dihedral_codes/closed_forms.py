@@ -3,7 +3,7 @@
 `construct --gen e11|e22|ej|pair` writes its code from here: the canonical
 RREF of the code comes from the coset labels of two nested chain
 subgroups, is proven at run time in O(k n) integer steps, and is written
-in the `.gm` format that `LinearCode.to_text` shares.  The chain
+through `gm`, the formatter `LinearCode.to_text` shares.  The chain
 subgroups are H_j = <a^(p^j)> (spec `h<j>`) and H*_j = <b> H_j (spec
 `hstar<j>`), j = 0..m, in D of order n = 2N, N = p^m.
 
@@ -44,7 +44,7 @@ rows are that of the code: byte for byte what `left_ideal_code` eliminates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .groups import DihedralGroup, GroupElem
 
@@ -54,13 +54,12 @@ _SUBGROUP_SPEC = re.compile(r"^(h|hstar)(\d+)$")
 _CENTRAL = {"ej": (False, False), "e11": (True, False), "e22": (True, True)}
 
 
-@dataclass(frozen=True)
-class ChainSubgroup:
-    """H*_j = <b> H_j when `star`, else H_j = <a^(p^j)>, in `group`."""
+class ChainSubgroup(namedtuple("ChainSubgroup", "group star j")):
+    """H*_j = <b> H_j when `star`, else H_j = <a^(p^j)>, in `group`.  A
+    named tuple, as a frozen dataclass costs a millisecond more to define
+    in every `construct` process."""
 
-    group: DihedralGroup
-    star: bool
-    j: int
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -81,11 +80,6 @@ class ChainSubgroup:
         return c if self.star else c + index // self.group.rot_order * self.group.rot_order
 
 
-def require_component(j: int, m: int) -> None:
-    if not 1 <= j <= m:
-        raise ValueError(f"component index {j} out of range 1..{m}")
-
-
 def parse_subgroup(group: DihedralGroup, spec: str) -> ChainSubgroup:
     """The chain subgroup of a `--sub-h`/`--sub-k` spec h<j> or hstar<j>."""
     mt = _SUBGROUP_SPEC.match(spec)
@@ -100,7 +94,8 @@ def parse_subgroup(group: DihedralGroup, spec: str) -> ChainSubgroup:
 def central_pair(group: DihedralGroup, gen: str, j: int):
     """(H, K, twist) of code(gen) for gen = e11, e22 or ej at component j:
     the code is V(H, K), after sigma when `twist` (see the module)."""
-    require_component(j, group.m)
+    if not 1 <= j <= group.m:  # the message of `CentralCatalog.component`
+        raise ValueError(f"component index {j} out of range 1..{group.m}")
     star, twist = _CENTRAL[gen]
     return ChainSubgroup(group, star, j), ChainSubgroup(group, star, j - 1), twist
 
@@ -196,14 +191,3 @@ def canonical_rows(H: ChainSubgroup, K: ChainSubgroup, q: int, twist: bool = Fal
     _prove(rows, H, K, q, twist)
     return rows
 
-
-def format_generator_matrix(n: int, q: int, rows) -> str:
-    """The `.gm` text: 'n k q', then k lines of residues."""
-    lines = [f"{n} {len(rows)} {q}"]
-    lines += [" ".join(map(str, row)) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def write_generator_matrix(path, n: int, q: int, rows) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_generator_matrix(n, q, rows))

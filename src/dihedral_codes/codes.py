@@ -17,8 +17,8 @@ import numpy as np
 from . import modmat
 from ._kernels import weight_histogram
 from .algebra import AlgebraElem, hat
-from .closed_forms import format_generator_matrix, write_generator_matrix
 from .ff import DEFAULT_BUDGET, PrimeField
+from .gm import format_generator_matrix, write_generator_matrix
 from .groups import AbelianGroup, DihedralGroup, GroupElem
 
 _scans: ContextVar[dict | None] = ContextVar("scans", default=None)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElem, hat, is_central, is_idempotent
-from .closed_forms import require_component
 from .codes import LinearCode, left_ideal_code
 from .ff import PrimeField, require_admissible
 from .groups import AbelianGroup, DihedralGroup
@@ -42,7 +41,8 @@ class CentralCatalog:
         return (self.e11_0, self.e22_0) + self.components
 
     def component(self, j: int) -> AlgebraElem:
-        require_component(j, len(self.components))
+        if not 1 <= j <= len(self.components):
+            raise ValueError(f"component index {j} out of range 1..{len(self.components)}")
         return self.components[j - 1]
 
 

@@ -7,9 +7,9 @@ from dihedral_codes.closed_forms import (
     _prove,
     canonical_rows,
     central_pair,
-    format_generator_matrix,
     parse_subgroup,
 )
+from dihedral_codes.gm import format_generator_matrix
 from dihedral_codes.ff import phi_prime_power
 
 GROUPS = [(3, 1), (3, 2), (5, 2), (3, 3)]
