@@ -16,11 +16,12 @@ under `--budget`, which `survey` does not take.
 so it runs on this module, `ff`, `survey` and `check_names` alone.
 `construct --gen e11|e22|ej|pair` writes the canonical RREF of its code
 from the coset labels of `closed_forms`, proven there in O(k n) integer
-steps, and adds only `closed_forms` and `groups`.  Neither imports numpy.
-`construct --gen f|custom`, `verify` and `compare` import the algebra
-stack; every handler imports what it needs beyond `survey` itself, so
-importing this module costs no more than a survey needs.  `check_names`
-gives `verify --check` its choices without importing `verify`.
+steps, and adds only `closed_forms`, `gm` and `groups`.  Neither imports
+numpy.  `construct --gen f|custom`, `verify` and `compare` import the
+algebra stack; every handler imports what it needs beyond `survey`
+itself, so importing this module costs no more than a survey needs.
+`check_names` gives `verify --check` its choices without importing
+`verify`.
 
 Exit codes: 0 success, 1 a `verify` check failed, 3 enumeration budget
 exceeded (`construct --gen f|custom` only).  `main` alone maps the rest,

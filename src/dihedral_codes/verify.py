@@ -35,7 +35,6 @@ import numpy as np
 from . import modmat
 from .algebra import hat, is_idempotent, products
 from .check_names import CHECK_NAMES
-from .closed_forms import canonical_rows, central_pair
 from .codes import (
     DEFAULT_BUDGET,
     equivalence_necessary_check,
@@ -260,7 +259,10 @@ def check_hat_idempotents(ctx: VerifyContext) -> str:
 
 def _require_closed_form(ctx: VerifyContext, code, gen: str, j: int) -> None:
     """The eliminated code(gen) at component j must be, entry for entry,
-    the matrix `construct` writes from its closed form."""
+    the matrix `construct` writes from its closed form.  Imported here, so
+    that a run without the central checks does not compile the module."""
+    from .closed_forms import canonical_rows, central_pair
+
     H, K, twist = central_pair(ctx.dihedral, gen, j)
     rows = canonical_rows(H, K, ctx.q, twist)
     _require(
