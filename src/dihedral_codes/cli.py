@@ -12,16 +12,20 @@ survey row (`survey.abelian_min_weight`), `construct --gen e11|e22|ej`,
 `e11[j]` lines of `compare`.  Only `f` and `custom` scan their codewords,
 under `--budget`, which `survey` does not take.
 
-`survey` takes every field from the closed forms of the `survey` module,
-so it runs on this module, `ff`, `survey` and `check_names` alone.
-`construct --gen e11|e22|ej|pair` writes the canonical RREF of its code
-from the coset labels of `closed_forms`, proven there in O(k n) integer
-steps, and adds only `closed_forms`, `gm` and `groups`.  Neither imports
-numpy.  `construct --gen f|custom`, `verify` and `compare` import the
-algebra stack; every handler imports what it needs beyond `survey`
-itself, so importing this module costs no more than a survey needs.
-`check_names` gives `verify --check` its choices without importing
-`verify`.
+What each command imports.  This module loads `argparse`, `ff`, `survey`
+and `check_names`: no numpy, and no `dataclasses` with the `inspect` it
+pulls in, as the package's records are named tuples or `__slots__`
+classes.  `survey` takes every field from the closed forms of the
+`survey` module and runs on these alone, writing each table line as it
+makes the row.  `construct --gen e11|e22|ej|pair` writes the canonical
+RREF of its code from the coset labels of `closed_forms`, proven there in
+O(k n) integer steps, and adds only `closed_forms`, `gm` and `groups`, no
+numpy.  `construct --gen f|custom` and `compare` add numpy and the algebra
+stack (`groups`, `algebra`, `modmat`, `_kernels`, `codes`, `gm`,
+`idempotents`), not `closed_forms`; `verify` adds that stack and
+`verify`.  Every handler imports what it needs after its dispatch, so
+importing this module costs no more than a survey needs.  `check_names`
+gives `verify --check` its choices without importing `verify`.
 
 Exit codes: 0 success, 1 a `verify` check failed, 3 enumeration budget
 exceeded (`construct --gen f|custom` only).  `main` alone maps the rest,
@@ -29,7 +33,8 @@ printing one `error: ` line: ValueError -> 2 (an inadmissible (q, p, m),
 checked before any command runs, prints `error: (q, p, m) = (7, 3, 2) is
 not admissible`; a bad `--coeffs`, `--sub-h`/`--sub-k`, a `--gen pair` of
 two equal subgroups, an out-of-range `--j` or survey `--dim`; a closed-form
-matrix or a survey of more than `ff.WRITE_LIMIT` residues; for
+matrix, a survey, or the n x n group tables of `construct --gen f|custom`
+and `compare`, of more than `ff.WRITE_LIMIT` residues; for
 `construct`, `survey` and `compare`, 2p^m (q-1)^2 >= 2^63, too large for
 exact int64 arithmetic, refused by the same gate before the order of q
 mod p is computed, so at once even for a huge p or m; `verify` reports
@@ -55,7 +60,7 @@ from .ff import (
     require_admissible,
     require_write_size,
 )
-from .survey import abelian_min_weight, enumerate_abelian_codes, write_survey_table
+from .survey import abelian_min_weight, write_survey
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -110,14 +115,20 @@ def _check_writable(path) -> None:
         os.close(fd)
 
 
+def _require_table_size(p: int, m: int) -> None:
+    """Refuse n x n tables (the group law, L(x)) beyond `ff.WRITE_LIMIT`."""
+    n = 2 * p**m
+    require_write_size(n * n, f"the {n} x {n} group table")
+
+
 def cmd_construct(args) -> int:
+    _check_writable(args.out)
+    if args.gen in ("f", "custom"):
+        return _construct_scanned(args)
     from .closed_forms import canonical_rows, central_pair, parse_subgroup
     from .gm import write_generator_matrix
     from .groups import DihedralGroup
 
-    _check_writable(args.out)
-    if args.gen in ("f", "custom"):
-        return _construct_scanned(args)
     group = DihedralGroup(args.p, args.m)
     if args.gen == "pair":
         if not args.sub_h or not args.sub_k:
@@ -149,6 +160,7 @@ def cmd_construct(args) -> int:
 
 def _construct_scanned(args) -> int:
     """`construct --gen f|custom`: eliminate L(x), scan under the budget."""
+    _require_table_size(args.p, args.m)
     from .algebra import AlgebraElem
     from .codes import left_ideal_code
     from .groups import DihedralGroup
@@ -186,14 +198,10 @@ def cmd_survey(args) -> int:
     _check_writable(args.out)
     n_rows = (1 << 2 * (args.m + 1)) - 1
     require_write_size(3 * n_rows, f"the survey of {n_rows} rows")
-    rows = enumerate_abelian_codes(args.p, args.m, dim_filter=args.dim)
-    write_survey_table(rows, args.q, args.p, args.m, args.out)
-    best = {}  # one pass over the rows, not one per dimension
-    for row in rows:
-        best[row.dim] = max(best.get(row.dim, 0), row.min_weight)
+    best, count = write_survey(args.q, args.p, args.m, args.out, dim_filter=args.dim)
     for dim in sorted(best):
         print(f"dim {dim}: best weight {best[dim]}")
-    print(f"{len(rows)} rows written to {args.out}")
+    print(f"{count} rows written to {args.out}")
     return EXIT_OK
 
 
@@ -234,20 +242,29 @@ def _parse_reference_table(path) -> list[tuple[int, int, int]]:
 
 def cmd_compare(args) -> int:
     """One f[j] line from the scanned code(f), one e11[j] line from the
-    closed forms: code(e11) at j is [2p^m, phi(p^j), 4p^(m-j)]."""
+    closed forms: code(e11) at j is [2p^m, phi(p^j), 4p^(m-j)].  code(f)
+    at j has dimension phi(p^j) too (proven by `verify`'s
+    noncentral-generator check), so an f[j] line beyond the budget prints
+    its ? with no catalog, matrix units or elimination built for it."""
     from .codes import left_ideal_code
     from .groups import DihedralGroup
     from .idempotents import central_idempotents, matrix_units, noncentral_generator
 
     reference = _parse_reference_table(args.table)
+    _require_table_size(args.p, args.m)
     group = DihedralGroup(args.p, args.m)
-    catalog = central_idempotents(PrimeField(args.q), group)
+    catalog = None
     for j in range(1, args.m + 1):
-        code = left_ideal_code(noncentral_generator(matrix_units(catalog, j)).f)
+        dim = phi_prime_power(args.p, j)
+        f_row = (group.order, dim, None)
+        if args.q**dim <= args.budget:
+            if catalog is None:
+                catalog = central_idempotents(PrimeField(args.q), group)
+            code = left_ideal_code(noncentral_generator(matrix_units(catalog, j)).f)
+            f_row = (code.n, code.k, code.min_weight(budget=args.budget))
         for label, n, k, d in (
-            (f"f[j={j}]", code.n, code.k, code.min_weight(budget=args.budget)),
-            (f"e11[j={j}]", group.order, phi_prime_power(args.p, j),
-             abelian_min_weight({j}, (), args.p, args.m)),
+            (f"f[j={j}]", *f_row),
+            (f"e11[j={j}]", group.order, dim, abelian_min_weight({j}, (), args.p, args.m)),
         ):
             if d is None:
                 print(f"{label} {n} {k} ? - unknown (budget)")

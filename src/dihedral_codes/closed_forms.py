@@ -55,9 +55,7 @@ _CENTRAL = {"ej": (False, False), "e11": (True, False), "e22": (True, True)}
 
 
 class ChainSubgroup(namedtuple("ChainSubgroup", "group star j")):
-    """H*_j = <b> H_j when `star`, else H_j = <a^(p^j)>, in `group`.  A
-    named tuple, as a frozen dataclass costs a millisecond more to define
-    in every `construct` process."""
+    """H*_j = <b> H_j when `star`, else H_j = <a^(p^j)>, in `group`."""
 
     __slots__ = ()
 

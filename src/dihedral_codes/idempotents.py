@@ -16,7 +16,7 @@ raise, so a wrong formula cannot propagate silently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -26,16 +26,11 @@ from .ff import PrimeField, require_admissible
 from .groups import AbelianGroup, DihedralGroup
 
 
-@dataclass(frozen=True)
-class CentralCatalog:
-    """The complete set of primitive central idempotents of F_q D."""
+class CentralCatalog(namedtuple("CentralCatalog", "group field e0 e11_0 e22_0 components")):
+    """The complete set of primitive central idempotents of F_q D;
+    components[j-1] is e_j."""
 
-    group: DihedralGroup
-    field: PrimeField
-    e0: AlgebraElem
-    e11_0: AlgebraElem
-    e22_0: AlgebraElem
-    components: tuple[AlgebraElem, ...]  # components[j-1] is e_j
+    __slots__ = ()
 
     def members(self) -> tuple[AlgebraElem, ...]:
         return (self.e11_0, self.e22_0) + self.components
@@ -46,40 +41,37 @@ class CentralCatalog:
         return self.components[j - 1]
 
 
-@dataclass(frozen=True)
-class MatrixUnits:
+class MatrixUnits(namedtuple("MatrixUnits", "j component e11 e12 e21 e22")):
     """e11, e12, e21, e22 exhibiting one central component as 2x2 matrices."""
 
-    j: int
-    component: AlgebraElem
-    e11: AlgebraElem
-    e12: AlgebraElem
-    e21: AlgebraElem
-    e22: AlgebraElem
+    __slots__ = ()
 
     def as_dict(self) -> dict[tuple[int, int], AlgebraElem]:
         return {(1, 1): self.e11, (1, 2): self.e12, (2, 1): self.e21, (2, 2): self.e22}
 
 
-@dataclass(frozen=True)
-class NonCentralGenerators:
+class NonCentralGenerators(namedtuple("NonCentralGenerators", "units f alpha alpha_inv")):
     """f = e11 - e12 together with the conjugator alpha that produces it."""
 
-    units: MatrixUnits
-    f: AlgebraElem
-    alpha: AlgebraElem
-    alpha_inv: AlgebraElem
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class AbelianCatalog:
     """Primitive idempotents ((1 +/- t)/2) etil_j, j = 0..m, in bit order
-    (plus_0, minus_0, plus_1, minus_1, ...), with the code of each."""
+    (plus_0, minus_0, plus_1, minus_1, ...), with the code of each.  Read
+    only; a plain class, not a named tuple, as its length is the number of
+    members."""
 
-    group: AbelianGroup
-    field: PrimeField
-    members: tuple[AlgebraElem, ...]
-    codes: tuple[LinearCode, ...]
+    __slots__ = ("group", "field", "members", "codes")
+
+    def __init__(self, group, field, members, codes):
+        for name, value in zip(self.__slots__, (group, field, members, codes)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"an AbelianCatalog is read only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __len__(self):
         return len(self.members)

@@ -18,18 +18,15 @@ scans the rows within its budget against the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ff import phi_prime_power
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(namedtuple("SurveyRow", "mask dim min_weight")):
     """One ideal: bitmask over the catalog, dimension, exact minimum weight."""
 
-    mask: int
-    dim: int
-    min_weight: int
+    __slots__ = ()
 
 
 def _cyclic_min_weight(S: frozenset, p: int, m: int) -> int:
@@ -112,32 +109,53 @@ def abelian_min_weight(plus, minus, p: int, m: int) -> int:
     return min(c * _cyclic_min_weight(S, p, m) for c, S in terms if S)
 
 
-def enumerate_abelian_codes(p: int, m: int, dim_filter: int | None = None) -> list[SurveyRow]:
-    """One row per nonempty subset of the 2(m+1) primitive idempotents, in
-    bitmask order (bits plus_0, minus_0, plus_1, minus_1, ...), each with
-    its dimension and its minimum weight from `abelian_min_weight`; with
-    `dim_filter`, only the rows of that dimension."""
+def iter_abelian_codes(p: int, m: int, dim_filter: int | None = None):
+    """One row per nonempty subset of the 2(m+1) primitive idempotents, made
+    one at a time in bitmask order (bits plus_0, minus_0, plus_1, minus_1,
+    ...), each with its dimension and its minimum weight from
+    `abelian_min_weight`; with `dim_filter`, only the rows of that
+    dimension."""
     dims = [phi_prime_power(p, j) for j in range(m + 1) for _ in range(2)]
-    rows = []
     for mask in range(1, 1 << len(dims)):
         dim = sum(k for b, k in enumerate(dims) if mask >> b & 1)
         if dim_filter is not None and dim != dim_filter:
             continue
         plus = [j for j in range(m + 1) if mask >> 2 * j & 1]
         minus = [j for j in range(m + 1) if mask >> 2 * j + 1 & 1]
-        rows.append(SurveyRow(mask, dim, abelian_min_weight(plus, minus, p, m)))
-    return rows
+        yield SurveyRow(mask, dim, abelian_min_weight(plus, minus, p, m))
+
+
+def enumerate_abelian_codes(p: int, m: int, dim_filter: int | None = None) -> list[SurveyRow]:
+    """The rows of `iter_abelian_codes`, as a list."""
+    return list(iter_abelian_codes(p, m, dim_filter))
+
+
+def _row_line(row: SurveyRow) -> str:
+    return f"{row.mask} {row.dim} {row.min_weight}\n"
 
 
 def format_survey_table(rows: list[SurveyRow], q: int, p: int, m: int) -> str:
     """Bit-exact export: header 'q p m', then 'bitmask dim weight' per row,
     bitmask ascending."""
-    lines = [f"{q} {p} {m}"]
-    for row in sorted(rows, key=lambda r: r.mask):
-        lines.append(f"{row.mask} {row.dim} {row.min_weight}")
-    return "\n".join(lines) + "\n"
+    return f"{q} {p} {m}\n" + "".join(map(_row_line, sorted(rows, key=lambda r: r.mask)))
 
 
 def write_survey_table(rows, q, p, m, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(format_survey_table(rows, q, p, m))
+
+
+def write_survey(q: int, p: int, m: int, path, dim_filter: int | None = None):
+    """Write the survey table of (q, p, m) to `path` a line at a time, as
+    `iter_abelian_codes` makes the rows, so that no list of rows is held:
+    the bytes `write_survey_table` writes of `enumerate_abelian_codes(p, m,
+    dim_filter)`.  Returns the best weight of each dimension, as a dict,
+    and the number of rows."""
+    best, count = {}, 0
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"{q} {p} {m}\n")
+        for row in iter_abelian_codes(p, m, dim_filter):
+            fh.write(_row_line(row))
+            best[row.dim] = max(best.get(row.dim, 0), row.min_weight)
+            count += 1
+    return best, count

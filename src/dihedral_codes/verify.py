@@ -26,8 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import traceback
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, partial
 
 import numpy as np
@@ -54,11 +53,10 @@ class CheckFailure(AssertionError):
     """A named verification check found a violated identity."""
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    """The outcome of one named check, with its one-line detail."""
+
+    __slots__ = ()
 
 
 class VerifyContext:
@@ -654,6 +652,8 @@ def run_checks(
             except (CheckFailure, RuntimeError, ValueError, ArithmeticError) as exc:
                 results.append(CheckResult(name, False, str(exc)))
             except Exception as exc:  # a defect in one check must not hide the others
+                import traceback
+
                 traceback.print_exc()
                 results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
     return results

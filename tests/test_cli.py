@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from dihedral_codes import (
 )
 from dihedral_codes.cli import main
 from dihedral_codes.ff import WRITE_LIMIT
+from dihedral_codes.survey import enumerate_abelian_codes, format_survey_table
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -130,10 +132,10 @@ def test_construct_io_failure(tmp_path):
 @pytest.mark.parametrize("command", ["construct", "survey"])
 def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
     # the survey at (5, 3, 3) used to run for about 2 s before this exit 4
-    def no_work(*args):
+    def no_work(*args, **kwargs):
         raise AssertionError("computed before testing --out")
 
-    monkeypatch.setattr(cli, "enumerate_abelian_codes", no_work)
+    monkeypatch.setattr(cli, "write_survey", no_work)
     monkeypatch.setattr(idempotents, "central_idempotents", no_work)
     out = tmp_path / "missing-dir" / "out"
     extra = ["--gen", "f"] if command == "construct" else []
@@ -501,28 +503,58 @@ def _python(code, *args):
 def test_survey_imports_no_numpy(tmp_path):
     """Every survey field and every matrix of construct --gen e11|e22|ej|pair
     is a closed form, so neither importing the CLI, a full survey nor those
-    constructs load numpy; construct --gen f does."""
+    constructs load numpy, nor `dataclasses` and the `inspect` it pulls in;
+    construct --gen f loads numpy, but not the closed forms."""
     out = _python(
         "import contextlib, io, sys\n"
         "import dihedral_codes.cli as cli\n"
         "t = ['--q', '11', '--p', '3', '--m', '2']\n"
-        "print('numpy' in sys.modules)\n"
+        "def loaded():\n"
+        "    print(*(name in sys.modules for name in ('numpy', 'dataclasses', 'inspect')))\n"
+        "loaded()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['survey', '--q', '5', '--p', '3', '--m', '3',\n"
         "                     '--out', sys.argv[1]]) == 0\n"
-        "print('numpy' in sys.modules)\n"
+        "loaded()\n"
         "for gen in (['e11'], ['e22', '--j', '2'], ['ej'],\n"
         "            ['pair', '--sub-h', 'h2', '--sub-k', 'hstar1']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(['construct', *t, '--gen', *gen, '--out', sys.argv[2]]) == 0\n"
-        "print('numpy' in sys.modules)\n"
+        "loaded()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['construct', *t, '--gen', 'f', '--out', sys.argv[2]]) == 0\n"
         "print('numpy' in sys.modules)\n",
         str(tmp_path / "s.tbl"), str(tmp_path / "x.gm"),
     )
-    assert out == "False\nFalse\nFalse\nTrue\n"
+    assert out == "False False False\n" * 3 + "True\n"
     assert len((tmp_path / "s.tbl").read_text().splitlines()) == 1 + 255
+    out = _python(
+        "import contextlib, io, sys\n"
+        "import dihedral_codes.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['construct', '--q', '11', '--p', '3', '--m', '2',\n"
+        "                     '--gen', 'f', '--out', sys.argv[1]]) == 0\n"
+        "print('dihedral_codes.closed_forms' in sys.modules)\n",
+        str(tmp_path / "f.gm"),
+    )
+    assert out == "False\n"
+
+
+def test_a_survey_streams_its_rows(tmp_path, capsys):
+    """The survey writes each line as it makes the row and keeps only the
+    best weight of each dimension: at (5, 3, 7), 65535 rows, it peaks under
+    4 MiB of Python allocations, where a list of the rows took 17 MB."""
+    out = tmp_path / "s.tbl"
+    tracemalloc.start()
+    try:
+        rc = main(["survey", "--q", "5", "--p", "3", "--m", "7", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert capsys.readouterr().out.endswith(f"65535 rows written to {out}\n")
+    assert peak < 1 << 22
+    assert out.read_text() == format_survey_table(enumerate_abelian_codes(3, 7), 5, 3, 7)
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -540,24 +572,46 @@ def test_survey_imports_no_numpy(tmp_path):
     (["survey", "--q", "5", "--p", "3", "--m", "30", "--dim", "2"],
      f"error: the survey of {4**31 - 1} rows holds {3 * (4**31 - 1)} residues, "
      "beyond the write limit 4194304\n"),
-], ids=["e11-j12", "pair", "survey-m10", "survey-m30-dim"])
+    # the scanned routes build n x n tables: 11.5 GiB died in a MemoryError
+    (["construct", "--q", "5", "--p", "3", "--m", "9", "--gen", "f"],
+     f"error: the 39366 x 39366 group table holds {39366**2} residues, "
+     "beyond the write limit 4194304\n"),
+    (["construct", "--q", "5", "--p", "3", "--m", "7", "--gen", "custom", "--coeffs", "1"],
+     f"error: the 4374 x 4374 group table holds {4374**2} residues, "
+     "beyond the write limit 4194304\n"),
+    (["compare", "--q", "5", "--p", "3", "--m", "9"],
+     f"error: the 39366 x 39366 group table holds {39366**2} residues, "
+     "beyond the write limit 4194304\n"),
+], ids=["e11-j12", "pair", "survey-m10", "survey-m30-dim", "f-m9", "custom-m7", "compare-m9"])
 def test_an_oversize_write_exits_2_at_once(tmp_path, capsys, argv, line):
-    """WRITE_LIMIT refuses a matrix or table too large to write before
-    anything is built, with one error line and no file."""
+    """WRITE_LIMIT refuses a matrix or table too large to write, or an
+    n x n table too large to build, before anything is built, with one
+    error line and no file."""
     out = tmp_path / "out"
+    if argv[0] == "compare":
+        table = tmp_path / "ref.tbl"
+        table.write_text("18 2 15\n")
+        argv = [*argv, "--table", str(table)]
+    else:
+        argv = [*argv, "--out", str(out)]
     start = time.perf_counter()
-    assert _run(capsys, [*argv, "--out", str(out)]) == (2, "", line)
+    assert _run(capsys, argv) == (2, "", line)
     assert time.perf_counter() - start < 1.0
     assert not out.exists()
 
 
 def test_the_write_limit_refuses_no_tested_command():
     """The largest writes of the tests, CI and goldens stay within it: the
-    survey at (5, 3, 6) and code(e_3) at (3, 5, 3)."""
+    survey at (5, 3, 6) and code(e_3) at (3, 5, 3); so do the n x n tables
+    of `construct --gen f|custom` and `compare`, whose largest n there is
+    250, at (3, 5, 3)."""
     assert 3 * (4**7 - 1) <= WRITE_LIMIT
     assert 200 * 250 <= WRITE_LIMIT
+    assert 250 * 250 <= WRITE_LIMIT
     # the first survey above it is m = 10, whatever q and p
     assert 3 * (4**10 - 1) <= WRITE_LIMIT < 3 * (4**11 - 1)
+    # the first table above it at p = 3 is m = 7, n = 4374
+    assert (2 * 3**6) ** 2 <= WRITE_LIMIT < (2 * 3**7) ** 2
 
 
 # where each exported name is defined
@@ -577,6 +631,37 @@ HOMES = {
                "format_survey_table", "write_survey_table"],
     "verify": ["CheckResult", "run_checks", "subgroup_pair_suite"],
 }
+
+
+# the fields of each record, in the order of positional construction
+RECORD_FIELDS = {
+    "survey.SurveyRow": ("mask", "dim", "min_weight"),
+    "idempotents.CentralCatalog": ("group", "field", "e0", "e11_0", "e22_0", "components"),
+    "idempotents.MatrixUnits": ("j", "component", "e11", "e12", "e21", "e22"),
+    "idempotents.NonCentralGenerators": ("units", "f", "alpha", "alpha_inv"),
+    "idempotents.AbelianCatalog": ("group", "field", "members", "codes"),
+    "verify.CheckResult": ("name", "passed", "detail"),
+}
+
+
+@pytest.mark.parametrize("path", RECORD_FIELDS)
+def test_records_keep_their_fields_and_are_read_only(path):
+    module, name = path.split(".")
+    cls = getattr(importlib.import_module(f"dihedral_codes.{module}"), name)
+    fields = RECORD_FIELDS[path]
+    values = [object() for _ in fields]
+    for record in (cls(*values), cls(**dict(zip(fields, values)))):
+        assert all(getattr(record, f) is v for f, v in zip(fields, values))
+        for attr in (*fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, attr, 0)
+
+
+def test_the_abelian_catalog_has_the_length_of_its_members():
+    acat = idempotents.abelian_catalog(PrimeField(11), 3, 2)
+    assert len(acat) == len(acat.members) == 6
+    with pytest.raises(AttributeError):
+        del acat.codes
 
 
 def test_every_exported_name_resolves():
