@@ -28,7 +28,7 @@ _SOURCES = {
                     "NonCentralGenerators", "abelian_catalog", "central_idempotents",
                     "matrix_units", "noncentral_generator"),
     "survey": ("SurveyRow", "abelian_min_weight", "enumerate_abelian_codes",
-               "format_survey_table", "write_survey_table"),
+               "format_survey_table"),
     "verify": ("CheckResult", "run_checks", "subgroup_pair_suite"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

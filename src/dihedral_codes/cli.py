@@ -7,10 +7,11 @@ Subcommands:
   compare     check constructed codes against a reference table `n k d_best`
 
 Where the theory settles d, it is written down, not enumerated: every
-survey row (`survey.abelian_min_weight`), `construct --gen e11|e22|ej`,
-`construct --gen pair` (d = 2|H|, see `codes.subgroup_pair_code`) and the
-`e11[j]` lines of `compare`.  Only `f` and `custom` scan their codewords,
-under `--budget`, which `survey` does not take.
+survey row (`survey.abelian_min_weight`), and `construct --gen
+e11|e22|ej|pair` and the `e11[j]` lines of `compare`, whose d = 2|H| for
+the subgroup pair (H, K) behind the code, by the lemma of `closed_forms`.
+Only `f` and `custom` scan their codewords, under `--budget`, which
+`survey` does not take.
 
 What each command imports.  This module loads `argparse`, `ff`, `survey`
 and `check_names`: no numpy, and no `dataclasses` with the `inspect` it
@@ -22,8 +23,8 @@ RREF of its code from the coset labels of `closed_forms`, proven there in
 O(k n) integer steps, and adds only `closed_forms`, `gm` and `groups`, no
 numpy.  `construct --gen f|custom` and `compare` add numpy and the algebra
 stack (`groups`, `algebra`, `modmat`, `_kernels`, `codes`, `gm`,
-`idempotents`), not `closed_forms`; `verify` adds that stack and
-`verify`.  Every handler imports what it needs after its dispatch, so
+`idempotents`), not `closed_forms`; `verify` adds that stack, `verify`
+and, for its central and pair checks, `closed_forms`.  Every handler imports what it needs after its dispatch, so
 importing this module costs no more than a survey needs.  `check_names`
 gives `verify --check` its choices without importing `verify`.
 
@@ -33,13 +34,13 @@ printing one `error: ` line: ValueError -> 2 (an inadmissible (q, p, m),
 checked before any command runs, prints `error: (q, p, m) = (7, 3, 2) is
 not admissible`; a bad `--coeffs`, `--sub-h`/`--sub-k`, a `--gen pair` of
 two equal subgroups, an out-of-range `--j` or survey `--dim`; a closed-form
-matrix, a survey, or the n x n group tables of `construct --gen f|custom`
-and `compare`, of more than `ff.WRITE_LIMIT` residues; for
+matrix, a survey, or the n x n group tables of `construct --gen f|custom`,
+`compare` and `verify`, of more than `ff.WRITE_LIMIT` residues; for
 `construct`, `survey` and `compare`, 2p^m (q-1)^2 >= 2^63, too large for
-exact int64 arithmetic, refused by the same gate before the order of q
-mod p is computed, so at once even for a huge p or m; `verify` reports
-the checks that would overflow as FAIL instead), OSError on read or write
--> 4, MalformedTable (reference table) -> 5.  Argument parsing exits 2 on
+exact int64 arithmetic, refused by the same gate before p - 1 is
+factored for the primitive-root test, so at once even for a huge p or m;
+`verify` reports the checks that would overflow as FAIL instead), OSError
+on read or write -> 4, MalformedTable (reference table) -> 5.  Argument parsing exits 2 on
 what it rejects, such as a negative `--budget` or a `survey --budget`.
 `construct` and `survey` test that `--out` opens for writing before they
 compute, so an unwritable path exits 4 at once; a run that fails creates
@@ -60,7 +61,7 @@ from .ff import (
     require_admissible,
     require_write_size,
 )
-from .survey import abelian_min_weight, write_survey
+from .survey import write_survey
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -142,19 +143,16 @@ def cmd_construct(args) -> int:
                 f"--sub-h {args.sub_h} and --sub-k {args.sub_k} are the same "
                 "subgroup, so the pair code is zero"
             )
-        twist, d = False, 2 * H.order  # d proven in subgroup_pair_code's docstring
+        twist = False
     else:
-        # code(e11), code(e22) and code(e_j) are the abelian rows {plus_j},
-        # {minus_j} and both (see verify's abelian-images)
-        j = args.j
-        H, K, twist = central_pair(group, args.gen, j)
-        plus, minus = {"e11": ({j}, ()), "e22": ((), {j}), "ej": ({j}, {j})}[args.gen]
-        d = abelian_min_weight(plus, minus, args.p, args.m)
+        H, K, twist = central_pair(group, args.gen, args.j)
     n = group.order
-    k = n // H.order - n // K.order  # dim V(H, K) = (G:H) - (G:K)
+    # dim V(H, K) = (G:H) - (G:K) and d = 2|H|, by the lemma of closed_forms;
+    # sigma only negates coordinates, so e22 keeps the weight of e11
+    k = n // H.order - n // K.order
     require_write_size(k * n, f"the [{n}, {k}] generator matrix")
     write_generator_matrix(args.out, n, args.q, canonical_rows(H, K, args.q, twist))
-    print(f"{n} {k} {d}")
+    print(f"{n} {k} {2 * H.order}")
     return EXIT_OK
 
 
@@ -206,6 +204,7 @@ def cmd_survey(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_table_size(args.p, args.m)
     from .verify import run_checks
 
     names = args.check if args.check else None
@@ -242,7 +241,8 @@ def _parse_reference_table(path) -> list[tuple[int, int, int]]:
 
 def cmd_compare(args) -> int:
     """One f[j] line from the scanned code(f), one e11[j] line from the
-    closed forms: code(e11) at j is [2p^m, phi(p^j), 4p^(m-j)].  code(f)
+    closed forms: code(e11) at j is V(H*_j, H*_(j-1)), so by the lemma of
+    `closed_forms` it is [2p^m, phi(p^j), 2|H*_j| = 4p^(m-j)].  code(f)
     at j has dimension phi(p^j) too (proven by `verify`'s
     noncentral-generator check), so an f[j] line beyond the budget prints
     its ? with no catalog, matrix units or elimination built for it."""
@@ -264,7 +264,7 @@ def cmd_compare(args) -> int:
             f_row = (code.n, code.k, code.min_weight(budget=args.budget))
         for label, n, k, d in (
             (f"f[j={j}]", *f_row),
-            (f"e11[j={j}]", group.order, dim, abelian_min_weight({j}, (), args.p, args.m)),
+            (f"e11[j={j}]", group.order, dim, 4 * args.p ** (args.m - j)),
         ):
             if d is None:
                 print(f"{label} {n} {k} ? - unknown (budget)")

@@ -1,4 +1,5 @@
-"""Generator matrices the theory writes down, with no algebra and no numpy.
+"""Generator matrices the theory writes down, with no algebra and no
+numpy, and the lemma that settles the subgroup-pair codes.
 
 `construct --gen e11|e22|ej|pair` writes its code from here: the canonical
 RREF of the code comes from the coset labels of two nested chain
@@ -7,14 +8,35 @@ through `gm`, the formatter `LinearCode.to_text` shares.  The chain
 subgroups are H_j = <a^(p^j)> (spec `h<j>`) and H*_j = <b> H_j (spec
 `hstar<j>`), j = 0..m, in D of order n = 2N, N = p^m.
 
-Every such code is a subgroup-pair code, or its sign twist.  Write
-V(H, K), for nested H < K, for the vectors that are constant on each left
-coset gH and sum to 0 over each left coset gK.  By the lemma of
-`codes.subgroup_pair_code`, the left ideal A(H^ - K^) of A = F_q D is
-V(H, K), of dimension (G:H) - (G:K), as |H| is invertible in F_q (q is not
-2 or p); and the RREF of V(H, K) has one row 1_C - 1_C' per H-coset C that
-is not the last C' of its K-coset, its pivot the least element of C.  The
-least element of a^i b^e H_j is a^(i mod p^j) b^e, of index
+The lemma.  Let A = F_q G, H < K nested subgroups of G with |H|
+invertible in F_q (for G = D: q is not 2 or p), e = H^ - K^, and V(H, K)
+the vectors that are constant on each left coset gH and sum to 0 over
+each left coset gK.
+  (i) dim V(H, K) = (G:H) - (G:K).  A word of V is its values on the
+      H-cosets, each repeated |H| times; a K-coset sums to |H| times the
+      sum of the values on its (K:H) H-cosets, so those values sum to 0.
+  (ii) A e = V(H, K).  e lies in V, and V is a left ideal (g permutes
+      the cosets), so A e lies in V.  With r over representatives of the
+      K-cosets and t != 1 over those of the H-cosets in K, the
+      (G:H) - (G:K) words r (1 - t) H^ = r e - r t e (as t K^ = K^) lie
+      in A e, and they are independent: each is the only one nonzero on
+      its coset rtH.  `codes.subgroup_pair_code` checks these identities
+      at run time for any nested pair.
+  (iii) The RREF.  Label each coset by its least element.  The RREF of V
+      has one row 1_C - 1_C' for each H-coset C but the last one C' (by
+      label) of its K-coset, its pivot the label of C, rows in pivot
+      order: the rows lie in V, are dim V many, and each pivot column is
+      nonzero in its own row alone, as no such C is a last C'.
+  (iv) d = 2|H|.  A nonzero word of V is nonzero on some K-coset, where
+      its values on the H-cosets sum to 0, so at least two of them are
+      nonzero, each on |H| coordinates; each row of (iii) has weight 2|H|.
+  (v) The weight enumerator depends on |H| and |K| alone.  On each of the
+      (G:K) K-cosets the s = (K:H) values of a word form a word of the
+      zero-sum code of length s, so up to a permutation of coordinates V
+      is (G:K) copies of that code, each coordinate repeated |H| times:
+          [((1 + (q-1) z^|H|)^s + (q-1)(1 - z^|H|)^s) / q]^(G:K).
+
+The least element of a^i b^e H_j is a^(i mod p^j) b^e, of index
 (i mod p^j) + eN, and that of a^i b^e H*_j is a^(i mod p^j).  Then
 
   code(e_j) = V(H_j, H_(j-1)), as e_j = H_j^ - H_(j-1)^;
@@ -25,9 +47,10 @@ least element of a^i b^e H_j is a^(i mod p^j) b^e, of index
       g -> chi(g) g an automorphism of A that fixes e_j and swaps (1 + b)/2
       and (1 - b)/2, so it carries A e11 onto A e22; on coordinates it is
       sigma, which keeps the RREF, as every pivot of code(e11) lies in the
-      first N coordinates.
+      first N coordinates, and every weight.
 
-With r the rows of the cyclic component, one per c < phi(p^j),
+So each of these codes has d = 2|H| for its pair (H, K).  With r the rows
+of the cyclic component, one per c < phi(p^j),
 1[i = c mod p^j] - 1[i = (c mod p^(j-1)) + (p - 1) p^(j-1) mod p^j], these
 read [r | r] for e11, [r | -r] for e22 and [[r | 0], [0 | r]] for e_j.
 

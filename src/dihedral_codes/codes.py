@@ -1,9 +1,8 @@
 """Left ideals of a group algebra as linear codes: generator matrices in
 reduced row echelon form, exact minimum weight and weight distribution by
-exhaustive message enumeration, the subgroup-pair codes, whose RREF is
-written down from the coset structure and proven without elimination, and
-the image of a dihedral code under the coordinate bijection gamma with the
-necessary test for an equivalence to an abelian code.
+exhaustive message enumeration, the proven basis of each subgroup-pair
+code, and the image of a dihedral code under the coordinate bijection
+gamma with the necessary test for an equivalence to an abelian code.
 """
 
 from __future__ import annotations
@@ -88,11 +87,9 @@ class LinearCode:
 
     @classmethod
     def _from_rref(cls, R: np.ndarray, q: int, group=None) -> "LinearCode":
-        """The code whose canonical RREF is R, a C-contiguous int64 array of
-        residues mod the prime q that the caller has proven reduced: a
-        closed form (see `subgroup_pair_code`) or another code's stored
-        matrix (see `gamma_image_code`).  R is kept as it is, with no copy,
-        field test or elimination: the result equals `LinearCode(R, q, group)`."""
+        """The code whose canonical RREF is R, another code's stored matrix
+        (see `gamma_image_code`).  R is kept as it is, with no copy, field
+        test or elimination: the result equals `LinearCode(R, q, group)`."""
         code = cls.__new__(cls)
         code._store(R, q, group)
         return code
@@ -205,45 +202,25 @@ def left_ideal_code(x: AlgebraElem) -> LinearCode:
 
 def subgroup_pair_code(
     field: PrimeField, H: list[GroupElem], K: list[GroupElem], averages=None
-) -> tuple[LinearCode, np.ndarray]:
-    """Code of (F_q G)(H^ - K^) for nested subgroups H <= K, together with
-    the predicted basis {r (1 - t) H^} over coset representatives r of K in
-    G and t != 1 of H in K, as the rows of one read-only int64 (k, n)
-    matrix ((0, n) when H = K).  The basis is verified to span the code.
+) -> np.ndarray:
+    """The predicted basis B = {r (1 - t) H^} of the left ideal A(H^ - K^) of
+    A = F_q G, for nested subgroups H <= K with |H| invertible in F_q: r
+    runs over the coset representatives of K in G and t != 1 over those of
+    H in K, and B comes back as one read-only int64 (k, n) matrix, (0, n)
+    when H = K.  No RREF is written: the code is V(H, K) of the lemma in
+    `closed_forms`, whose RREF `closed_forms.canonical_rows` writes for the
+    chain subgroups.
 
-    Closed form.  Let V hold the vectors that are constant on each left
-    coset gH and sum to 0 over each left coset gK.  Label each coset by its
-    least element and, inside each K-coset, order its H-cosets by label.
-    The RREF R has one row 1_C - 1_C' for each H-coset C but the last one
-    C' of its K-coset, with the label of C as its pivot, rows in pivot
-    order; so k = (G:H) - (G:K).  R is written down from the labels, not
-    eliminated.
-
-    Proof, exact over F_q, with e = H^ - K^, A = F_q G, P the pivot
-    columns, and p_i, l_i the labels of C and C' for row i:
-      (a) the predicted basis B is independent, as B on the columns of the
-          cosets rtH is a nonzero diagonal, and |B| = k;
-      (b) R, B and e lie in V;
-      (c) row i of R is |H| (p_i e - l_i e), from rows p_i and l_i of L(e).
-    R[:, P] is the identity, and dim V = (G:H) - (G:K) = k, since |H| is
-    invertible and each K-coset sum is |H| times the sum of its H-coset
-    values; so by (a) and (b), span R = V = span B.  V is a left ideal
-    and e lies in it, so A e lies in V.  (c) writes each row of R from two
-    rows of L(e), so R lies in A e.  Hence span R = A e = span B.  Only
-    2k rows of L(e) are gathered.
-
-    Minimum weight: d = 2|H| when H < K.  A nonzero word of V is nonzero
-    on some coset gK; its values c_i on the H-cosets there satisfy
-    |H| sum c_i = 0, so sum c_i = 0 and at least two c_i are nonzero, each
-    on |H| coordinates.  Each row 1_C - 1_C' of R has weight exactly 2|H|.
-
-    Weight distribution: it depends on |H| and |K| alone.  A word of V is
-    its values on the H-cosets, each repeated |H| times, and on each of
-    the (G:K) K-cosets those s = (K:H) values form a word of the zero-sum
-    code of length s.  So, up to a permutation of coordinates, V is (G:K)
-    copies of that code with each coordinate repeated |H| times, and its
-    weight enumerator is
-        [((1 + (q-1) z^|H|)^s + (q-1)(1 - z^|H|)^s) / q]^(G:K).
+    B is proven to span A e = V(H, K), e = H^ - K^, exactly over F_q, by
+    the identities of that lemma checked on these H and K:
+      (a) B is independent, as B on the columns of the cosets rtH is a
+          nonzero diagonal, and |B| = (G:H) - (G:K) = dim V;
+      (b) B and e lie in V: constant on each H-coset, zero sum over each
+          K-coset;
+      (c) row (r, t) of B is row r of L(e) minus row rt, as t K^ = K^.
+    By (a) and (b), span B = V.  V is a left ideal holding e, so A e lies
+    in V, and by (c) B lies in A e.  Hence span B = A e = V.  Only 2k rows
+    of L(e) are gathered.
 
     `averages`, when given, is (hat(field, H), hat(field, K)), already
     built and closure-checked by the caller, which a suite over many pairs
@@ -262,8 +239,9 @@ def subgroup_pair_code(
 
     hat_H = hat(field, H) if averages is None else averages[0]
     if h_idx == k_idx:
-        zero = np.zeros((0, group.order), dtype=np.int64)
-        return LinearCode._from_rref(zero, field.q, group=group), zero
+        B = np.zeros((0, group.order), dtype=np.int64)
+        B.setflags(write=False)
+        return B
     e = hat_H - (hat(field, K) if averages is None else averages[1])
     q, n = field.q, group.order
     ids = np.arange(n)
@@ -272,35 +250,30 @@ def subgroup_pair_code(
     k_lab = group.mult_table[:, sorted(k_idx)].min(axis=1)
     h_cosets = np.flatnonzero(h_lab == ids)
     k_cosets = np.flatnonzero(k_lab == ids)
-    last = np.zeros(n, dtype=np.int64)
-    np.maximum.at(last, k_lab[h_cosets], h_cosets)  # last H-coset of each K-coset
-    pivots = h_cosets[last[k_lab[h_cosets]] != h_cosets]
-    lasts = last[k_lab[pivots]]
-    R = ((h_lab == pivots[:, None]).astype(np.int64) - (h_lab == lasts[:, None])) % q
 
-    # the predicted basis, row (r, t) = r H^ - r t H^ read as x[T[g]]; r runs
-    # over the K-coset labels and t over the H-coset labels inside K
+    # row (r, t) = r H^ - r t H^ read as x[T[g]]; r runs over the K-coset
+    # labels and t over the H-coset labels inside K
     T = group.translate_table
     tau = h_cosets[k_lab[h_cosets] == 0]
     r = np.repeat(k_cosets, len(tau) - 1)
     rt = group.mult_table[np.ix_(k_cosets, tau[1:])].ravel()
-    rows = (hat_H.coeffs[T[r]] - hat_H.coeffs[T[rt]]) % q
+    B = (hat_H.coeffs[T[r]] - hat_H.coeffs[T[rt]]) % q
 
-    if not np.array_equal(rows[:, h_lab[rt]] != 0, np.eye(len(rows), dtype=bool)):
+    if not np.array_equal(B[:, h_lab[rt]] != 0, np.eye(len(B), dtype=bool)):
         raise RuntimeError("predicted basis is not linearly independent")
     c = e.coeffs
     # V: constant on each H-coset (x = x[h_lab]), zero sum over each K-coset
-    in_V = np.vstack((R, rows, c))
+    in_V = np.vstack((B, c))
     by_k_coset = in_V[:, np.argsort(k_lab, kind="stable")].reshape(len(in_V), len(k_cosets), -1)
     if not (
-        len(rows) == len(pivots)
+        len(B) == len(h_cosets) - len(k_cosets)
         and np.array_equal(in_V, in_V[:, h_lab])
         and not (by_k_coset.sum(axis=2) % q).any()
-        and np.array_equal(len(h_idx) * (c[T[pivots]] - c[T[lasts]]) % q, R)
+        and np.array_equal((c[T[r]] - c[T[rt]]) % q, B)
     ):
         raise RuntimeError("predicted basis does not span the code")
-    rows.setflags(write=False)
-    return LinearCode._from_rref(R, q, group=group), rows
+    B.setflags(write=False)
+    return B
 
 
 def gamma_image_code(code: LinearCode, target: AbelianGroup | None = None) -> LinearCode:

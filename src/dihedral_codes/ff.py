@@ -88,8 +88,69 @@ class PrimeField:
         return pow(v, -1, self.q)
 
 
+def _pollard_brent(n: int) -> int:
+    """A nontrivial factor of the odd composite n, by Brent's variant of
+    Pollard's rho (Brent, BIT 20 (1980)), with the constants c = 1, 2, ...
+    tried in turn, so the result is the same on every run."""
+    c = 0
+    while True:
+        c += 1
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):  # one gcd per 128 steps
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def prime_factors(n: int) -> set[int]:
+    """The distinct primes dividing n >= 1 (n < PRIME_LIMIT): trial division
+    by the Miller-Rabin bases, then Pollard-Brent, each part tested by
+    `is_prime`."""
+    found, todo = set(), []
+    for b in _BASES:
+        if n % b == 0:
+            found.add(b)
+            while n % b == 0:
+                n //= b
+    if n > 1:
+        todo.append(n)
+    while todo:
+        n = todo.pop()
+        if is_prime(n):
+            found.add(n)
+        else:
+            d = _pollard_brent(n)
+            todo += [d, n // d]
+    return found
+
+
+def is_primitive_root(q: int, p: int) -> bool:
+    """True iff q generates the units mod the prime p: q^((p-1)/r) != 1
+    mod p for each prime r dividing p - 1, which holds exactly when the
+    order of q, a divisor of p - 1, is p - 1 itself."""
+    return q % p != 0 and all(pow(q, (p - 1) // r, p) != 1 for r in prime_factors(p - 1))
+
+
 def multiplicative_order(q: int, n: int) -> int:
-    """Smallest k >= 1 with q^k = 1 (mod n).  n = 1 is order 1 by convention."""
+    """Smallest k >= 1 with q^k = 1 (mod n).  n = 1 is order 1 by convention.
+    A loop of up to n - 1 steps: the reference `is_primitive_root` is
+    tested against."""
     if n < 1:
         raise ValueError("modulus must be positive")
     if n == 1:
@@ -142,7 +203,7 @@ def require_write_size(residues: int, what: str) -> None:
 
 
 def _passes_quick_tests(q: int, p: int, m: int) -> bool:
-    """Every test of `check_admissible` but the order of q mod p, each in
+    """Every test of `check_admissible` but `is_primitive_root`, each in
     time polynomial in the digits of q, p and m.
 
     gcd(2 p^m, q) = 1 exactly when q is not 2 or p, as q is prime.  A
@@ -168,9 +229,9 @@ def check_admissible(q: int, p: int, m: int) -> bool:
     and, when m >= 2, q^(p-1) != 1 mod p^2 (primitive roots lift), so the
     cost does not grow with m.  q must be prime, p an odd prime, m >= 1;
     violations of those shape requirements raise instead of returning False.
-    The order of q mod p, a loop of up to p - 1 steps, runs last.
+    `is_primitive_root`, which factors p - 1, runs last.
     """
-    return _passes_quick_tests(q, p, m) and multiplicative_order(q, p) == p - 1
+    return _passes_quick_tests(q, p, m) and is_primitive_root(q, p)
 
 
 def require_admissible(q: int, p: int, m: int, int64_products: bool = False) -> None:
@@ -179,10 +240,10 @@ def require_admissible(q: int, p: int, m: int, int64_products: bool = False) -> 
 
     With `int64_products`, also raise the ValueError of
     `require_int64_products` for an oversize triple.  That test runs after
-    the quick tests and before the order of q mod p, whose loop grows with
-    p, so an oversize triple is refused at once."""
+    the quick tests and before `is_primitive_root`, whose factoring of
+    p - 1 is the one step that may take long."""
     ok = _passes_quick_tests(q, p, m)
     if ok and int64_products:
         require_int64_products(q, p, m)
-    if not (ok and multiplicative_order(q, p) == p - 1):
+    if not (ok and is_primitive_root(q, p)):
         raise InadmissibleParameters(f"(q, p, m) = ({q}, {p}, {m}) is not admissible")

@@ -140,15 +140,10 @@ def format_survey_table(rows: list[SurveyRow], q: int, p: int, m: int) -> str:
     return f"{q} {p} {m}\n" + "".join(map(_row_line, sorted(rows, key=lambda r: r.mask)))
 
 
-def write_survey_table(rows, q, p, m, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_survey_table(rows, q, p, m))
-
-
 def write_survey(q: int, p: int, m: int, path, dim_filter: int | None = None):
     """Write the survey table of (q, p, m) to `path` a line at a time, as
     `iter_abelian_codes` makes the rows, so that no list of rows is held:
-    the bytes `write_survey_table` writes of `enumerate_abelian_codes(p, m,
+    the bytes of `format_survey_table` of `enumerate_abelian_codes(p, m,
     dim_filter)`.  Returns the best weight of each dimension, as a dict,
     and the number of rows."""
     best, count = {}, 0

@@ -12,7 +12,9 @@ average against a stack of others.  Checks of one
 `run_checks` call share scans of identical matrices: a weight distribution
 is scanned once per distinct generator matrix and run (see
 `codes.shared_scans`), so `central-codes` and `survey` reuse what
-`subgroup-pairs` scanned.  Each run starts with an empty memo.
+`subgroup-pairs` scanned: the matrices `construct --gen pair` writes,
+which equal the eliminated codes of e11 and e22.  Each run starts with an
+empty memo.
 
 `survey` and `nonequivalence` are the independent oracle of the survey's
 closed forms: they build the abelian catalog (`idempotents.abelian_catalog`),
@@ -354,45 +356,57 @@ def check_component_field(ctx: VerifyContext) -> str:
 
 
 def _pair_weights(field, group, budget):
-    """Yield (H, K, code, weight) for every nested pair H < K of subgroups
-    whose orders are invertible in the field, in scan order, once its
-    dimension and basis are checked; the weight is None beyond the budget.
-    Only the first pair of each (|H|, |K|) is scanned: its code's weights
-    are those of every such pair (see `subgroup_pair_code`).
+    """Yield (H, K, basis, weight) for every nested pair H < K of subgroups
+    of the dihedral `group` whose orders are invertible in the field, in
+    scan order, once its basis is proven and its dimension checked; the
+    weight is None beyond the budget.
+
+    By the lemma in `closed_forms`, the weight distribution of a pair code
+    depends on |H| and |K| alone.  So each (|H|, |K|) is scanned once, on
+    the matrix `construct --gen pair` writes: `closed_forms.canonical_rows`
+    of the chain subgroups of those orders.
     """
-    subs = [S for S in group.all_subgroups() if len(S) % field.q != 0]
+    from .closed_forms import ChainSubgroup, canonical_rows
+
+    q, n = field.q, group.order
+    chain = [ChainSubgroup(group, star, j) for star in (False, True) for j in range(group.m + 1)]
+    chain = {S.order: S for S in chain}  # one chain subgroup of each order
+    subs = [S for S in group.all_subgroups() if len(S) % q != 0]
     index_sets = [frozenset(g.index for g in S) for S in subs]
     hats = [hat(field, S) for S in subs]  # each average built and checked once
-    scanned = {}  # (|H|, |K|) -> weight of the first such pair, None beyond the budget
+    scanned = {}  # (|H|, |K|) -> weight of the chain pair, None beyond the budget
     for H, h_idx, hat_H in zip(subs, index_sets, hats):
         for K, k_idx, hat_K in zip(subs, index_sets, hats):
             if not h_idx < k_idx:
                 continue
-            # verifies the basis spans
-            code, _ = subgroup_pair_code(field, H, K, averages=(hat_H, hat_K))
-            expect = group.order // len(H) - group.order // len(K)
-            if code.k != expect:
+            basis = subgroup_pair_code(field, H, K, averages=(hat_H, hat_K))
+            k = n // len(H) - n // len(K)
+            if len(basis) != k:
                 raise CheckFailure(
-                    f"dim {code.k} != (G:H)-(G:K) = {expect} for |H|={len(H)}, |K|={len(K)}"
+                    f"dim {len(basis)} != (G:H)-(G:K) = {k} for |H|={len(H)}, |K|={len(K)}"
                 )
             sizes = (len(H), len(K))
             if sizes not in scanned:
-                scanned[sizes] = code.min_weight(budget=budget)
-            yield H, K, code, scanned[sizes]
+                scanned[sizes] = None
+                if q**k <= budget:
+                    rows = canonical_rows(chain[len(H)], chain[len(K)], q)
+                    dist = weights(np.array(rows, dtype=np.int64), q, budget)
+                    scanned[sizes] = int(np.flatnonzero(dist)[1])
+            yield H, K, basis, scanned[sizes]
 
 
 def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
     """Dimension, basis, and (within budget) weight checks over every nested
-    pair of subgroups whose orders are invertible in the field.
+    pair of subgroups of the dihedral `group` whose orders are invertible
+    in the field.
 
     Returns (pairs checked, weights checked).  Not gated on admissibility;
     the construction itself only needs invertible subgroup orders.
 
-    Pairs with the same |H| and |K| have the same weight distribution (the
-    lemma in `subgroup_pair_code`), so only the first of them in scan order
-    is scanned.  Every pair still builds and proves its own code, and every
-    pair's weight is compared with 2|H|, so the first failing pair is the
-    one a scan of every pair would report.
+    Every pair proves its own basis and has its dimension checked; each
+    (|H|, |K|) is scanned once (see `_pair_weights`), and every pair's
+    weight is compared with 2|H|, so the first failing pair is the one a
+    scan of every pair would report.
     """
     pairs = weights = 0
     for H, K, _, w in _pair_weights(field, group, budget):

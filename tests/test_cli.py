@@ -13,9 +13,9 @@ from dihedral_codes import (
     LinearCode,
     PrimeField,
     cli,
+    hat,
     idempotents,
     left_ideal_code,
-    subgroup_pair_code,
 )
 from dihedral_codes.cli import main
 from dihedral_codes.ff import WRITE_LIMIT
@@ -395,19 +395,20 @@ CONSTRUCT_TRIPLES = [
 
 def _eliminated_text(q, p, m, gen):
     """The `.gm` text of the elimination route: `left_ideal_code` of the
-    catalog's e11, e22 or e_j, or the proven `subgroup_pair_code`."""
+    catalog's e11, e22 or e_j, or of H^ - K^ for a pair."""
     field, group = PrimeField(q), DihedralGroup(p, m)
     if gen[1] == "pair":
         H, K = (
             group.subgroup_Hstar(int(s[5:])) if s.startswith("hstar") else group.subgroup_H(int(s[1:]))
             for s in (gen[3], gen[5])
         )
-        return subgroup_pair_code(field, H, K)[0].to_text()
-    catalog, j = idempotents.central_idempotents(field, group), int(gen[3])
-    if gen[1] == "ej":
-        x = catalog.component(j)
+        x = hat(field, H) - hat(field, K)
     else:
-        x = getattr(idempotents.matrix_units(catalog, j), gen[1])
+        catalog, j = idempotents.central_idempotents(field, group), int(gen[3])
+        if gen[1] == "ej":
+            x = catalog.component(j)
+        else:
+            x = getattr(idempotents.matrix_units(catalog, j), gen[1])
     return left_ideal_code(x).to_text()
 
 
@@ -477,19 +478,39 @@ def test_an_oversize_triple_exits_2_at_once(tmp_path, capsys, command):
     assert not (tmp_path / "f.gm").exists() and not (tmp_path / "s.tbl").exists()
 
 
-@pytest.mark.parametrize("q, line", [
+# a prime with p - 1 = 2 3 10427867 575841589
+HUGE_P = 36028797018963979
+
+
+@pytest.mark.parametrize("q, p, line", [
     # 5 is a square mod 2^61 - 1, so no generator of its units: not admissible
-    (5, "error: (q, p, m) = (5, 2305843009213693951, 1) is not admissible\n"),
-    # 7 passes every quick test; the order loop would take 2^61 steps
-    (7, f"error: |G| (q-1)^2 = {2 * 2305843009213693951 * 36} reaches 2^63; "
-        "int64 products would overflow\n"),
-], ids=["q5", "q7"])
-def test_a_huge_p_exits_2_at_once(tmp_path, capsys, q, line):
+    (5, 2305843009213693951, "error: (q, p, m) = (5, 2305843009213693951, 1) is not admissible\n"),
+    # 7 passes every quick test; the int64 gate refuses it before p - 1 is factored
+    (7, 2305843009213693951, f"error: |G| (q-1)^2 = {2 * 2305843009213693951 * 36} reaches "
+        "2^63; int64 products would overflow\n"),
+    # 3 generates the units mod HUGE_P, which the factors of p - 1 show at once
+    # (an order loop took up to p - 1 steps), so the table gate refuses it
+    (3, HUGE_P, f"error: the {2 * HUGE_P} x {2 * HUGE_P} group table holds "
+        f"{(2 * HUGE_P) ** 2} residues, beyond the write limit 4194304\n"),
+], ids=["q5", "q7", "q3-admissible"])
+def test_a_huge_p_exits_2_at_once(tmp_path, capsys, q, p, line):
     start = time.perf_counter()
-    rc, stdout, err = _run(capsys, ["construct", "--q", str(q), "--p", "2305843009213693951",
+    rc, stdout, err = _run(capsys, ["construct", "--q", str(q), "--p", str(p),
                                     "--m", "1", "--gen", "f", "--out", str(tmp_path / "f.gm")])
     assert time.perf_counter() - start < 1.0
     assert (rc, stdout, err) == (2, "", line)
+    assert not (tmp_path / "f.gm").exists()
+
+
+def test_a_survey_at_an_admissible_huge_p(tmp_path, capsys):
+    # every row is a closed form, so the survey writes its 15 rows at once
+    out = tmp_path / "s.tbl"
+    start = time.perf_counter()
+    rc, stdout, err = _run(capsys, ["survey", "--q", "3", "--p", str(HUGE_P), "--m", "1",
+                                    "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, err) == (0, "") and stdout.endswith(f"15 rows written to {out}\n")
+    assert out.read_text() == format_survey_table(enumerate_abelian_codes(HUGE_P, 1), 3, HUGE_P, 1)
 
 
 def _python(code, *args):
@@ -582,7 +603,11 @@ def test_a_survey_streams_its_rows(tmp_path, capsys):
     (["compare", "--q", "5", "--p", "3", "--m", "9"],
      f"error: the 39366 x 39366 group table holds {39366**2} residues, "
      "beyond the write limit 4194304\n"),
-], ids=["e11-j12", "pair", "survey-m10", "survey-m30-dim", "f-m9", "custom-m7", "compare-m9"])
+    (["verify", "--q", "5", "--p", "3", "--m", "7"],
+     f"error: the 4374 x 4374 group table holds {4374**2} residues, "
+     "beyond the write limit 4194304\n"),
+], ids=["e11-j12", "pair", "survey-m10", "survey-m30-dim", "f-m9", "custom-m7", "compare-m9",
+        "verify-m7"])
 def test_an_oversize_write_exits_2_at_once(tmp_path, capsys, argv, line):
     """WRITE_LIMIT refuses a matrix or table too large to write, or an
     n x n table too large to build, before anything is built, with one
@@ -592,7 +617,7 @@ def test_an_oversize_write_exits_2_at_once(tmp_path, capsys, argv, line):
         table = tmp_path / "ref.tbl"
         table.write_text("18 2 15\n")
         argv = [*argv, "--table", str(table)]
-    else:
+    elif argv[0] != "verify":
         argv = [*argv, "--out", str(out)]
     start = time.perf_counter()
     assert _run(capsys, argv) == (2, "", line)
@@ -603,11 +628,14 @@ def test_an_oversize_write_exits_2_at_once(tmp_path, capsys, argv, line):
 def test_the_write_limit_refuses_no_tested_command():
     """The largest writes of the tests, CI and goldens stay within it: the
     survey at (5, 3, 6) and code(e_3) at (3, 5, 3); so do the n x n tables
-    of `construct --gen f|custom` and `compare`, whose largest n there is
-    250, at (3, 5, 3)."""
+    of `construct --gen f|custom`, `compare` and `verify`, whose largest n
+    there is 250, at (3, 5, 3)."""
     assert 3 * (4**7 - 1) <= WRITE_LIMIT
     assert 200 * 250 <= WRITE_LIMIT
     assert 250 * 250 <= WRITE_LIMIT
+    # every (p, m) that a test, the CI or a golden verifies, (3, 5, 3) the largest
+    for p, m in [(3, 1), (3, 2), (3, 3), (5, 2), (5, 3)]:
+        assert (2 * p**m) ** 2 <= WRITE_LIMIT
     # the first survey above it is m = 10, whatever q and p
     assert 3 * (4**10 - 1) <= WRITE_LIMIT < 3 * (4**11 - 1)
     # the first table above it at p = 3 is m = 7, n = 4374
@@ -628,7 +656,7 @@ HOMES = {
                     "abelian_catalog", "central_idempotents", "matrix_units",
                     "noncentral_generator"],
     "survey": ["SurveyRow", "abelian_min_weight", "enumerate_abelian_codes",
-               "format_survey_table", "write_survey_table"],
+               "format_survey_table"],
     "verify": ["CheckResult", "run_checks", "subgroup_pair_suite"],
 }
 

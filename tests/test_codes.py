@@ -188,7 +188,8 @@ def test_full_space_shortcut(field11, d9):
 
 
 def test_subgroup_pair_hstar(field11, d9, units1):
-    code, basis = subgroup_pair_code(field11, d9.subgroup_Hstar(1), d9.subgroup_Hstar(0))
+    basis = subgroup_pair_code(field11, d9.subgroup_Hstar(1), d9.subgroup_Hstar(0))
+    code = LinearCode(basis, 11, group=d9)
     assert code.k == (18 // 6) - (18 // 18) == 2
     assert code.min_weight() == 12  # 2 |H| = 2 * 6
     assert len(basis) == 2
@@ -200,16 +201,17 @@ def test_subgroup_pair_hstar(field11, d9, units1):
 
 
 def test_subgroup_pair_equal_subgroups_zero_code(field11, d9):
-    code, basis = subgroup_pair_code(field11, d9.subgroup_H(1), d9.subgroup_H(1))
-    assert code.k == 0 and basis.shape == (0, 18)
+    basis = subgroup_pair_code(field11, d9.subgroup_H(1), d9.subgroup_H(1))
+    assert basis.shape == (0, 18) and basis.dtype == np.int64 and not basis.flags.writeable
 
 
 def test_subgroup_pair_trivial_in_b(field11, d9):
     """H = {1} inside K = <b>: dimension 9, weight 2 exhibited by 1 - b."""
     H = [d9.identity]
     K = [d9.identity, d9.b]
-    code, basis = subgroup_pair_code(field11, H, K)
-    assert code.k == 18 - 9 == 9
+    basis = subgroup_pair_code(field11, H, K)
+    code = LinearCode(basis, 11, group=d9)
+    assert code.k == len(basis) == 18 - 9 == 9
     one_minus_b = AlgebraElem.one(d9, field11) - AlgebraElem.from_group_elem(d9.b, field11)
     assert code.contains(one_minus_b)
     # no weight-1 codeword: no single coordinate vector lies in the code
@@ -261,7 +263,7 @@ def test_predicted_basis_matches_the_translate_loop(q, p, m):
         for K in subs:
             if not {g.index for g in H} < {g.index for g in K}:
                 continue
-            _, basis = subgroup_pair_code(field, H, K)
+            basis = subgroup_pair_code(field, H, K)
             assert basis.dtype == np.int64 and not basis.flags.writeable
             expect = _predicted_basis_by_loop(field, H, K)
             assert basis.shape == expect.shape and basis.tobytes() == expect.tobytes()
@@ -270,9 +272,9 @@ def test_predicted_basis_matches_the_translate_loop(q, p, m):
 
 
 def _pair_code_by_elimination(field, H, K):
-    """The two-elimination construction the closed form replaced: reduce
-    L(H^ - K^), then check that the predicted basis has full rank and the
-    same RREF.  Returns the code and that basis."""
+    """The two-elimination construction: reduce L(H^ - K^), then check that
+    the predicted basis has full rank and the same RREF.  Returns the code
+    and that basis."""
     code = left_ideal_code(hat(field, H) - hat(field, K))
     basis = _predicted_basis_by_loop(field, H, K)
     R, _ = rref(basis, field.q)
@@ -289,14 +291,15 @@ def _nested_pairs(group, q):
 
 
 def _assert_pair_code_is_the_eliminated_one(field, H, K):
-    code, basis = subgroup_pair_code(field, H, K)
+    """The proven basis reduces to the RREF of the eliminated L(H^ - K^)."""
+    basis = subgroup_pair_code(field, H, K)
     expect, expect_basis = _pair_code_by_elimination(field, H, K)
-    got = code.generator_matrix
+    got, _ = rref(basis, field.q)
     assert got.shape == expect.generator_matrix.shape
     assert got.tobytes() == expect.generator_matrix.tobytes()
     assert basis.tobytes() == expect_basis.tobytes()
-    n = code.n
-    assert code.k == len(basis) == n // len(H) - n // len(K)
+    n = expect.n
+    assert expect.k == len(basis) == n // len(H) - n // len(K)
 
 
 @pytest.mark.parametrize(
@@ -336,9 +339,9 @@ def test_closed_form_pair_code_matches_two_eliminations_at_3_5_3():
 
 
 def test_pair_code_hands_rref_only_reduced_matrices(monkeypatch):
-    """No elimination: `subgroup_pair_code` stores its closed-form RREF
-    through `LinearCode._from_rref`, so it hands `rref` no matrix at all,
-    the zero code of H = K included."""
+    """No elimination: `subgroup_pair_code` proves its basis by identities
+    and writes no RREF, so it hands `rref` no matrix at all, the zero code
+    of H = K included."""
     seen = []
     real = modmat.rref
 
@@ -355,23 +358,21 @@ def test_pair_code_hands_rref_only_reduced_matrices(monkeypatch):
 
 
 @pytest.mark.parametrize("q, p, m", [(11, 3, 2), (5, 3, 3)])
-def test_pair_code_from_rref_equals_the_eliminated_code(q, p, m):
-    """The code `_from_rref` stores equals `LinearCode(R)`, which reduces R
-    again, for every nested pair and every H = K: same matrix, dtype,
-    flags, parameters and group."""
+def test_pair_basis_is_a_read_only_array_of_full_rank(q, p, m):
+    """For every nested pair and every H = K the basis is a C-contiguous,
+    read-only int64 (k, n) array of residues, k = (G:H) - (G:K), whose rows
+    are independent: `LinearCode` of it keeps all k of them."""
     field, group = PrimeField(q), DihedralGroup(p, m)
     subs = group.all_subgroups()
     pairs = [(H, H) for H in subs] + _nested_pairs(group, q)
+    n = group.order
     for H, K in pairs:
-        code, _ = subgroup_pair_code(field, H, K)
-        R = code.generator_matrix
-        ref = LinearCode(R, q, group=group)
-        assert (code.q, code.n, code.k, code.group) == (ref.q, ref.n, ref.k, ref.group)
-        assert R.dtype == ref.generator_matrix.dtype == np.int64
-        assert R.shape == ref.generator_matrix.shape
-        assert R.tobytes() == ref.generator_matrix.tobytes()
-        assert R.flags.c_contiguous and not R.flags.writeable
-        assert code.same_code(ref) and ref.same_code(code)
+        B = subgroup_pair_code(field, H, K)
+        assert B.dtype == np.int64 and B.shape == (n // len(H) - n // len(K), n)
+        assert B.flags.c_contiguous and not B.flags.writeable
+        assert ((0 <= B) & (B < q)).all()
+        if len(B):
+            assert LinearCode(B, q, group=group).k == len(B)
     assert len(pairs) > len(subs)
 
 

@@ -13,7 +13,13 @@ from dihedral_codes import (
     multiplicative_order,
     phi_prime_power,
 )
-from dihedral_codes.ff import product_bound, require_admissible, require_int64_products
+from dihedral_codes.ff import (
+    is_primitive_root,
+    prime_factors,
+    product_bound,
+    require_admissible,
+    require_int64_products,
+)
 
 
 def test_construction_rejects_non_prime():
@@ -118,12 +124,52 @@ def test_check_admissible_matches_the_order_loop():
                 assert check_admissible(q, p, m) is brute, (q, p, m)
 
 
+def test_primitive_root_test_matches_the_order_loop():
+    """q^((p-1)/r) != 1 for every prime r | p - 1 decides the same as q's
+    order mod p, found by powering, on every prime p < 2000 and q < 50."""
+    checked = 0
+    for p in filter(is_prime, range(3, 2000)):
+        for q in range(1, 50):
+            brute = q % p != 0 and multiplicative_order(q, p) == p - 1
+            assert is_primitive_root(q, p) is brute, (q, p)
+            checked += brute
+    assert checked > 0
+    # 7 is a non-residue mod 169553 = 2^4 10597 + 1, of order 16: only the
+    # prime factor 10597 of p - 1 shows that it is no generator
+    assert multiplicative_order(7, 169553) == 16
+    assert is_primitive_root(7, 169553) is False
+    assert check_admissible(7, 169553, 1) is False
+
+
+def test_prime_factors_match_trial_division():
+    def trial(n):
+        found, d = set(), 2
+        while d * d <= n:
+            while n % d == 0:
+                found.add(d)
+                n //= d
+            d += 1
+        return found | ({n} if n > 1 else set())
+
+    for n in range(1, 5000):
+        assert prime_factors(n) == trial(n), n
+    # products of primes beyond trial division: squares, and two 36-bit primes
+    assert prime_factors(2 * 3 * 10427867 * 575841589) == {2, 3, 10427867, 575841589}
+    assert prime_factors(43**2 * 47**3) == {43, 47}
+    assert prime_factors(2 * 68719489109 * 68720464409) == {2, 68719489109, 68720464409}
+
+
 def test_check_admissible_does_not_loop_over_the_units():
-    # phi(3^40) is about 8 10^18, so one pass over the units would not end
+    # phi(3^40) is about 8 10^18, so one pass over the units would not end;
+    # nor would a loop over the order of q mod p = 36028797018963979, where
+    # p - 1 = 2 3 10427867 575841589 factors in milliseconds
     t0 = time.perf_counter()
     assert check_admissible(5, 3, 40) is True
     assert check_admissible(17, 3, 40) is False  # 17^2 = 1 mod 9
     assert check_admissible(7, 3, 40) is False  # 7 = 1 mod 3
+    assert check_admissible(3, 36028797018963979, 1) is True
+    assert check_admissible(3, 36028797018963979, 2) is True
+    assert check_admissible(7, 2305843009213693951, 1) is False  # a non-residue of order < p - 1
     assert time.perf_counter() - t0 < 1
 
 
@@ -154,8 +200,8 @@ def test_product_bound_is_the_capped_product():
 
 
 def test_require_admissible_refuses_an_oversize_triple_before_the_order_loop():
-    # 7 is a non-residue mod 2^61 - 1, so only the 2^61-step order loop
-    # could tell whether (7, 2^61 - 1, 1) is admissible
+    # 7 is a non-residue mod 2^61 - 1, so it passes every quick test; the
+    # int64 gate refuses (7, 2^61 - 1, 1) before p - 1 is factored
     big = 2305843009213693951
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="2\\^63") as exc:

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from dihedral_codes import (
     DihedralGroup,
+    LinearCode,
     PrimeField,
     central_idempotents,
     left_ideal_code,
     matrix_units,
-    subgroup_pair_code,
 )
 from dihedral_codes import _kernels
 from dihedral_codes._kernels import weight_histogram
+from dihedral_codes.closed_forms import ChainSubgroup, canonical_rows
 
 
 def brute_histogram(G, q):
@@ -93,9 +94,11 @@ def _e11_code(q, p, m, j):
 
 
 def _pair_code(q, p, m):
+    # the matrix `construct --gen pair --sub-h hstar2 --sub-k hstar0` writes,
+    # which the pair suite scans for the orders (6, 54)
     group = DihedralGroup(p, m)
-    code, _ = subgroup_pair_code(PrimeField(q), group.subgroup_Hstar(2), group.subgroup_Hstar(0))
-    return code
+    H, K = ChainSubgroup(group, True, 2), ChainSubgroup(group, True, 0)
+    return LinearCode(np.array(canonical_rows(H, K, q), dtype=np.int64), q)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ import pytest
 from dihedral_codes import (
     AlgebraElem,
     DihedralGroup,
-    LinearCode,
     PrimeField,
     codes,
     idempotents,
@@ -159,8 +158,8 @@ def test_every_pair_weight_matches_a_scan_of_its_own_code(q, p, m, budget):
     # own code instead, and compare the scan with the lemma's enumerator
     group = DihedralGroup(p, m)
     checked = 0
-    for H, K, code, w in verify._pair_weights(PrimeField(q), group, budget):
-        hist = codes.weights(code.generator_matrix, q, budget)
+    for H, K, basis, w in verify._pair_weights(PrimeField(q), group, budget):
+        hist = codes.weights(basis, q, budget)
         assert w == (None if hist is None else int(np.flatnonzero(hist)[1]))
         if hist is not None:
             expect = _pair_enumerator(q, len(H), len(K) // len(H), group.order // len(K))
@@ -189,14 +188,19 @@ def test_suite_scans_once_per_conjugacy_class(monkeypatch, q, p, m, budget, scan
 def test_wrong_representative_weight_fails_at_the_same_pair(capsys, monkeypatch):
     # among the pairs within 5^8, only the three (18, 54) pairs give
     # [54, 2] codes; a scan of every pair meets the first of them first and
-    # reports it with this line
-    min_weight = LinearCode.min_weight
+    # reports it with this line.  The scan is made to move every nonzero
+    # weight of a [54, 2] code up by one.
+    scan = verify.weights
 
-    def wrong(self, budget=codes.DEFAULT_BUDGET):
-        w = min_weight(self, budget)
-        return w + 1 if self.k == 2 else w
+    def wrong(G, q, budget):
+        hist = scan(G, q, budget)
+        if len(G) != 2:
+            return hist
+        shifted = np.zeros_like(hist)
+        shifted[0], shifted[2:] = hist[0], hist[1:-1]
+        return shifted
 
-    monkeypatch.setattr(LinearCode, "min_weight", wrong)
+    monkeypatch.setattr(verify, "weights", wrong)
     assert _verify(capsys, 5, 3, 3, ["subgroup-pairs"], "--budget", "390625") == (
         1,
         "FAIL subgroup-pairs: min weight 37 != 2|H| = 36 for |H|=18, |K|=54\n",
