@@ -24,9 +24,10 @@ O(k n) integer steps, and adds only `closed_forms`, `gm` and `groups`, no
 numpy.  `construct --gen f|custom` and `compare` add numpy and the algebra
 stack (`groups`, `algebra`, `modmat`, `_kernels`, `codes`, `gm`,
 `idempotents`), not `closed_forms`; `verify` adds that stack, `verify`
-and, for its central and pair checks, `closed_forms`.  Every handler imports what it needs after its dispatch, so
-importing this module costs no more than a survey needs.  `check_names`
-gives `verify --check` its choices without importing `verify`.
+and, for its central and pair checks, `closed_forms`.  Every handler
+imports what it needs after its dispatch, so importing this module costs
+no more than a survey needs.  `check_names` gives `verify --check` its
+choices without importing `verify`.
 
 Exit codes: 0 success, 1 a `verify` check failed, 3 enumeration budget
 exceeded (`construct --gen f|custom` only).  `main` alone maps the rest,
@@ -40,8 +41,9 @@ matrix, a survey, or the n x n group tables of `construct --gen f|custom`,
 exact int64 arithmetic, refused by the same gate before p - 1 is
 factored for the primitive-root test, so at once even for a huge p or m;
 `verify` reports the checks that would overflow as FAIL instead), OSError
-on read or write -> 4, MalformedTable (reference table) -> 5.  Argument parsing exits 2 on
-what it rejects, such as a negative `--budget` or a `survey --budget`.
+on read or write -> 4, MalformedTable (reference table) -> 5.  Argument
+parsing exits 2 on what it rejects, such as a negative `--budget` or a
+`survey --budget`.
 `construct` and `survey` test that `--out` opens for writing before they
 compute, so an unwritable path exits 4 at once; a run that fails creates
 or truncates no file.  Identical inputs give byte-identical files.

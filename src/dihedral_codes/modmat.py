@@ -9,9 +9,10 @@ and a row lies in a code when appending it to that matrix keeps the rank.
 An elimination step touches only the rows with a nonzero entry in the pivot
 column, and only from that column on; `rref` says why the rest is final.
 It skips the columns that are zero below the last pivot, and stops once
-those rows are all zero.  A matrix proven reduced elsewhere (a closed-form
-RREF, or a code's stored matrix) never comes here: `LinearCode._from_rref`
-stores it as it is.
+those rows are all zero.  A matrix proven reduced elsewhere never comes
+here: `LinearCode._from_rref` stores a code's stored matrix as it is for
+`gamma_image_code`, and `closed_forms` writes and proves its RREFs without
+numpy.
 
 Exactness: elimination only ever forms one product of two residues below q
 and subtracts it from a residue, so every intermediate is at most (q-1)^2 in

@@ -357,9 +357,9 @@ def check_component_field(ctx: VerifyContext) -> str:
 
 def _pair_weights(field, group, budget):
     """Yield (H, K, basis, weight) for every nested pair H < K of subgroups
-    of the dihedral `group` whose orders are invertible in the field, in
-    scan order, once its basis is proven and its dimension checked; the
-    weight is None beyond the budget.
+    whose orders are invertible in the field, in scan order, once its
+    basis is proven and its dimension checked; the weight is None beyond
+    the budget.
 
     By the lemma in `closed_forms`, the weight distribution of a pair code
     depends on |H| and |K| alone.  So each (|H|, |K|) is scanned once, on
@@ -397,8 +397,7 @@ def _pair_weights(field, group, budget):
 
 def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
     """Dimension, basis, and (within budget) weight checks over every nested
-    pair of subgroups of the dihedral `group` whose orders are invertible
-    in the field.
+    pair of subgroups whose orders are invertible in the field.
 
     Returns (pairs checked, weights checked).  Not gated on admissibility;
     the construction itself only needs invertible subgroup orders.

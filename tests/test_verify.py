@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dihedral_codes import (
+    AbelianGroup,
     AlgebraElem,
     DihedralGroup,
     PrimeField,
@@ -183,6 +184,14 @@ def test_suite_scans_once_per_conjugacy_class(monkeypatch, q, p, m, budget, scan
     weights = {5: 27, 11: 18, 3: 13, 13: 11}[q]
     assert verify.subgroup_pair_suite(PrimeField(q), DihedralGroup(p, m), budget)[1] == weights
     assert len(calls) == scans
+
+
+def test_suite_runs_on_the_abelian_group_too():
+    # H_j and H*_j = <t> H_j are subgroups of C_{p^m} x C_2 as well, so the
+    # scanned chain pairs exist there; the counts are those of a scan of
+    # the first pair of each (|H|, |K|)
+    for (q, p, m), counts in {(11, 3, 2): (12, 6), (5, 3, 2): (12, 8), (2, 5, 2): (3, 1)}.items():
+        assert verify.subgroup_pair_suite(PrimeField(q), AbelianGroup(p, m)) == counts
 
 
 def test_wrong_representative_weight_fails_at_the_same_pair(capsys, monkeypatch):
