@@ -23,7 +23,7 @@ _SOURCES = {
               "left_ideal_code", "subgroup_pair_code"),
     "ff": ("DEFAULT_BUDGET", "InadmissibleParameters", "PrimeField", "check_admissible",
            "is_prime", "multiplicative_order", "phi_prime_power"),
-    "groups": ("AbelianGroup", "DihedralGroup", "GroupElem", "gamma"),
+    "groups": ("AbelianGroup", "DihedralGroup", "GroupElem", "Subgroup", "gamma"),
     "idempotents": ("AbelianCatalog", "CentralCatalog", "MatrixUnits",
                     "NonCentralGenerators", "abelian_catalog", "central_idempotents",
                     "matrix_units", "noncentral_generator"),

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._kernels import CELLS
 from .ff import PrimeField, require_int64_products
-from .groups import GroupElem
+from .groups import GroupElem, Subgroup
 
 
 def chunk_rows(group, support: int | None = None) -> int:
@@ -200,30 +200,16 @@ def left_translate(g: GroupElem, x: AlgebraElem) -> AlgebraElem:
     return AlgebraElem(x.group, x.field, x.coeffs[x.group.translate_table[g.index]])
 
 
-def hat(field: PrimeField, subgroup: list[GroupElem]) -> AlgebraElem:
+def hat(field: PrimeField, subgroup: Subgroup) -> AlgebraElem:
     """The normalized subgroup average (1/|H|) sum_{h in H} h.
 
     Requires |H| invertible in the field; the result is idempotent.
     """
-    if not subgroup:
-        raise ValueError("empty subgroup")
-    group = subgroup[0].group
-    indices = {g.index for g in subgroup}
-    if len(indices) != len(subgroup):
-        raise ValueError("repeated elements in subgroup")
-    if 0 not in indices:
-        raise ValueError("subgroup must contain the identity")
-    # list.count compares by identity first, so one shared group costs no __eq__
-    if [g.group for g in subgroup].count(group) != len(subgroup):
-        raise ValueError("group mismatch inside subgroup")
-    idx = np.array(sorted(indices))
-    member = np.zeros(group.order, dtype=bool)
-    member[idx] = True
-    if not member[group.mult_table[np.ix_(idx, idx)]].all():
-        raise ValueError("set is not closed under multiplication")
-    if len(subgroup) % field.q == 0:
-        raise ValueError(f"|H| = {len(subgroup)} is not invertible in F_{field.q}")
-    return AlgebraElem(group, field, member * field.inv(len(subgroup)))
+    if subgroup.order % field.q == 0:
+        raise ValueError(f"|H| = {subgroup.order} is not invertible in F_{field.q}")
+    c = np.zeros(subgroup.group.order, dtype=np.int64)
+    c[subgroup.indices()] = field.inv(subgroup.order)
+    return AlgebraElem(subgroup.group, field, c)
 
 
 def is_idempotent(x: AlgebraElem) -> bool:

@@ -19,12 +19,13 @@ pulls in, as the package's records are named tuples or `__slots__`
 classes.  `survey` takes every field from the closed forms of the
 `survey` module and runs on these alone, writing each table line as it
 makes the row.  `construct --gen e11|e22|ej|pair` writes the canonical
-RREF of its code from the coset labels of `closed_forms`, proven there in
-O(k n) integer steps, and adds only `closed_forms`, `gm` and `groups`, no
-numpy.  `construct --gen f|custom` and `compare` add numpy and the algebra
-stack (`groups`, `algebra`, `modmat`, `_kernels`, `codes`, `gm`,
-`idempotents`), not `closed_forms`; `verify` adds that stack, `verify`
-and, for its central and pair checks, `closed_forms`.  Every handler
+RREF of its code in `closed_forms`, from the coset labels
+`groups.Subgroup.roots`, proven there in O(k n) integer steps, and adds
+only `closed_forms`, `gm` and `groups`, no numpy.  `construct --gen
+f|custom` and `compare` add numpy and the algebra stack (`groups`,
+`algebra`, `modmat`, `_kernels`, `codes`, `gm`, `idempotents`), not
+`closed_forms`; `verify` adds that stack, `verify` and, for its central
+and pair checks, `closed_forms`.  Every handler
 imports what it needs after its dispatch, so importing this module costs
 no more than a survey needs.  `check_names` gives `verify --check` its
 choices without importing `verify`.
@@ -58,7 +59,9 @@ import sys
 from .check_names import CHECK_NAMES
 from .ff import (
     DEFAULT_BUDGET,
+    WRITE_LIMIT,
     PrimeField,
+    capped_product,
     phi_prime_power,
     require_admissible,
     require_write_size,
@@ -119,9 +122,14 @@ def _check_writable(path) -> None:
 
 
 def _require_table_size(p: int, m: int) -> None:
-    """Refuse n x n tables (the group law, L(x)) beyond `ff.WRITE_LIMIT`."""
-    n = 2 * p**m
-    require_write_size(n * n, f"the {n} x {n} group table")
+    """Refuse n x n tables (the group law, L(x)) beyond `ff.WRITE_LIMIT`.
+    n^2 = 4 p^(2m) is decided capped, so a huge m is refused at once; beyond
+    m = 64 the error writes the sizes as formulas, as
+    `ff.require_int64_products` does."""
+    n = 2 * p**m if m <= 64 else f"(2 * {p}^{m})"
+    shown = n * n if m <= 64 else f"4 * {p}^{2 * m}"
+    cells = capped_product(4, p, 2 * m, WRITE_LIMIT + 1)
+    require_write_size(cells, f"the {n} x {n} group table", shown)
 
 
 def cmd_construct(args) -> int:

@@ -2,11 +2,12 @@
 numpy, and the lemma that settles the subgroup-pair codes.
 
 `construct --gen e11|e22|ej|pair` writes its code from here: the canonical
-RREF of the code comes from the coset labels of two nested chain
-subgroups, is proven at run time in O(k n) integer steps, and is written
-through `gm`, the formatter `LinearCode.to_text` shares.  The chain
-subgroups are H_j = <a^(p^j)> (spec `h<j>`) and H*_j = <b> H_j (spec
-`hstar<j>`), j = 0..m, in D of order n = 2N, N = p^m.
+RREF of the code comes from the coset labels (`Subgroup.roots`) of two
+nested chain subgroups, is proven at run time in O(k n) integer steps, and
+is written through `gm`, the formatter `LinearCode.to_text` shares.  The
+chain subgroups are H_j = <a^(p^j)> = Subgroup(D, j) (spec `h<j>`) and
+H*_j = <b> H_j = Subgroup(D, j, 0) (spec `hstar<j>`), j = 0..m, in D of
+order n = 2N, N = p^m.
 
 The lemma.  Let A = F_q G, H < K nested subgroups of G with |H|
 invertible in F_q (for G = D: q is not 2 or p), e = H^ - K^, and V(H, K)
@@ -36,7 +37,9 @@ each left coset gK.
       is (G:K) copies of that code, each coordinate repeated |H| times:
           [((1 + (q-1) z^|H|)^s + (q-1)(1 - z^|H|)^s) / q]^(G:K).
 
-The least element of a^i b^e H_j is a^(i mod p^j) b^e, of index
+`Subgroup.roots` finds each label, the least element of its coset, by
+walking the group law.  For the chain subgroups it has a closed form: the
+least element of a^i b^e H_j is a^(i mod p^j) b^e, of index
 (i mod p^j) + eN, and that of a^i b^e H*_j is a^(i mod p^j).  Then
 
   code(e_j) = V(H_j, H_(j-1)), as e_j = H_j^ - H_(j-1)^;
@@ -54,62 +57,37 @@ of the cyclic component, one per c < phi(p^j),
 1[i = c mod p^j] - 1[i = (c mod p^(j-1)) + (p - 1) p^(j-1) mod p^j], these
 read [r | r] for e11, [r | -r] for e22 and [[r | 0], [0 | r]] for e_j.
 
-Proof at run time (`canonical_rows`), through the group law, not through
-the labels that built the rows: the rows are in RREF (each leads with a 1,
-pivots increase, and the pivot columns form the identity); each row, after
-sigma for e22, is constant on the orbits of right multiplication by the
-generators of H, which are the cosets gH, and sums to 0 on the orbits of
-those of K; and k = (G:H) - (G:K), counting orbits.  Independent rows of
-V(H, K) as many as its dimension span it, and a space has one RREF, so the
-rows are that of the code: byte for byte what `left_ideal_code` eliminates.
+Proof at run time (`canonical_rows`), on the roots of H and K: the rows
+are in RREF (each leads with a 1, pivots increase, and the pivot columns
+form the identity); each row, after sigma for e22, is constant on the
+cosets gH and sums to 0 on the cosets gK; and k = (G:H) - (G:K), counting
+roots.  Independent rows of V(H, K) as many as its dimension span it, and
+a space has one RREF, so the rows are that of the code: byte for byte
+what `left_ideal_code` eliminates.  The rows are written from the same
+roots, so the proof checks the writing, not the roots; those come from
+the group law, and `codes.subgroup_pair_code` proves that each subgroup's
+elements are the orbit of 1.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 
-from .groups import DihedralGroup, GroupElem
+from .groups import DihedralGroup, Subgroup
 
 _SUBGROUP_SPEC = re.compile(r"^(h|hstar)(\d+)$")
 
-# the generator whose code is settled -> (star, twist) of its subgroup pair
-_CENTRAL = {"ej": (False, False), "e11": (True, False), "e22": (True, True)}
+# the generator whose code is settled -> (c of its subgroups, twist):
+# c = 0 joins b to the chain, as in H*_j = Subgroup(group, j, 0)
+_CENTRAL = {"ej": (None, False), "e11": (0, False), "e22": (0, True)}
 
 
-class ChainSubgroup(namedtuple("ChainSubgroup", "group star j")):
-    """H*_j = <b> H_j when `star`, else H_j = <a^(p^j)>, in `group`."""
-
-    __slots__ = ()
-
-    @property
-    def order(self) -> int:
-        return (2 if self.star else 1) * self.group.p ** (self.group.m - self.j)
-
-    def generators(self) -> list[GroupElem]:
-        rotation = [self.group.element(self.group.p**self.j)]
-        return rotation + [self.group.b] if self.star else rotation
-
-    def within(self, other: "ChainSubgroup") -> bool:
-        """H <= K: H_j <= H_i and H_j <= H*_i iff i <= j, and H*_j lies in
-        no H_i."""
-        return other.j <= self.j and other.star >= self.star
-
-    def label(self, index: int) -> int:
-        """The least index of the left coset g H, g of this `index`."""
-        c = index % self.group.p**self.j
-        return c if self.star else c + index // self.group.rot_order * self.group.rot_order
-
-
-def parse_subgroup(group: DihedralGroup, spec: str) -> ChainSubgroup:
+def parse_subgroup(group: DihedralGroup, spec: str) -> Subgroup:
     """The chain subgroup of a `--sub-h`/`--sub-k` spec h<j> or hstar<j>."""
     mt = _SUBGROUP_SPEC.match(spec)
     if not mt:
         raise ValueError(f"bad subgroup spec {spec!r}; use h<j> or hstar<j>")
-    j = int(mt.group(2))
-    if not 0 <= j <= group.m:
-        raise ValueError(f"subgroup index {j} out of range 0..{group.m}")
-    return ChainSubgroup(group, mt.group(1) == "hstar", j)
+    return Subgroup(group, int(mt.group(2)), 0 if mt.group(1) == "hstar" else None)
 
 
 def central_pair(group: DihedralGroup, gen: str, j: int):
@@ -117,8 +95,8 @@ def central_pair(group: DihedralGroup, gen: str, j: int):
     the code is V(H, K), after sigma when `twist` (see the module)."""
     if not 1 <= j <= group.m:  # the message of `CentralCatalog.component`
         raise ValueError(f"component index {j} out of range 1..{group.m}")
-    star, twist = _CENTRAL[gen]
-    return ChainSubgroup(group, star, j), ChainSubgroup(group, star, j - 1), twist
+    c, twist = _CENTRAL[gen]
+    return Subgroup(group, j, c), Subgroup(group, j - 1, c), twist
 
 
 def _sign(group: DihedralGroup, rows: list[list[int]], q: int) -> list[list[int]]:
@@ -127,22 +105,22 @@ def _sign(group: DihedralGroup, rows: list[list[int]], q: int) -> list[list[int]
     return [row[:N] + [-v % q for v in row[N:]] for row in rows]
 
 
-def _label_rows(H: ChainSubgroup, K: ChainSubgroup, q: int) -> list[list[int]]:
+def _label_rows(H: Subgroup, K: Subgroup, q: int) -> list[list[int]]:
     """The RREF of V(H, K) read off the coset labels: a row 1_C - 1_C' for
     each H-coset C but the last C' of its K-coset, in pivot order."""
-    n = H.group.order
+    h_root, k_root = H.roots(), K.roots()
     members: dict[int, list[int]] = {}  # H-coset label -> its elements
-    for g in range(n):
-        members.setdefault(H.label(g), []).append(g)
+    for g, c in enumerate(h_root):
+        members.setdefault(c, []).append(g)
     last: dict[int, int] = {}  # K-coset label -> its greatest H-coset label
     for c in members:
-        last[K.label(c)] = max(last.get(K.label(c), c), c)
+        last[k_root[c]] = max(last.get(k_root[c], c), c)
     rows = []
     for c in sorted(members):
-        c_last = last[K.label(c)]
+        c_last = last[k_root[c]]
         if c == c_last:
             continue
-        row = [0] * n
+        row = [0] * len(h_root)
         for g in members[c]:
             row[g] = 1
         for g in members[c_last]:
@@ -151,33 +129,7 @@ def _label_rows(H: ChainSubgroup, K: ChainSubgroup, q: int) -> list[list[int]]:
     return rows
 
 
-def _orbit_roots(group: DihedralGroup, gens: list[GroupElem]) -> list[int]:
-    """For each element g, the least element of its orbit under right
-    multiplication by `gens`: the left coset g<gens>, found through the
-    group law alone."""
-    n, N = group.order, group.rot_order
-    steps = []
-    for s in gens:
-        step = []
-        for g in range(n):
-            i, e = group._compose(g % N, g // N, s.i, s.j)
-            step.append(i % N + e % 2 * N)
-        steps.append(step)
-    root = [-1] * n
-    for g in range(n):  # g is the least element of a coset not yet seen
-        if root[g] >= 0:
-            continue
-        root[g], todo = g, [g]
-        while todo:
-            x = todo.pop()
-            for step in steps:
-                if root[step[x]] < 0:
-                    root[step[x]] = g
-                    todo.append(step[x])
-    return root
-
-
-def _prove(rows: list[list[int]], H: ChainSubgroup, K: ChainSubgroup, q: int, twist: bool):
+def _prove(rows: list[list[int]], H: Subgroup, K: Subgroup, q: int, twist: bool):
     """Raise RuntimeError unless `rows` is the RREF of V(H, K), after sigma
     when `twist`; the proof is in the module docstring."""
     group = H.group
@@ -190,7 +142,7 @@ def _prove(rows: list[list[int]], H: ChainSubgroup, K: ChainSubgroup, q: int, tw
     for c in pivots:  # its own row holds 1 there, every other row 0
         if sum(bool(row[c]) for row in rows) != 1:
             raise RuntimeError("closed-form pivot columns are not the identity")
-    h_root, k_root = _orbit_roots(group, H.generators()), _orbit_roots(group, K.generators())
+    h_root, k_root = H.roots(), K.roots()
     index = sum(g == x for g, x in enumerate(h_root)) - sum(g == x for g, x in enumerate(k_root))
     if len(rows) != index:
         raise RuntimeError(f"closed form has {len(rows)} rows, but (G:H) - (G:K) = {index}")
@@ -202,7 +154,7 @@ def _prove(rows: list[list[int]], H: ChainSubgroup, K: ChainSubgroup, q: int, tw
             raise RuntimeError("closed-form row does not lie in V(H, K)")
 
 
-def canonical_rows(H: ChainSubgroup, K: ChainSubgroup, q: int, twist: bool = False):
+def canonical_rows(H: Subgroup, K: Subgroup, q: int, twist: bool = False):
     """The canonical RREF of V(H, K), or of sigma V(H, K) when `twist`, as
     lists of residues mod q, written from the coset labels and proven
     (see the module)."""
@@ -211,4 +163,3 @@ def canonical_rows(H: ChainSubgroup, K: ChainSubgroup, q: int, twist: bool = Fal
         rows = _sign(H.group, rows, q)
     _prove(rows, H, K, q, twist)
     return rows
-

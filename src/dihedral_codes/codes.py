@@ -18,7 +18,7 @@ from ._kernels import weight_histogram
 from .algebra import AlgebraElem, hat
 from .ff import DEFAULT_BUDGET, PrimeField
 from .gm import format_generator_matrix, write_generator_matrix
-from .groups import AbelianGroup, DihedralGroup, GroupElem
+from .groups import AbelianGroup, DihedralGroup, Subgroup
 
 _scans: ContextVar[dict | None] = ContextVar("scans", default=None)
 
@@ -200,9 +200,7 @@ def left_ideal_code(x: AlgebraElem) -> LinearCode:
     return LinearCode(x.translates(), x.field.q, group=x.group)
 
 
-def subgroup_pair_code(
-    field: PrimeField, H: list[GroupElem], K: list[GroupElem], averages=None
-) -> np.ndarray:
+def subgroup_pair_code(field: PrimeField, H: Subgroup, K: Subgroup) -> np.ndarray:
     """The predicted basis B = {r (1 - t) H^} of the left ideal A(H^ - K^) of
     A = F_q G, for nested subgroups H <= K with |H| invertible in F_q: r
     runs over the coset representatives of K in G and t != 1 over those of
@@ -211,8 +209,12 @@ def subgroup_pair_code(
     `closed_forms`, whose RREF `closed_forms.canonical_rows` writes for the
     chain subgroups.
 
-    B is proven to span A e = V(H, K), e = H^ - K^, exactly over F_q, by
-    the identities of that lemma checked on these H and K:
+    The cosets are those of `Subgroup.roots`, proven first: the elements
+    with root 1 (the orbit of 1 under right multiplication by the
+    generators, so the subgroup they generate) are exactly `indices()`,
+    so the roots label the left cosets of that subgroup.  B is then proven
+    to span A e = V(H, K), e = H^ - K^, exactly over F_q, by the
+    identities of the lemma checked on these H and K:
       (a) B is independent, as B on the columns of the cosets rtH is a
           nonzero diagonal, and |B| = (G:H) - (G:K) = dim V;
       (b) B and e lie in V: constant on each H-coset, zero sum over each
@@ -221,53 +223,42 @@ def subgroup_pair_code(
     By (a) and (b), span B = V.  V is a left ideal holding e, so A e lies
     in V, and by (c) B lies in A e.  Hence span B = A e = V.  Only 2k rows
     of L(e) are gathered.
-
-    `averages`, when given, is (hat(field, H), hat(field, K)), already
-    built and closure-checked by the caller, which a suite over many pairs
-    does once per subgroup rather than once per pair.
     """
-    if not H or not K:
-        raise ValueError("empty subgroup")
-    group = H[0].group
-    # list.count compares by identity first, so one shared group costs no __eq__
-    if [g.group for g in H + K].count(group) != len(H) + len(K):
-        raise ValueError("subgroups must live in one group")
-    h_idx = frozenset(g.index for g in H)
-    k_idx = frozenset(g.index for g in K)
-    if not h_idx <= k_idx:
+    if not H.within(K):
         raise ValueError("H is not contained in K")
-
-    hat_H = hat(field, H) if averages is None else averages[0]
-    if h_idx == k_idx:
+    group = H.group
+    h_root, k_root = np.array(H.roots()), np.array(K.roots())
+    for S, root in ((H, h_root), (K, k_root)):
+        if np.flatnonzero(root == 0).tolist() != S.indices():
+            raise RuntimeError(f"the elements of {S} are not the orbit of 1 under its generators")
+    hat_H = hat(field, H)
+    if H == K:
         B = np.zeros((0, group.order), dtype=np.int64)
         B.setflags(write=False)
         return B
-    e = hat_H - (hat(field, K) if averages is None else averages[1])
+    e = hat_H - hat(field, K)
     q, n = field.q, group.order
     ids = np.arange(n)
-    # label each g by the least element of gH (of gK); a label names a coset
-    h_lab = group.mult_table[:, sorted(h_idx)].min(axis=1)
-    k_lab = group.mult_table[:, sorted(k_idx)].min(axis=1)
-    h_cosets = np.flatnonzero(h_lab == ids)
-    k_cosets = np.flatnonzero(k_lab == ids)
+    h_cosets = np.flatnonzero(h_root == ids)
+    k_cosets = np.flatnonzero(k_root == ids)
 
     # row (r, t) = r H^ - r t H^ read as x[T[g]]; r runs over the K-coset
     # labels and t over the H-coset labels inside K
     T = group.translate_table
-    tau = h_cosets[k_lab[h_cosets] == 0]
+    tau = h_cosets[k_root[h_cosets] == 0]
     r = np.repeat(k_cosets, len(tau) - 1)
     rt = group.mult_table[np.ix_(k_cosets, tau[1:])].ravel()
     B = (hat_H.coeffs[T[r]] - hat_H.coeffs[T[rt]]) % q
 
-    if not np.array_equal(B[:, h_lab[rt]] != 0, np.eye(len(B), dtype=bool)):
+    if not np.array_equal(B[:, h_root[rt]] != 0, np.eye(len(B), dtype=bool)):
         raise RuntimeError("predicted basis is not linearly independent")
     c = e.coeffs
-    # V: constant on each H-coset (x = x[h_lab]), zero sum over each K-coset
+    # V: constant on each H-coset (x = x[h_root]), zero sum over each K-coset
     in_V = np.vstack((B, c))
-    by_k_coset = in_V[:, np.argsort(k_lab, kind="stable")].reshape(len(in_V), len(k_cosets), -1)
+    by_k_coset = in_V[:, np.argsort(k_root, kind="stable")].reshape(len(in_V), len(k_cosets), -1)
     if not (
         len(B) == len(h_cosets) - len(k_cosets)
-        and np.array_equal(in_V, in_V[:, h_lab])
+        and np.array_equal(in_V, in_V[:, h_root])
         and not (by_k_coset.sum(axis=2) % q).any()
         and np.array_equal((c[T[r]] - c[T[rt]]) % q, B)
     ):

@@ -172,17 +172,23 @@ def phi_prime_power(p: int, j: int) -> int:
 
 
 @cache  # every AlgebraElem asks, so one (q, p, m) is worked out once
-def product_bound(q: int, p: int, m: int) -> int:
-    """min(2 p^m (q-1)^2, 2^63).  An entry of a product in F_q G with
-    |G| = 2 p^m, summed before it is reduced mod q, is at most
-    2 p^m (q-1)^2.  The product is capped once it reaches 2^63, so a huge
-    m costs at most 63 multiplications and p^m is never formed."""
-    bound = 2 * (q - 1) ** 2
-    for _ in range(m):
-        if bound >= INT64_LIMIT:
+def capped_product(c: int, p: int, e: int, cap: int) -> int:
+    """min(c p^e, cap) for c >= 1.  The product stops growing once it
+    reaches cap, so a huge e costs at most log2(cap) multiplications and
+    p^e is never formed."""
+    bound = c
+    for _ in range(e):
+        if bound >= cap:
             break
         bound *= p
-    return min(bound, INT64_LIMIT)
+    return min(bound, cap)
+
+
+def product_bound(q: int, p: int, m: int) -> int:
+    """min(2 p^m (q-1)^2, 2^63), capped (`capped_product`).  An entry of a
+    product in F_q G with |G| = 2 p^m, summed before it is reduced mod q,
+    is at most 2 p^m (q-1)^2."""
+    return capped_product(2 * (q - 1) ** 2, p, m, INT64_LIMIT)
 
 
 def require_int64_products(q: int, p: int, m: int) -> None:
@@ -195,11 +201,13 @@ def require_int64_products(q: int, p: int, m: int) -> None:
         raise ValueError(f"|G| (q-1)^2 = {size} reaches 2^63; int64 products would overflow")
 
 
-def require_write_size(residues: int, what: str) -> None:
+def require_write_size(residues: int, what: str, shown: int | str | None = None) -> None:
     """Raise ValueError when `what`, a text of `residues` residues, would
-    exceed WRITE_LIMIT."""
+    exceed WRITE_LIMIT.  The error writes `shown` as the count when given:
+    the exact count where `residues` is capped, or a formula for it."""
     if residues > WRITE_LIMIT:
-        raise ValueError(f"{what} holds {residues} residues, beyond the write limit {WRITE_LIMIT}")
+        shown = residues if shown is None else shown
+        raise ValueError(f"{what} holds {shown} residues, beyond the write limit {WRITE_LIMIT}")
 
 
 def _passes_quick_tests(q: int, p: int, m: int) -> bool:

@@ -1,5 +1,6 @@
 """Dihedral groups of order 2 p^m, their abelian counterparts C_{p^m} x C_2,
-subgroup chains, and the index-preserving bijection between the two.
+their subgroups with the labels of their cosets, and the index-preserving
+bijection between the two.
 
 Every element is a^i b^j (written a^i t^j in the abelian group) and carries
 the canonical index i + j p^m.  That index order is THE coordinate order for
@@ -7,12 +8,13 @@ all coefficient vectors, generator matrices, and file exports, so the
 bijection between the two groups is the identity permutation on coordinates.
 
 numpy loads only in the array tables (`inverse_indices`, `mult_table`,
-`translate_table`), so the elements, the group law and the subgroups serve
-the numpy-free commands too.
+`translate_table`), so the elements, the group law, the subgroups and their
+coset labels serve the numpy-free commands too.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 
 from .ff import is_prime
@@ -84,6 +86,8 @@ class _Group:
         self.m = m
         self.rot_order = p ** m
         self.order = 2 * p ** m
+        # (j, c) -> `Subgroup.roots`, kept per instance as the tables are
+        self._coset_roots: dict = {}
 
     def __eq__(self, other):
         return type(other) is type(self) and (other.p, other.m) == (self.p, self.m)
@@ -177,42 +181,26 @@ class _Group:
         return table
 
     # -- subgroups ---------------------------------------------------------
-    def subgroup_H(self, j: int) -> list[GroupElem]:
-        """The chain subgroup <a^{p^j}> in canonical order.
+    def _is_reflection(self, c: int) -> bool:
+        """Whether a^c b squares to 1: for every c in D, only for c = 0 mod
+        p^m in C_{p^m} x C_2."""
+        return self._compose(c, 1, c, 1)[0] % self.rot_order == 0
 
-        j = 0 gives the full rotation subgroup, j = m the trivial one.
-        """
-        if not 0 <= j <= self.m:
-            raise ValueError(f"chain index {j} out of range 0..{self.m}")
-        step = self.p ** j
-        return [self.element(i, 0) for i in range(0, self.rot_order, step)]
-
-    def subgroup_Hstar(self, j: int) -> list[GroupElem]:
-        """<b> . H_j: the 2 p^{m-j} elements {h, b h} in canonical order."""
-        rot = self.subgroup_H(j)
-        return rot + [self.element(g.i, 1) for g in rot]
-
-    def all_subgroups(self) -> list[list[GroupElem]]:
-        """Every subgroup, as elements in canonical order, sorted by size and
-        then by index list.
+    def all_subgroups(self) -> list[Subgroup]:
+        """Every subgroup, sorted by size and then by index list.
 
         A subgroup meets the rotations in some <a^d> with d | p^m, and is
-        either <a^d> or <a^d> u a^i b <a^d> with 0 <= i < d and
-        (a^i b)^2 in <a^d> (K. Conrad, *Dihedral groups II*).  The square
-        condition holds for every i in D and only for i = 0 in
-        C_{p^m} x C_2.
+        either <a^d> or <a^d> u a^c b <a^d> with 0 <= c < d and
+        (a^c b)^2 in <a^d> (K. Conrad, *Dihedral groups II*).  The square
+        condition holds for every c in D and only for c = 0 in
+        C_{p^m} x C_2, where it says that a^c b is a reflection.
         """
-        pm = self.rot_order
         found = []
-        for e in range(self.m + 1):
-            d = self.p ** e
-            rot = list(range(0, pm, d))
-            found.append(rot)
-            for i in range(d):
-                if self._compose(i, 1, i, 1)[0] % d == 0:
-                    found.append(rot + [pm + i + r for r in rot])
-        found.sort(key=lambda s: (len(s), s))
-        return [[self.from_index(t) for t in s] for s in found]
+        for j in range(self.m + 1):
+            found.append(Subgroup(self, j))
+            found += [Subgroup(self, j, c) for c in range(self.p**j) if self._is_reflection(c)]
+        found.sort(key=lambda S: (S.order, S.indices()))
+        return found
 
 
 class DihedralGroup(_Group):
@@ -243,3 +231,67 @@ def gamma(g: GroupElem, target: AbelianGroup) -> GroupElem:
     if (g.group.p, g.group.m) != (target.p, target.m):
         raise ValueError("parameter mismatch between dihedral source and abelian target")
     return target.element(g.i, g.j)
+
+
+class Subgroup(namedtuple("Subgroup", "group j c")):
+    """<a^(p^j)>, joined by the reflection a^c b unless c is None: in
+    `group`, H_j = Subgroup(group, j) and H*_j = <b> H_j = Subgroup(group,
+    j, 0).  Every subgroup of D and of C_{p^m} x C_2 is one of these, each
+    with one (j, c), 0 <= c < p^j (see `_Group.all_subgroups`)."""
+
+    __slots__ = ()
+
+    def __new__(cls, group: _Group, j: int, c: int | None = None):
+        if not 0 <= j <= group.m:
+            raise ValueError(f"subgroup index {j} out of range 0..{group.m}")
+        if c is not None:
+            if not 0 <= c < group.p**j:
+                raise ValueError(f"reflection index {c} out of range 0..{group.p**j - 1}")
+            if not group._is_reflection(c):
+                raise ValueError(f"a^{c}*{group.involution_name} is not a reflection of {group!r}")
+        return super().__new__(cls, group, j, c)
+
+    @property
+    def order(self) -> int:
+        return (1 if self.c is None else 2) * self.group.p ** (self.group.m - self.j)
+
+    def indices(self) -> list[int]:
+        """The canonical indices of the elements, ascending: a^r for r in
+        p^j Z, then a^(c + r) b = a^c b a^(-r)."""
+        N = self.group.rot_order
+        rotations = list(range(0, N, self.group.p**self.j))
+        return rotations if self.c is None else rotations + [N + self.c + r for r in rotations]
+
+    def generators(self) -> list[GroupElem]:
+        rotation = [self.group.element(self.group.p**self.j)]
+        return rotation if self.c is None else rotation + [self.group.element(self.c, 1)]
+
+    def within(self, other: "Subgroup") -> bool:
+        """Whether this subgroup lies in `other`: inclusion of index sets."""
+        return self.group == other.group and set(self.indices()) <= set(other.indices())
+
+    def roots(self) -> tuple[int, ...]:
+        """The coset label of every element g, by canonical index: the least
+        index in its left coset g S, through the group law alone.  The orbit
+        of 1 under right multiplication by `generators()` is walked once,
+        and g times it is the orbit of g.  Kept on the group instance, so a
+        group with another law (a new instance) walks its own."""
+        group, key = self.group, (self.j, self.c)
+        if key in group._coset_roots:
+            return group._coset_roots[key]
+        N, gens = group.rot_order, self.generators()
+        orbit, seen = [(0, 0)], {(0, 0)}  # (i, e) of a^i b^e; walked as it grows
+        for x in orbit:
+            for s in gens:
+                i, e = group._compose(*x, s.i, s.j)
+                if (i % N, e % 2) not in seen:
+                    seen.add((i % N, e % 2))
+                    orbit.append((i % N, e % 2))
+        root = [-1] * group.order
+        for g in range(group.order):  # the least element of a coset not yet seen
+            if root[g] < 0:
+                for h in orbit:
+                    i, e = group._compose(g % N, g // N, *h)
+                    root[i % N + e % 2 * N] = g
+        group._coset_roots[key] = tuple(root)
+        return group._coset_roots[key]

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import AlgebraElem, hat, is_central, is_idempotent
 from .codes import LinearCode, left_ideal_code
 from .ff import PrimeField, require_admissible
-from .groups import AbelianGroup, DihedralGroup
+from .groups import AbelianGroup, DihedralGroup, Subgroup
 
 
 class CentralCatalog(namedtuple("CentralCatalog", "group field e0 e11_0 e22_0 components")):
@@ -97,7 +97,7 @@ class AbelianCatalog:
 def chain_idempotents(field: PrimeField, group) -> list[AlgebraElem]:
     """hat(H_0), then hat(H_j) - hat(H_{j-1}) for j = 1..m: the central
     idempotents of the rotation chain, shared by both group families."""
-    hats = [hat(field, group.subgroup_H(j)) for j in range(group.m + 1)]
+    hats = [hat(field, Subgroup(group, j)) for j in range(group.m + 1)]
     return hats[:1] + [hats[j] - hats[j - 1] for j in range(1, group.m + 1)]
 
 

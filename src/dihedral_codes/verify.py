@@ -46,7 +46,7 @@ from .codes import (
     weights,
 )
 from .ff import PrimeField, phi_prime_power, require_admissible
-from .groups import AbelianGroup, DihedralGroup, gamma
+from .groups import AbelianGroup, DihedralGroup, Subgroup, gamma
 from .idempotents import abelian_catalog, central_idempotents, matrix_units, noncentral_generator
 from .survey import enumerate_abelian_codes
 
@@ -169,6 +169,17 @@ def check_group_axioms(ctx: VerifyContext) -> str:
             raise CheckFailure(f"inverse fails for {group.from_index(int(bad[0]))!r}")
         # no repeated entry in any row
         _require(np.diff(np.sort(table, axis=1), axis=1).all(), "multiplication not cancellative")
+        inverse = group.inverse_indices()
+        for S in group.all_subgroups():
+            idx = np.array(S.indices())
+            member = np.zeros(n, dtype=bool)
+            member[idx] = True
+            # per g in S: g^-1 in S, and g h in S for every h in S
+            inv_ok = member[inverse[idx]]
+            ok = inv_ok & member[table[np.ix_(idx, idx)]].all(axis=1)
+            if not ok.all():
+                _require(inv_ok[ok.argmin()], "subgroup not closed under inverse")
+                raise CheckFailure("subgroup not closed under product")
         results.append(mode)
     D = ctx.dihedral
     table, pm = D.mult_table, D.rot_order
@@ -179,18 +190,6 @@ def check_group_axioms(ctx: VerifyContext) -> str:
         np.array_equal(np.asarray(A.mult_table), np.asarray(A.mult_table).T),
         "abelian group is not commutative",
     )
-    inverse = D.inverse_indices()
-    for j in range(D.m + 1):
-        for S in (D.subgroup_H(j), D.subgroup_Hstar(j)):
-            idx = np.array([g.index for g in S])
-            member = np.zeros(D.order, dtype=bool)
-            member[idx] = True
-            # per g in S: g^-1 in S, and g h in S for every h in S
-            inv_ok = member[inverse[idx]]
-            ok = inv_ok & member[table[np.ix_(idx, idx)]].all(axis=1)
-            if not ok.all():
-                _require(inv_ok[ok.argmin()], "subgroup not closed under inverse")
-                raise CheckFailure("subgroup not closed under product")
     return f"group axioms hold (dihedral {results[0]}, abelian {results[1]})"
 
 
@@ -240,9 +239,9 @@ def check_hat_idempotents(ctx: VerifyContext) -> str:
     hats, sets = [], []
     for S in subs:
         h = hat(field, S)
-        _require(is_idempotent(h), f"hat of subgroup of order {len(S)} is not idempotent")
+        _require(is_idempotent(h), f"hat of subgroup of order {S.order} is not idempotent")
         hats.append(h.coeffs)
-        sets.append(frozenset(g.index for g in S))
+        sets.append(frozenset(S.indices()))
     hats = np.array(hats)
     nested = np.array([[si < sj for sj in sets] for si in sets])  # [i, j]: H_i < H_j
     for i in range(len(sets)):
@@ -366,30 +365,29 @@ def _pair_weights(field, group, budget):
     the matrix `construct --gen pair` writes: `closed_forms.canonical_rows`
     of the chain subgroups of those orders.
     """
-    from .closed_forms import ChainSubgroup, canonical_rows
+    from .closed_forms import canonical_rows
 
     q, n = field.q, group.order
-    chain = [ChainSubgroup(group, star, j) for star in (False, True) for j in range(group.m + 1)]
-    chain = {S.order: S for S in chain}  # one chain subgroup of each order
-    subs = [S for S in group.all_subgroups() if len(S) % q != 0]
-    index_sets = [frozenset(g.index for g in S) for S in subs]
-    hats = [hat(field, S) for S in subs]  # each average built and checked once
+    chain = [Subgroup(group, j, c) for c in (None, 0) for j in range(group.m + 1)]
+    chain = {S.order: S for S in chain}  # one chain subgroup H_j or H*_j of each order
+    subs = [S for S in group.all_subgroups() if S.order % q != 0]
+    index_sets = [frozenset(S.indices()) for S in subs]
     scanned = {}  # (|H|, |K|) -> weight of the chain pair, None beyond the budget
-    for H, h_idx, hat_H in zip(subs, index_sets, hats):
-        for K, k_idx, hat_K in zip(subs, index_sets, hats):
+    for H, h_idx in zip(subs, index_sets):
+        for K, k_idx in zip(subs, index_sets):
             if not h_idx < k_idx:
                 continue
-            basis = subgroup_pair_code(field, H, K, averages=(hat_H, hat_K))
-            k = n // len(H) - n // len(K)
+            basis = subgroup_pair_code(field, H, K)
+            k = n // H.order - n // K.order
             if len(basis) != k:
                 raise CheckFailure(
-                    f"dim {len(basis)} != (G:H)-(G:K) = {k} for |H|={len(H)}, |K|={len(K)}"
+                    f"dim {len(basis)} != (G:H)-(G:K) = {k} for |H|={H.order}, |K|={K.order}"
                 )
-            sizes = (len(H), len(K))
+            sizes = (H.order, K.order)
             if sizes not in scanned:
                 scanned[sizes] = None
                 if q**k <= budget:
-                    rows = canonical_rows(chain[len(H)], chain[len(K)], q)
+                    rows = canonical_rows(chain[H.order], chain[K.order], q)
                     dist = weights(np.array(rows, dtype=np.int64), q, budget)
                     scanned[sizes] = int(np.flatnonzero(dist)[1])
             yield H, K, basis, scanned[sizes]
@@ -412,9 +410,9 @@ def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
         pairs += 1
         if w is None:
             continue
-        if w != 2 * len(H):
+        if w != 2 * H.order:
             raise CheckFailure(
-                f"min weight {w} != 2|H| = {2 * len(H)} for |H|={len(H)}, |K|={len(K)}"
+                f"min weight {w} != 2|H| = {2 * H.order} for |H|={H.order}, |K|={K.order}"
             )
         weights += 1
     return pairs, weights

@@ -69,9 +69,9 @@ def test_criterion_3_subgroup_pair_suite(field11, d9):
 def test_criterion_3_d25_weight_value():
     f2 = PrimeField(2)
     d25 = DihedralGroup(5, 2)
-    from dihedral_codes import LinearCode, subgroup_pair_code
+    from dihedral_codes import LinearCode, Subgroup, subgroup_pair_code
 
-    basis = subgroup_pair_code(f2, d25.subgroup_H(1), d25.subgroup_H(0))
+    basis = subgroup_pair_code(f2, Subgroup(d25, 1), Subgroup(d25, 0))
     code = LinearCode(basis, 2, group=d25)
     assert (code.n, code.k) == (50, 8)
     assert code.min_weight() == 10 == 2 * 5

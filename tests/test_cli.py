@@ -18,6 +18,7 @@ from dihedral_codes import (
     left_ideal_code,
 )
 from dihedral_codes.cli import main
+from dihedral_codes.closed_forms import parse_subgroup
 from dihedral_codes.ff import WRITE_LIMIT
 from dihedral_codes.survey import enumerate_abelian_codes, format_survey_table
 
@@ -398,10 +399,7 @@ def _eliminated_text(q, p, m, gen):
     catalog's e11, e22 or e_j, or of H^ - K^ for a pair."""
     field, group = PrimeField(q), DihedralGroup(p, m)
     if gen[1] == "pair":
-        H, K = (
-            group.subgroup_Hstar(int(s[5:])) if s.startswith("hstar") else group.subgroup_H(int(s[1:]))
-            for s in (gen[3], gen[5])
-        )
+        H, K = (parse_subgroup(group, s) for s in (gen[3], gen[5]))
         x = hat(field, H) - hat(field, K)
     else:
         catalog, j = idempotents.central_idempotents(field, group), int(gen[3])
@@ -606,8 +604,16 @@ def test_a_survey_streams_its_rows(tmp_path, capsys):
     (["verify", "--q", "5", "--p", "3", "--m", "7"],
      f"error: the 4374 x 4374 group table holds {4374**2} residues, "
      "beyond the write limit 4194304\n"),
+    # verify takes no int64 gate, so only the table gate stops a huge m:
+    # decided on a capped product, and written as a formula beyond m = 64
+    *(
+        (["verify", "--q", "5", "--p", "3", "--m", str(m)],
+         f"error: the (2 * 3^{m}) x (2 * 3^{m}) group table holds 4 * 3^{2 * m} residues, "
+         "beyond the write limit 4194304\n")
+        for m in (1000, 10**4, 10**7)
+    ),
 ], ids=["e11-j12", "pair", "survey-m10", "survey-m30-dim", "f-m9", "custom-m7", "compare-m9",
-        "verify-m7"])
+        "verify-m7", "verify-m1000", "verify-m10000", "verify-m10000000"])
 def test_an_oversize_write_exits_2_at_once(tmp_path, capsys, argv, line):
     """WRITE_LIMIT refuses a matrix or table too large to write, or an
     n x n table too large to build, before anything is built, with one
@@ -651,7 +657,7 @@ HOMES = {
               "left_ideal_code", "subgroup_pair_code"],
     "ff": ["DEFAULT_BUDGET", "InadmissibleParameters", "PrimeField", "check_admissible",
            "is_prime", "multiplicative_order", "phi_prime_power"],
-    "groups": ["AbelianGroup", "DihedralGroup", "GroupElem", "gamma"],
+    "groups": ["AbelianGroup", "DihedralGroup", "GroupElem", "Subgroup", "gamma"],
     "idempotents": ["AbelianCatalog", "CentralCatalog", "MatrixUnits", "NonCentralGenerators",
                     "abelian_catalog", "central_idempotents", "matrix_units",
                     "noncentral_generator"],

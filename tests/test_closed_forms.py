@@ -1,8 +1,7 @@
 import pytest
 
-from dihedral_codes import DihedralGroup, LinearCode
+from dihedral_codes import DihedralGroup, LinearCode, Subgroup
 from dihedral_codes.closed_forms import (
-    ChainSubgroup,
     _label_rows,
     _prove,
     canonical_rows,
@@ -16,30 +15,36 @@ GROUPS = [(3, 1), (3, 2), (5, 2), (3, 3)]
 
 
 def _chain(group):
-    return [ChainSubgroup(group, star, j) for star in (False, True) for j in range(group.m + 1)]
+    return [Subgroup(group, j, c) for c in (None, 0) for j in range(group.m + 1)]
 
 
 @pytest.mark.parametrize("p, m", GROUPS)
 def test_chain_subgroups_match_the_group(p, m):
-    """Order, containment and coset labels agree with the element lists of
-    `subgroup_H`/`subgroup_Hstar` and the multiplication table."""
+    """Order, containment and coset labels of the chain subgroups agree
+    with the closed forms of the module docstring: H_j holds the a^i with
+    p^j | i, H*_j those and their a^i b, and the least element of
+    a^i b^e H_j is a^(i mod p^j) b^e, that of a^i b^e H*_j a^(i mod p^j)."""
     group = DihedralGroup(p, m)
-    table = group.mult_table
+    N = group.rot_order
     elements = {}
     for S in _chain(group):
-        listed = (group.subgroup_Hstar if S.star else group.subgroup_H)(S.j)
-        idx = [g.index for g in listed]
+        pj = p**S.j
+        idx = [g for g in range(group.order) if g % pj == 0 and (S.c == 0 or g < N)]
         elements[S] = set(idx)
+        assert S.indices() == idx
         assert S.order == len(idx)
-        assert [S.label(g) for g in range(group.order)] == table[:, idx].min(axis=1).tolist()
+        labels = [g % N % pj + (0 if S.c == 0 else g // N * N) for g in range(group.order)]
+        assert list(S.roots()) == labels
     for H in elements:
         for K in elements:
             assert H.within(K) == (elements[H] <= elements[K]), (H, K)
+            assert H.within(K) == (K.j <= H.j and (H.c is None or K.c == 0)), (H, K)
 
 
 def test_parse_subgroup_errors():
     group = DihedralGroup(3, 2)
-    assert parse_subgroup(group, "hstar2") == ChainSubgroup(group, True, 2)
+    assert parse_subgroup(group, "hstar2") == Subgroup(group, 2, 0)
+    assert parse_subgroup(group, "h0") == Subgroup(group, 0)
     with pytest.raises(ValueError, match="bad subgroup spec 'k1'; use h<j> or hstar<j>"):
         parse_subgroup(group, "k1")
     with pytest.raises(ValueError, match=r"subgroup index 3 out of range 0\.\.2"):
@@ -88,8 +93,7 @@ def test_the_proof_rejects_wrong_rows():
     # H-cosets a^c <b>, K-cosets c mod 3; label 5, not 8, taken as the last
     # of its K-coset: rows 1_2 - 1_5 and 1_8 - 1_5, the latter led by q - 1
     def coset_row(c, c_last):
-        return [1 if H.label(g) == c else q - 1 if H.label(g) == c_last else 0
-                for g in range(group.order)]
+        return [1 if x == c else q - 1 if x == c_last else 0 for x in H.roots()]
 
     assert rows == [coset_row(c, 6 + c % 3) for c in range(6)]
     wrong_last = [coset_row(c, (6, 7, 5)[c % 3]) for c in (0, 1, 2, 3, 4, 8)]

@@ -11,6 +11,7 @@ from dihedral_codes import (
     DihedralGroup,
     LinearCode,
     PrimeField,
+    Subgroup,
     codes,
     hat,
     left_ideal_code,
@@ -188,7 +189,7 @@ def test_full_space_shortcut(field11, d9):
 
 
 def test_subgroup_pair_hstar(field11, d9, units1):
-    basis = subgroup_pair_code(field11, d9.subgroup_Hstar(1), d9.subgroup_Hstar(0))
+    basis = subgroup_pair_code(field11, Subgroup(d9, 1, 0), Subgroup(d9, 0, 0))
     code = LinearCode(basis, 11, group=d9)
     assert code.k == (18 // 6) - (18 // 18) == 2
     assert code.min_weight() == 12  # 2 |H| = 2 * 6
@@ -201,14 +202,14 @@ def test_subgroup_pair_hstar(field11, d9, units1):
 
 
 def test_subgroup_pair_equal_subgroups_zero_code(field11, d9):
-    basis = subgroup_pair_code(field11, d9.subgroup_H(1), d9.subgroup_H(1))
+    basis = subgroup_pair_code(field11, Subgroup(d9, 1), Subgroup(d9, 1))
     assert basis.shape == (0, 18) and basis.dtype == np.int64 and not basis.flags.writeable
 
 
 def test_subgroup_pair_trivial_in_b(field11, d9):
     """H = {1} inside K = <b>: dimension 9, weight 2 exhibited by 1 - b."""
-    H = [d9.identity]
-    K = [d9.identity, d9.b]
+    H = Subgroup(d9, 2)
+    K = Subgroup(d9, 2, 0)
     basis = subgroup_pair_code(field11, H, K)
     code = LinearCode(basis, 11, group=d9)
     assert code.k == len(basis) == 18 - 9 == 9
@@ -222,8 +223,8 @@ def test_subgroup_pair_trivial_in_b(field11, d9):
 
 
 def test_subgroup_pair_rejects_non_nested(field11, d9):
-    with pytest.raises(ValueError):
-        subgroup_pair_code(field11, d9.subgroup_H(0), d9.subgroup_Hstar(2))
+    with pytest.raises(ValueError, match="^H is not contained in K$"):
+        subgroup_pair_code(field11, Subgroup(d9, 0), Subgroup(d9, 2, 0))
 
 
 def _greedy_transversal(group, sub_indices, pool):
@@ -240,8 +241,8 @@ def _greedy_transversal(group, sub_indices, pool):
 def _predicted_basis_by_loop(field, H, K):
     """The basis {r H^ - r t H^} built one translate at a time: the
     reference for the gathered rows of `subgroup_pair_code`."""
-    group = H[0].group
-    h_idx, k_idx = {g.index for g in H}, {g.index for g in K}
+    group = H.group
+    h_idx, k_idx = set(H.indices()), set(K.indices())
     hat_H = hat(field, H)
     reps = _greedy_transversal(group, k_idx, range(group.order))
     tau = _greedy_transversal(group, h_idx, sorted(k_idx))
@@ -257,11 +258,11 @@ def _predicted_basis_by_loop(field, H, K):
 @pytest.mark.parametrize("q, p, m", [(11, 3, 2), (5, 3, 3), (2, 5, 2)])
 def test_predicted_basis_matches_the_translate_loop(q, p, m):
     field, group = PrimeField(q), DihedralGroup(p, m)
-    subs = [S for S in group.all_subgroups() if len(S) % q != 0]
+    subs = [S for S in group.all_subgroups() if S.order % q != 0]
     nested = 0
     for H in subs:
         for K in subs:
-            if not {g.index for g in H} < {g.index for g in K}:
+            if not set(H.indices()) < set(K.indices()):
                 continue
             basis = subgroup_pair_code(field, H, K)
             assert basis.dtype == np.int64 and not basis.flags.writeable
@@ -283,8 +284,8 @@ def _pair_code_by_elimination(field, H, K):
 
 
 def _nested_pairs(group, q):
-    subs = [S for S in group.all_subgroups() if len(S) % q != 0]
-    sets = [{g.index for g in S} for S in subs]
+    subs = [S for S in group.all_subgroups() if S.order % q != 0]
+    sets = [set(S.indices()) for S in subs]
     return [
         (H, K) for H, h in zip(subs, sets) for K, k in zip(subs, sets) if h < k
     ]
@@ -299,7 +300,7 @@ def _assert_pair_code_is_the_eliminated_one(field, H, K):
     assert got.tobytes() == expect.generator_matrix.tobytes()
     assert basis.tobytes() == expect_basis.tobytes()
     n = expect.n
-    assert expect.k == len(basis) == n // len(H) - n // len(K)
+    assert expect.k == len(basis) == n // H.order - n // K.order
 
 
 @pytest.mark.parametrize(
@@ -331,8 +332,8 @@ def test_closed_form_pair_code_matches_two_eliminations_at_3_5_3():
     assert len(nested) == 630
     first, last = {}, {}
     for H, K in nested:
-        first.setdefault((len(H), len(K)), (H, K))
-        last[len(H), len(K)] = (H, K)
+        first.setdefault((H.order, K.order), (H, K))
+        last[H.order, K.order] = (H, K)
     assert len(first) == 22
     for H, K in [*first.values(), *last.values()]:
         _assert_pair_code_is_the_eliminated_one(field, H, K)
@@ -368,7 +369,7 @@ def test_pair_basis_is_a_read_only_array_of_full_rank(q, p, m):
     n = group.order
     for H, K in pairs:
         B = subgroup_pair_code(field, H, K)
-        assert B.dtype == np.int64 and B.shape == (n // len(H) - n // len(K), n)
+        assert B.dtype == np.int64 and B.shape == (n // H.order - n // K.order, n)
         assert B.flags.c_contiguous and not B.flags.writeable
         assert ((0 <= B) & (B < q)).all()
         if len(B):
@@ -388,12 +389,12 @@ def test_pair_code_proof_rejects_a_corrupted_generator(monkeypatch, corrupted, m
     the predicted basis on its diagonal columns.  So the proof fails with
     an existing message instead of returning a code."""
     field, group = PrimeField(5), DihedralGroup(3, 3)
-    H, K = group.subgroup_H(1), group.subgroup_Hstar(1)
+    H, K = Subgroup(group, 1), Subgroup(group, 1, 0)
     real_hat = codes.hat
 
     def corrupt_hat(f, S):
         x = real_hat(f, S)
-        if len(S) == len({"H": H, "K": K}[corrupted]):
+        if S == {"H": H, "K": K}[corrupted]:
             c = x.coeffs.copy()
             c[-1] += 1
             x = AlgebraElem(group, f, c)
@@ -401,6 +402,21 @@ def test_pair_code_proof_rejects_a_corrupted_generator(monkeypatch, corrupted, m
 
     monkeypatch.setattr(codes, "hat", corrupt_hat)
     with pytest.raises(RuntimeError, match=message):
+        subgroup_pair_code(field, H, K)
+
+
+def test_pair_code_refuses_elements_that_are_not_the_orbit_of_1(monkeypatch):
+    """The cosets are read off `roots()`, which walks the generators, and
+    the averages off `indices()`: the two must name one subgroup.  H*_1
+    listed with its reflections a^(3i + 1) b, the elements of
+    Subgroup(group, 1, 1), is refused before any average is built."""
+    field, group = PrimeField(5), DihedralGroup(3, 3)
+    H, K = Subgroup(group, 1), Subgroup(group, 1, 0)
+    real = Subgroup.indices
+    moved = Subgroup(group, 1, 1).indices()
+    monkeypatch.setattr(Subgroup, "indices", lambda S: moved if S == K else real(S))
+    monkeypatch.setattr(codes, "hat", None)
+    with pytest.raises(RuntimeError, match=r"^the elements of .*c=0\) are not the orbit of 1"):
         subgroup_pair_code(field, H, K)
 
 
@@ -418,15 +434,16 @@ def test_pair_code_proof_rejects_a_corrupted_generator(monkeypatch, corrupted, m
     ],
     ids=["zero-generator", "e-outside-V", "basis-outside-V"],
 )
-def test_pair_code_proof_rejects_averages_that_break_one_identity(averages):
-    """Each pair of averages breaks one identity of the proof and keeps the
-    others, so dropping that identity's test would return a wrong code or a
-    wrong basis."""
+def test_pair_code_proof_rejects_averages_that_break_one_identity(monkeypatch, averages):
+    """Each pair of averages, handed over by `codes.hat`, breaks one
+    identity of the proof and keeps the others, so dropping that
+    identity's test would return a wrong code or a wrong basis."""
     field, group = PrimeField(5), DihedralGroup(3, 3)
-    H, K = group.subgroup_H(1), group.subgroup_Hstar(1)
+    H, K = Subgroup(group, 1), Subgroup(group, 1, 0)
     wrong = averages(hat(field, H), hat(field, K), AlgebraElem.one(group, field))
+    monkeypatch.setattr(codes, "hat", lambda f, S: wrong[(H, K).index(S)])
     with pytest.raises(RuntimeError, match="predicted basis does not span the code"):
-        subgroup_pair_code(field, H, K, averages=wrong)
+        subgroup_pair_code(field, H, K)
 
 
 def test_a_code_holds_its_k_rows_only(gens1):
@@ -585,10 +602,10 @@ def row_sets(draw):
     if source == "random":
         return group, q, np.array([draw(_vectors(q, n)) for _ in range(draw(st.integers(1, 3)))])
     S = draw(st.sampled_from(
-        [S for S in group.all_subgroups() if q ** (n // len(S)) <= SPAN_CAP]
+        [S for S in group.all_subgroups() if q ** (n // S.order) <= SPAN_CAP]
     ))
     s = np.zeros(n, dtype=np.int64)
-    s[[g.index for g in S]] = 1
+    s[S.indices()] = 1
     field = PrimeField(q)
     x = (AlgebraElem(group, field, draw(_vectors(q, n))) * AlgebraElem(group, field, s)).coeffs
     rows = np.array([_translate(group, g, x) for g in range(n)])

@@ -14,6 +14,7 @@ from dihedral_codes import (
     phi_prime_power,
 )
 from dihedral_codes.ff import (
+    capped_product,
     is_primitive_root,
     prime_factors,
     product_bound,
@@ -188,7 +189,10 @@ def test_product_bound_is_the_capped_product():
         assert product_bound(q, p, m) == min(2 * p**m * (q - 1) ** 2, 1 << 63)
     t0 = time.perf_counter()
     assert product_bound(3, 3, 10**9) == 1 << 63  # p^m is never formed
+    # the n x n table of `verify`: n^2 = 4 p^(2m), capped just above the limit
+    assert capped_product(4, 3, 2 * 10**9, (1 << 22) + 1) == (1 << 22) + 1
     assert time.perf_counter() - t0 < 0.1
+    assert [capped_product(4, 3, 2 * m, 100) for m in (1, 2, 3)] == [36, 100, 100]
     # 2 3^36 4^2 < 2^63 <= 2 3^37 4^2: the first triple refused
     require_int64_products(5, 3, 36)
     with pytest.raises(ValueError, match=f"^[|]G[|] [(]q-1[)]\\^2 = {2 * 3**37 * 16} reaches"):

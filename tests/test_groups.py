@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dihedral_codes import AbelianGroup, DihedralGroup, gamma
+from dihedral_codes import AbelianGroup, DihedralGroup, Subgroup, gamma
 
 
 def test_presentation_relations(d9):
@@ -55,46 +55,100 @@ def test_conjugation_by_b_inverts_a(d9):
 
 
 def test_subgroup_H_chain(d9):
-    assert [g.index for g in d9.subgroup_H(2)] == [0]
-    assert [g.index for g in d9.subgroup_H(1)] == [0, 3, 6]
-    assert [g.index for g in d9.subgroup_H(0)] == list(range(9))
-    with pytest.raises(ValueError):
-        d9.subgroup_H(3)
-    with pytest.raises(ValueError):
-        d9.subgroup_H(-1)
+    assert Subgroup(d9, 2).indices() == [0]
+    assert Subgroup(d9, 1).indices() == [0, 3, 6]
+    assert Subgroup(d9, 0).indices() == list(range(9))
+    assert [Subgroup(d9, j).order for j in range(3)] == [9, 3, 1]
+    with pytest.raises(ValueError, match=r"^subgroup index 3 out of range 0\.\.2$"):
+        Subgroup(d9, 3)
+    with pytest.raises(ValueError, match=r"^subgroup index -1 out of range 0\.\.2$"):
+        Subgroup(d9, -1)
 
 
 def test_subgroup_Hstar(d9):
-    assert [g.index for g in d9.subgroup_Hstar(2)] == [0, 9]
-    assert [g.index for g in d9.subgroup_Hstar(1)] == [0, 3, 6, 9, 12, 15]
-    assert [g.index for g in d9.subgroup_Hstar(0)] == list(range(18))
+    assert Subgroup(d9, 2, 0).indices() == [0, 9]
+    assert Subgroup(d9, 1, 0).indices() == [0, 3, 6, 9, 12, 15]
+    assert Subgroup(d9, 0, 0).indices() == list(range(18))
+    assert [Subgroup(d9, j, 0).order for j in range(3)] == [18, 6, 2]
 
 
 @pytest.mark.parametrize("j", [0, 1, 2])
 def test_subgroups_closed(d9, j):
-    for sub in (d9.subgroup_H(j), d9.subgroup_Hstar(j)):
-        idx = {g.index for g in sub}
-        for g in sub:
+    for sub in (Subgroup(d9, j), Subgroup(d9, j, 0)):
+        elems = [d9.from_index(t) for t in sub.indices()]
+        idx = set(sub.indices())
+        assert len(elems) == sub.order
+        for g in elems:
             assert g.inverse().index in idx
-            for h in sub:
+            for h in elems:
                 assert (g * h).index in idx
+
+
+@pytest.mark.parametrize(
+    "group, j, c, message",
+    [
+        (DihedralGroup(3, 2), 3, None, r"^subgroup index 3 out of range 0\.\.2$"),
+        (DihedralGroup(3, 2), -1, 0, r"^subgroup index -1 out of range 0\.\.2$"),
+        (DihedralGroup(3, 2), 1, 3, r"^reflection index 3 out of range 0\.\.2$"),
+        (DihedralGroup(3, 2), 1, -1, r"^reflection index -1 out of range 0\.\.2$"),
+        (DihedralGroup(3, 2), 0, 1, r"^reflection index 1 out of range 0\.\.0$"),
+        # in C_9 x C_2, a^c t squares to a^2c: only c = 0 gives a reflection
+        (AbelianGroup(3, 2), 1, 1, r"^a\^1\*t is not a reflection of AbelianGroup\(p=3, m=2\)$"),
+        (AbelianGroup(3, 2), 2, 8, r"^a\^8\*t is not a reflection of AbelianGroup\(p=3, m=2\)$"),
+    ],
+)
+def test_subgroup_refuses_what_names_no_subgroup(group, j, c, message):
+    with pytest.raises(ValueError, match=message):
+        Subgroup(group, j, c)
+
+
+def test_all_subgroups_frozen_at_3_2():
+    """Today's order, size and then index list, for both families."""
+    D = [[0], [0, 9], [0, 10], [0, 11], [0, 12], [0, 13], [0, 14], [0, 15], [0, 16],
+         [0, 17], [0, 3, 6], [0, 3, 6, 9, 12, 15], [0, 3, 6, 10, 13, 16],
+         [0, 3, 6, 11, 14, 17], list(range(9)), list(range(18))]
+    A = [[0], [0, 9], [0, 3, 6], [0, 3, 6, 9, 12, 15], list(range(9)), list(range(18))]
+    for cls, expect in ((DihedralGroup, D), (AbelianGroup, A)):
+        subs = cls(3, 2).all_subgroups()
+        assert [S.indices() for S in subs] == expect
+        assert [S.order for S in subs] == [len(s) for s in expect]
+
+
+@pytest.mark.parametrize("cls", [DihedralGroup, AbelianGroup])
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (5, 2), (3, 3)])
+def test_roots_are_the_least_element_of_each_coset(cls, p, m):
+    """`roots()` walks the group law; the least of g S is also the row
+    minimum of the multiplication table on the columns of S.  `within()`
+    and `generators()` agree with the index sets as well."""
+    group = cls(p, m)
+    table = group.mult_table
+    subs = group.all_subgroups()
+    for S in subs:
+        assert list(S.roots()) == table[:, S.indices()].min(axis=1).tolist(), S
+        assert {g.index for g in S.generators()} <= set(S.indices())
+        for K in subs:
+            assert S.within(K) == (set(S.indices()) <= set(K.indices())), (S, K)
+    # kept per group instance: the same tuple again, a new group walks afresh
+    assert subs[1].roots() is subs[1].roots()
+    assert Subgroup(cls(p, m), subs[1].j, subs[1].c).roots() is not subs[1].roots()
 
 
 def test_all_subgroups_census(d9):
     subs = d9.all_subgroups()
-    census = Counter(len(s) for s in subs)
+    census = Counter(S.order for S in subs)
     assert census == Counter({2: 9, 6: 3, 1: 1, 3: 1, 9: 1, 18: 1})
     for sub in subs:
-        idx = {g.index for g in sub}
-        for g in sub:
+        idx = set(sub.indices())
+        assert len(idx) == sub.order
+        for g in map(d9.from_index, idx):
             assert g.inverse().index in idx
-            for h in sub:
+            for h in map(d9.from_index, idx):
                 assert (g * h).index in idx
 
 
 def test_all_subgroups_census_d25():
     d25 = DihedralGroup(5, 2)
-    census = Counter(len(s) for s in d25.all_subgroups())
+    census = Counter(S.order for S in d25.all_subgroups())
     assert census == Counter({1: 1, 2: 25, 5: 1, 10: 5, 25: 1, 50: 1})
 
 
@@ -130,7 +184,7 @@ def _subgroups_by_closure(group) -> list[list[int]]:
 @pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3)])
 def test_all_subgroups_matches_closure(cls, p, m):
     group = cls(p, m)
-    found = [[g.index for g in sub] for sub in group.all_subgroups()]
+    found = [sub.indices() for sub in group.all_subgroups()]
     assert found == _subgroups_by_closure(group)
 
 

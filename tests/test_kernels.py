@@ -10,13 +10,14 @@ from dihedral_codes import (
     DihedralGroup,
     LinearCode,
     PrimeField,
+    Subgroup,
     central_idempotents,
     left_ideal_code,
     matrix_units,
 )
 from dihedral_codes import _kernels
 from dihedral_codes._kernels import weight_histogram
-from dihedral_codes.closed_forms import ChainSubgroup, canonical_rows
+from dihedral_codes.closed_forms import canonical_rows
 
 
 def brute_histogram(G, q):
@@ -97,7 +98,7 @@ def _pair_code(q, p, m):
     # the matrix `construct --gen pair --sub-h hstar2 --sub-k hstar0` writes,
     # which the pair suite scans for the orders (6, 54)
     group = DihedralGroup(p, m)
-    H, K = ChainSubgroup(group, True, 2), ChainSubgroup(group, True, 0)
+    H, K = Subgroup(group, 2, 0), Subgroup(group, 0, 0)
     return LinearCode(np.array(canonical_rows(H, K, q), dtype=np.int64), q)
 
 

@@ -12,6 +12,7 @@ from dihedral_codes import (
     AlgebraElem,
     DihedralGroup,
     PrimeField,
+    Subgroup,
     codes,
     idempotents,
     modmat,
@@ -163,7 +164,7 @@ def test_every_pair_weight_matches_a_scan_of_its_own_code(q, p, m, budget):
         hist = codes.weights(basis, q, budget)
         assert w == (None if hist is None else int(np.flatnonzero(hist)[1]))
         if hist is not None:
-            expect = _pair_enumerator(q, len(H), len(K) // len(H), group.order // len(K))
+            expect = _pair_enumerator(q, H.order, K.order // H.order, group.order // K.order)
             assert hist.tolist() == expect
             checked += 1
     assert checked > 0
@@ -379,10 +380,21 @@ def test_a_wrong_inverse_is_named_by_the_first_failing_element(monkeypatch):
 )
 def test_a_set_that_is_no_subgroup_fails_group_axioms(monkeypatch, rotations, message):
     # {1, a} lacks a^-1 = a^8; {1, a, a^8} has every inverse but not a^2
-    monkeypatch.setattr(
-        DihedralGroup, "subgroup_H", lambda self, j: [self.element(i) for i in rotations]
-    )
+    monkeypatch.setattr(Subgroup, "indices", lambda self: rotations)
     with pytest.raises(verify.CheckFailure, match=f"^{message}$"):
+        verify.check_group_axioms(verify.VerifyContext(11, 3, 2))
+
+
+@pytest.mark.parametrize("group", [DihedralGroup(3, 2), AbelianGroup(3, 2)], ids=repr)
+def test_group_axioms_checks_every_subgroup_of_both_groups(monkeypatch, group):
+    """H_1 = {1, a^3, a^6} of one group read as {1, a, a^8}: every inverse
+    is there, but not a^2.  The check finds it in either group, as it
+    closes every subgroup of both, not the dihedral chain alone."""
+    real = Subgroup.indices
+    monkeypatch.setattr(
+        Subgroup, "indices", lambda S: [0, 1, 8] if S == Subgroup(group, 1) else real(S)
+    )
+    with pytest.raises(verify.CheckFailure, match="^subgroup not closed under product$"):
         verify.check_group_axioms(verify.VerifyContext(11, 3, 2))
 
 
