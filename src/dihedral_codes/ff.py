@@ -171,7 +171,6 @@ def phi_prime_power(p: int, j: int) -> int:
     return p ** (j - 1) * (p - 1)
 
 
-@cache  # every AlgebraElem asks, so one (q, p, m) is worked out once
 def capped_product(c: int, p: int, e: int, cap: int) -> int:
     """min(c p^e, cap) for c >= 1.  The product stops growing once it
     reaches cap, so a huge e costs at most log2(cap) multiplications and
@@ -184,6 +183,7 @@ def capped_product(c: int, p: int, e: int, cap: int) -> int:
     return min(bound, cap)
 
 
+@cache  # every AlgebraElem asks, so one (q, p, m) is worked out once
 def product_bound(q: int, p: int, m: int) -> int:
     """min(2 p^m (q-1)^2, 2^63), capped (`capped_product`).  An entry of a
     product in F_q G with |G| = 2 p^m, summed before it is reduced mod q,
