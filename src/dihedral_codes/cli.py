@@ -59,6 +59,7 @@ import sys
 from .check_names import CHECK_NAMES
 from .ff import (
     DEFAULT_BUDGET,
+    INT64_LIMIT,
     WRITE_LIMIT,
     PrimeField,
     capped_product,
@@ -123,13 +124,15 @@ def _check_writable(path) -> None:
 
 def _require_table_size(p: int, m: int) -> None:
     """Refuse n x n tables (the group law, L(x)) beyond `ff.WRITE_LIMIT`.
-    n^2 = 4 p^(2m) is decided capped, so a huge m is refused at once; beyond
-    m = 64 the error writes the sizes as formulas, as
-    `ff.require_int64_products` does."""
-    n = 2 * p**m if m <= 64 else f"(2 * {p}^{m})"
-    shown = n * n if m <= 64 else f"4 * {p}^{2 * m}"
-    cells = capped_product(4, p, 2 * m, WRITE_LIMIT + 1)
-    require_write_size(cells, f"the {n} x {n} group table", shown)
+    n = 2 p^m is decided capped and written as a number below 2^63, and as
+    a formula beyond, so a huge m or p is refused at once, in one line."""
+    if capped_product(2, p, m, INT64_LIMIT) < INT64_LIMIT:
+        n = 2 * p**m
+        return require_write_size(n * n, f"the {n} x {n} group table")
+    raise ValueError(
+        f"the (2 * {p}^{m}) x (2 * {p}^{m}) group table holds 4 * {p}^{2 * m} residues, "
+        f"beyond the write limit {WRITE_LIMIT}"
+    )
 
 
 def cmd_construct(args) -> int:

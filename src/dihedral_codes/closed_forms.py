@@ -65,8 +65,8 @@ roots.  Independent rows of V(H, K) as many as its dimension span it, and
 a space has one RREF, so the rows are that of the code: byte for byte
 what `left_ideal_code` eliminates.  The rows are written from the same
 roots, so the proof checks the writing, not the roots; those come from
-the group law, and `codes.subgroup_pair_code` proves that each subgroup's
-elements are the orbit of 1.
+the group law, and `Subgroup.roots` proves that each subgroup's elements
+are the orbit of 1.
 """
 
 from __future__ import annotations

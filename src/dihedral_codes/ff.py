@@ -201,13 +201,11 @@ def require_int64_products(q: int, p: int, m: int) -> None:
         raise ValueError(f"|G| (q-1)^2 = {size} reaches 2^63; int64 products would overflow")
 
 
-def require_write_size(residues: int, what: str, shown: int | str | None = None) -> None:
+def require_write_size(residues: int, what: str) -> None:
     """Raise ValueError when `what`, a text of `residues` residues, would
-    exceed WRITE_LIMIT.  The error writes `shown` as the count when given:
-    the exact count where `residues` is capped, or a formula for it."""
+    exceed WRITE_LIMIT."""
     if residues > WRITE_LIMIT:
-        shown = residues if shown is None else shown
-        raise ValueError(f"{what} holds {shown} residues, beyond the write limit {WRITE_LIMIT}")
+        raise ValueError(f"{what} holds {residues} residues, beyond the write limit {WRITE_LIMIT}")
 
 
 def _passes_quick_tests(q: int, p: int, m: int) -> bool:

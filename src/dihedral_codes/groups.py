@@ -267,15 +267,22 @@ class Subgroup(namedtuple("Subgroup", "group j c")):
         return rotation if self.c is None else rotation + [self.group.element(self.c, 1)]
 
     def within(self, other: "Subgroup") -> bool:
-        """Whether this subgroup lies in `other`: inclusion of index sets."""
-        return self.group == other.group and set(self.indices()) <= set(other.indices())
+        """Whether this subgroup lies in `other`, in closed form: <a^(p^j)>
+        lies in <a^(p^j')> iff j' <= j, and a^c b in other iff other has
+        reflections a^(c' + r) b, r in p^j' Z, with c = c' mod p^j'."""
+        if self.group != other.group or other.j > self.j:
+            return False
+        p_j = self.group.p**other.j
+        return self.c is None or other.c is not None and (self.c - other.c) % p_j == 0
 
     def roots(self) -> tuple[int, ...]:
         """The coset label of every element g, by canonical index: the least
         index in its left coset g S, through the group law alone.  The orbit
         of 1 under right multiplication by `generators()` is walked once,
         and g times it is the orbit of g.  Kept on the group instance, so a
-        group with another law (a new instance) walks its own."""
+        group with another law (a new instance) walks its own.  Proven as
+        walked: the elements of root 1, the orbit of 1, are `indices()`, so
+        the roots label the cosets of the subgroup every caller reads there."""
         group, key = self.group, (self.j, self.c)
         if key in group._coset_roots:
             return group._coset_roots[key]
@@ -293,5 +300,9 @@ class Subgroup(namedtuple("Subgroup", "group j c")):
                 for h in orbit:
                     i, e = group._compose(g % N, g // N, *h)
                     root[i % N + e % 2 * N] = g
+        if [g for g, r in enumerate(root) if r == 0] != self.indices():
+            raise RuntimeError(
+                f"the elements of {self} are not the orbit of 1 under its generators"
+            )
         group._coset_roots[key] = tuple(root)
         return group._coset_roots[key]

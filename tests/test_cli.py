@@ -585,6 +585,11 @@ def test_a_survey_streams_its_rows(tmp_path, capsys):
       "--sub-h", "h5", "--sub-k", "hstar0"],
      "error: the [6250, 6249] generator matrix holds 39056250 residues, "
      "beyond the write limit 4194304\n"),
+    # within() is a closed form: no index set of 2 * 3^20 elements is built
+    (["construct", "--q", "5", "--p", "3", "--m", "20", "--gen", "pair",
+      "--sub-h", "h20", "--sub-k", "hstar0"],
+     f"error: the [{2 * 3**20}, {2 * 3**20 - 1}] generator matrix holds "
+     f"{2 * 3**20 * (2 * 3**20 - 1)} residues, beyond the write limit 4194304\n"),
     (["survey", "--q", "5", "--p", "3", "--m", "10"],
      "error: the survey of 4194303 rows holds 12582909 residues, "
      "beyond the write limit 4194304\n"),
@@ -604,16 +609,18 @@ def test_a_survey_streams_its_rows(tmp_path, capsys):
     (["verify", "--q", "5", "--p", "3", "--m", "7"],
      f"error: the 4374 x 4374 group table holds {4374**2} residues, "
      "beyond the write limit 4194304\n"),
-    # verify takes no int64 gate, so only the table gate stops a huge m:
-    # decided on a capped product, and written as a formula beyond m = 64
+    # verify takes no int64 gate, so only the table gate stops a huge m or p:
+    # decided on a capped product, and written as a formula once n >= 2^63
     *(
-        (["verify", "--q", "5", "--p", "3", "--m", str(m)],
-         f"error: the (2 * 3^{m}) x (2 * 3^{m}) group table holds 4 * 3^{2 * m} residues, "
-         "beyond the write limit 4194304\n")
-        for m in (1000, 10**4, 10**7)
+        (["verify", "--q", str(q), "--p", str(p), "--m", str(m)],
+         f"error: the (2 * {p}^{m}) x (2 * {p}^{m}) group table holds 4 * {p}^{2 * m} "
+         "residues, beyond the write limit 4194304\n")
+        for q, p, m in ((5, 3, 1000), (5, 3, 10**4), (5, 3, 10**7), (3, HUGE_P, 2),
+                        (3, HUGE_P, 64))
     ),
-], ids=["e11-j12", "pair", "survey-m10", "survey-m30-dim", "f-m9", "custom-m7", "compare-m9",
-        "verify-m7", "verify-m1000", "verify-m10000", "verify-m10000000"])
+], ids=["e11-j12", "pair", "pair-m20", "survey-m10", "survey-m30-dim", "f-m9", "custom-m7", "compare-m9",
+        "verify-m7", "verify-m1000", "verify-m10000", "verify-m10000000", "verify-hugep-m2",
+        "verify-hugep-m64"])
 def test_an_oversize_write_exits_2_at_once(tmp_path, capsys, argv, line):
     """WRITE_LIMIT refuses a matrix or table too large to write, or an
     n x n table too large to build, before anything is built, with one

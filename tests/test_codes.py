@@ -407,9 +407,9 @@ def test_pair_code_proof_rejects_a_corrupted_generator(monkeypatch, corrupted, m
 
 def test_pair_code_refuses_elements_that_are_not_the_orbit_of_1(monkeypatch):
     """The cosets are read off `roots()`, which walks the generators, and
-    the averages off `indices()`: the two must name one subgroup.  H*_1
-    listed with its reflections a^(3i + 1) b, the elements of
-    Subgroup(group, 1, 1), is refused before any average is built."""
+    the averages off `indices()`: `roots()` proves the two name one
+    subgroup.  H*_1 listed with its reflections a^(3i + 1) b, the elements
+    of Subgroup(group, 1, 1), is refused before any average is built."""
     field, group = PrimeField(5), DihedralGroup(3, 3)
     H, K = Subgroup(group, 1), Subgroup(group, 1, 0)
     real = Subgroup.indices

@@ -133,6 +133,20 @@ def test_roots_are_the_least_element_of_each_coset(cls, p, m):
     assert Subgroup(cls(p, m), subs[1].j, subs[1].c).roots() is not subs[1].roots()
 
 
+def test_roots_refuse_elements_that_are_not_the_orbit_of_1(monkeypatch):
+    """`roots()` proves, when it walks, that the elements with root 1 are
+    `indices()`: H*_1 listed with the reflections of Subgroup(group, 1, 1)
+    is refused, and nothing is kept for it."""
+    group = DihedralGroup(3, 2)
+    S, real = Subgroup(group, 1, 0), Subgroup.indices
+    moved = Subgroup(group, 1, 1).indices()
+    monkeypatch.setattr(Subgroup, "indices", lambda T: moved if T == S else real(T))
+    with pytest.raises(RuntimeError, match=r"^the elements of .*c=0\) are not the orbit of 1"):
+        S.roots()
+    assert (1, 0) not in group._coset_roots
+    assert Subgroup(group, 1).roots() == tuple(g % 3 + g // 9 * 9 for g in range(18))
+
+
 def test_all_subgroups_census(d9):
     subs = d9.all_subgroups()
     census = Counter(S.order for S in subs)
