@@ -1,27 +1,46 @@
 """The group algebra F_q G: dense coefficient vectors in canonical element
 order, with convolution product, subgroup averages and centrality tests.
 
-Every product goes through one matrix: L(x), whose row g is the left
-translate g x, gathered from the group's `translate_table`.  Then
-x y = x @ L(y), and the left ideal generated by x is the row space of L(x).
+Both group families are <a> x| <b> with b a b = a^flip, and a^i b^e has the
+canonical index i + e N, N = p^m.  So x = x0 + x1 b for two polynomials
+x0, x1 in a, read as the two halves of the coefficient vector, and since
+b a^k = a^(flip k) b, a product is four cyclic convolutions of length N:
+
+    x y = (x0 y0 + x1 y1^s) + (x0 y1 + x1 y0^s) b,   y^s_k = y_(flip k).
+
+A cyclic convolution u v is u @ circ(v) with circ(v)[i, k] = v_(k-i mod N),
+and circ(v)[i, k] = [v v][N - i + k]: a strided view of the doubled half,
+rows read backwards, with no index array.  As flip^2 = 1 mod p^m forces
+flip = +-1, the doubled y^s is the doubled y read forwards (flip = 1) or
+backwards (flip = -1) on every position the view reads, so no half is
+gathered either.
 
 One kernel, `products`, forms every product.  It takes two (B, n) stacks
-of residues and returns the B row-wise products.  It works in chunks of
-at least one row whose index block, rows x |S| x n int64 indices for S
-the union support of the xs rows, fits in `_kernels.CELLS` bytes (256 KB,
-the scan kernel's bound).  A chunk gathers L only on S_c, the union
-support of its own rows: out[r] = xs[r, S_c] @ L(ys[r])[S_c], so a group
-element or a subgroup average costs a few rows of L.  One block, gathered
-in place of its own indices, serves every chunk.  Only this module and
-`_kernels` know the memory bound; callers hand over whole stacks.  A
-dense chunk holds 101 rows at n = 18 and one row at n = 250, so there a
-stacked call costs what one-row calls cost.  `AlgebraElem.convolve` is
-the one-row call.
+of residues and returns the B row-wise products.  For each chunk of rows
+it writes one (rows, 2, 2, 2N) int64 buffer W of doubled halves, [y0 y0]
+and [y1 y1] for the x0 terms, [y1^s y1^s] and [y0^s y0^s] for the x1
+terms, and reads it through one read-only view C[r, h, o, i, k] =
+W[r, h, o, N - i + k], the circulant of each.  Then out = x0 @ C[:, 0] +
+x1 @ C[:, 1], in canonical order.  When the union support S of the xs rows
+is not the whole group, and |S| rows of C fit in CELLS bytes, a chunk
+copies those rows alone and multiplies x[:, S] by them: a group element or
+a subgroup average costs |S| rows of C.
 
-Exactness: an entry of x @ L(y) is a sum of `order` products of residues
-below q, so it is at most order (q-1)^2.  Elements and `products` refuse
-any (G, q) for which that bound reaches 2^63
-(`ff.require_int64_products`), so no int64 product or sum can wrap.
+Memory: a row of a chunk holds its W, 32 n bytes, and then either its
+copied rows of C, 8 n |S| bytes, or its four half products before they
+are summed, 32 n bytes.  A chunk holds as many rows as fit in
+`_kernels.CELLS` bytes (256 KB, the scan kernel's bound), and at least
+one.  So a call's working set is a fixed multiple of CELLS whatever B is,
+for n up to CELLS / 64 = 4096.  Only this module and `_kernels` know the
+bound; callers hand over whole stacks.  `AlgebraElem.convolve` is the
+one-row call.  `products` reads no `translate_table`; that table serves
+`translates`, `left_translate`, the code layer and the component-field
+check.
+
+Exactness: an entry of x y is a sum of n = 2N products of residues below
+q, so it is at most order (q-1)^2.  Elements and `products` refuse any
+(G, q) for which that bound reaches 2^63 (`ff.require_int64_products`),
+so no int64 product or sum can wrap.
 """
 
 from __future__ import annotations
@@ -33,46 +52,47 @@ from .ff import PrimeField, require_int64_products
 from .groups import GroupElem, Subgroup
 
 
-def chunk_rows(group, support: int | None = None) -> int:
-    """Rows per chunk of `products` when the xs rows have `support` columns
-    in the union of their supports (default: all of them): the most rows
-    whose int64 index block, rows x support x order, fits in CELLS bytes,
-    and at least one."""
-    support = group.order if support is None else max(support, 1)
-    return max(1, CELLS // (8 * support * group.order))
-
-
 def products(group, field: PrimeField, xs, ys) -> np.ndarray:
     """Row-wise products xs[r] ys[r] in F_q G of two (B, n) stacks of
     residues in [0, q), as a new (B, n) int64 array of residues.
 
-    Chunks of `chunk_rows` rows, each gathered on its own support (see the
-    module docstring).  The inputs must be reduced: the 2^63 bound holds
-    for residues below q only.
+    The four cyclic convolutions of each product are read off circulant
+    views of one buffer of doubled halves, in chunks whose working set
+    fits in CELLS bytes (see the module docstring).  The inputs
+    must be reduced: the 2^63 bound holds for residues below q only.
     """
     require_int64_products(field.q, group.p, group.m)
-    n = group.order
+    n, N = group.order, group.rot_order
     xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
     if xs.shape != ys.shape or xs.shape[1:] != (n,):
         raise ValueError(f"expected two (B, {n}) stacks, got {xs.shape} and {ys.shape}")
+    # b a b = a^flip, flip = +-1 mod N: y^s is y read forwards or backwards
+    sign = {1: 1, N - 1: -1}[group._compose(0, 1, 1, 0)[0] % N]
     S = (xs[0] if len(xs) == 1 else xs.any(axis=0)).nonzero()[0]
-    step = chunk_rows(group, len(S))
-    out = np.empty_like(xs)
-    # one index block, sized for S, serves every chunk: a chunk gathers on
-    # its own union support S_c, a subset of S, in a prefix of the block
-    block = np.empty(min(step, len(xs)) * len(S) * n, dtype=np.int64)
+    sparse = len(S) < n and 8 * n * len(S) <= CELLS
+    # bytes a row holds: its W, then its copied rows of C or its four halves
+    row_bytes = 32 * n + (8 * n * len(S) if sparse else 32 * n)
+    step = max(1, CELLS // row_bytes)
+    W = np.empty((min(step, len(xs)) or 1, 2, 2, 2 * N), dtype=np.int64)
+    C = np.ndarray(W.shape[:3] + (N, N), np.int64, buffer=W, offset=8 * N,
+                   strides=W.strides[:3] + (-8, 8))
+    C.flags.writeable = False
+    if sparse:  # C[r, h, :, i] is the row of x's coefficient i + h N
+        h, i = np.divmod(S, N)
+        C = C.transpose(0, 1, 3, 2, 4)
+    doubled = W.reshape(len(W), 2, 2, 2, N)[:, 0]
+    out = np.empty((len(xs), n), dtype=np.int64)
     for start in range(0, len(xs), step):
-        x, y = xs[start : start + step], ys[start : start + step]
-        S_c = S if len(x) == len(xs) else x.any(axis=0).nonzero()[0]
-        rows = block[: len(y) * len(S_c) * n].reshape(len(y), len(S_c), n)
-        # row r indexes y.flat at r n + T[S_c], so gathering puts L(y[r])[S_c]
-        # in place of its own indices; "wrap" never wraps, as indices are in
-        # range, but unlike "raise" it writes into `rows` without a buffer
-        group.translate_table.take(S_c, axis=0, out=rows[0], mode="wrap")
-        if len(y) > 1:
-            np.add(rows[0], n * np.arange(1, len(y))[:, None, None], out=rows[1:])
-        y.take(rows, out=rows, mode="wrap")
-        np.matmul(x.take(S_c, axis=1)[:, None], rows, out=out[start : start + step, None])
+        x, o = xs[start : start + step], out[start : start + step]
+        r = len(x)
+        doubled[:r] = ys[start : start + step].reshape(r, 2, 1, N)
+        # [y1^s y1^s] and [y0^s y0^s] on positions 1..2N-1, all C reads
+        W[:r, 1, :, 1:] = W[:r, 0, ::-1, 1:][..., ::sign]
+        if sparse:
+            np.matmul(x[:, None, S], C[:r, h, i].reshape(r, len(S), n), out=o[:, None])
+        else:
+            halves = np.matmul(x.reshape(r, 2, 1, 1, N), C[:r])  # [:, h, o] = x_h C[:, h, o]
+            np.add(halves[:, 0], halves[:, 1], out=o.reshape(r, 2, 1, N))
     out %= field.q
     return out
 

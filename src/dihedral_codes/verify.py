@@ -232,7 +232,7 @@ def check_hat_idempotents(ctx: VerifyContext) -> str:
     nested H < K.  The absorption products run stacked: H^ against all
     the K^ above it, then all the H^ below each K^ against it; either way
     the left factors' supports lie inside the larger subgroup, so each
-    stack gathers few rows of L."""
+    stack copies few rows of the circulants `products` reads."""
     field = ctx.field
     mul = partial(products, ctx.dihedral, field)
     subs = ctx.dihedral.all_subgroups()

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dihedral_codes import (
     left_translate,
     products,
 )
-from dihedral_codes.algebra import chunk_rows
+from dihedral_codes._kernels import CELLS
 
 
 def rand_elem(group, field, rng):
@@ -213,34 +214,56 @@ def mult_table_products(group, q, xs, ys):
     return (xs[:, :, None] * ys[:, solve]).sum(axis=1) % q
 
 
-@settings(max_examples=40, deadline=None)
+def chunk_boundary(group, support: int) -> int:
+    """Rows per chunk of `products`, restated from its memory bound: a row
+    holds its buffer W, 32 n bytes, and its copied rows of C, 8 n |S|
+    bytes, when the union support S is short of n and those fit in CELLS
+    bytes, or else its four halves, 32 n bytes more."""
+    n = group.order
+    sparse = support < n and 8 * n * support <= CELLS
+    return max(1, CELLS // (32 * n + (8 * n * support if sparse else 32 * n)))
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from([*GROUPS, DihedralGroup(5, 3)]),
     st.sampled_from([2, 3, 11, 715827883]),
     st.integers(0, 4),  # columns of a sparse stack, or 0 for a dense one
     st.booleans(),  # rows on different subsets of those columns, or all on them
-    st.integers(0, 2),  # stack size: below, at or past the chunk boundary
+    st.integers(0, 3),  # stack size: empty, below, at or past the chunk boundary
+    st.sampled_from(["plain", "broadcast left", "broadcast right", "column slices"]),
     st.integers(0, 2**32 - 1),
 )
-@example(DihedralGroup(5, 3), 3, 0, True, 2, 0)  # n = 250: a dense chunk is one row
-def test_products_match_a_mult_table_oracle(group, q, sparse, mixed, where, seed):
-    # the object-dtype oracle is too slow at n = 250 for sparse stacks, which
-    # hold up to 263 rows there
-    assume(group.order < 250 or (sparse == 0 and q < 1000))
+@example(DihedralGroup(5, 3), 3, 0, True, 3, "plain", 0)  # n = 250, dense chunks
+@example(AbelianGroup(5, 3), 3, 0, True, 3, "plain", 0)
+@example(DihedralGroup(5, 3), 3, 0, True, 0, "plain", 0)  # empty stacks
+@example(AbelianGroup(5, 3), 3, 0, True, 0, "plain", 0)
+def test_products_match_a_mult_table_oracle(group, q, sparse, mixed, where, layout, seed):
+    # the object-dtype oracle is too slow at n = 250 for huge residues
+    assume(group.order < 250 or q < 1000)
     rng = np.random.default_rng(seed)
     n = group.order
     cols = rng.choice(n, size=sparse or n, replace=False)
-    chunk = chunk_rows(group, len(cols))
-    B = [max(chunk - 1, 1), chunk, 2 * chunk + 1][where]
+    chunk = chunk_boundary(group, len(cols))
+    B = [0, max(chunk - 1, 1), chunk, 2 * chunk + 1][where]
     # row r is nonzero on the first ends[r] of cols, ends growing down the
     # stack to the last row's, all of cols: so the union support is cols,
-    # and in a mixed stack past the chunk boundary a chunk's own union
-    # support is mostly a strict subset of it
+    # and in a mixed stack the first row's support is mostly a strict
+    # subset of it
     ends = np.sort(rng.integers(1, len(cols) + 1, B)) if mixed else np.full(B, len(cols))
-    ends[-1] = len(cols)
+    ends[-1:] = len(cols)
     xs = np.zeros((B, n), dtype=np.int64)
     xs[:, cols] = rng.integers(1, q, (B, len(cols))) * (np.arange(len(cols)) < ends[:, None])
     ys = rng.integers(0, q, (B, n))
+    if layout == "broadcast left" and B:  # as `hat-idempotents` passes H^
+        xs = np.broadcast_to(xs[-1], xs.shape)
+    elif layout == "broadcast right" and B:
+        ys = np.broadcast_to(ys[0], ys.shape)
+    elif layout == "column slices":  # rows of a wider array: not contiguous
+        wide = rng.integers(0, q, (2, B, n + 5))
+        wide[0, :, 2 : n + 2], wide[1, :, 3 : n + 3] = xs, ys
+        xs, ys = wide[0, :, 2 : n + 2], wide[1, :, 3 : n + 3]
+        assert not xs.flags.c_contiguous or B < 2
     out = products(group, PrimeField(q), xs, ys)
     assert out.shape == (B, n) and out.dtype == np.int64
     assert np.array_equal(out, mult_table_products(group, q, xs, ys).astype(np.int64))
@@ -256,8 +279,36 @@ def test_products_refuse_the_int64_bound_and_mismatched_stacks(d9):
     assert products(d9, PrimeField(11), np.zeros((0, 18)), np.zeros((0, 18))).shape == (0, 18)
 
 
-def test_chunk_rows_fit_the_scan_kernel_step():
-    # a dense row at n = 250 has a 500 KB index block: one row per chunk
-    assert chunk_rows(DihedralGroup(5, 3)) == 1
-    assert chunk_rows(DihedralGroup(3, 2)) == 101
-    assert chunk_rows(DihedralGroup(3, 2), 0) == chunk_rows(DihedralGroup(3, 2), 1) == 1820
+def _working_set(group, xs, ys) -> int:
+    """Traced peak of one `products` call, less the result it returns."""
+    tracemalloc.start()
+    try:
+        out = products(group, PrimeField(3), xs, ys)
+        return tracemalloc.get_traced_memory()[1] - out.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p, m, B, left", [
+    (3, 2, 1000, "dense"),
+    (5, 3, 200, "dense"),
+    (5, 3, 200, "subgroup averages"),
+    (5, 4, 20, "dense"),  # n = 1250
+], ids=str)
+def test_products_peak_memory_is_bounded_by_cells(p, m, B, left):
+    group = DihedralGroup(p, m)
+    rng = np.random.default_rng(B)
+    if left == "dense":
+        def stack(rows):
+            return rng.integers(0, 3, (rows, group.order))
+    else:  # H^ for the subgroups H of H*_1, as `hat-idempotents` stacks them
+        averages = [hat(PrimeField(3), H).coeffs for H in group.all_subgroups()
+                    if H.within(Subgroup(group, 1, 0)) and H.order % 3]
+        def stack(rows):
+            return np.array([averages[r % len(averages)] for r in range(rows)])
+    peaks = [_working_set(group, stack(b), rng.integers(0, 3, (b, group.order)))
+             for b in (B, 4 * B)]
+    # the index-block kernel peaked at 9.6 CELLS at n = 250 and 239 CELLS at
+    # n = 1250, whatever B was: its gather buffered a chunk's whole block
+    assert max(peaks) < 2 * CELLS
+    assert peaks[1] < peaks[0] + CELLS // 16

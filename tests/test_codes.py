@@ -571,11 +571,14 @@ def _translate(group, g, x):
 
 def _brute_span(rows, q) -> set[bytes]:
     """Every word of the span, grown one row at a time with no elimination;
-    a row already in the span is skipped, so no word repeats."""
+    a row already in the span is skipped, so no word repeats.  The span
+    never outgrows SPAN_CAP words: rows of a larger rank, as a faulty
+    product would build, fail here before they are enumerated."""
     words = np.zeros((1, rows.shape[1]), dtype=np.int64)
     seen = {words[0].tobytes()}
     for row in rows:
         if row.tobytes() not in seen:
+            assert len(words) * q <= SPAN_CAP, f"the span outgrows {SPAN_CAP} words"
             words = (words[None] + np.arange(q)[:, None, None] * row) % q
             words = words.reshape(-1, rows.shape[1])
             seen = {w.tobytes() for w in words}
