@@ -22,9 +22,10 @@ and [y1 y1] for the x0 terms, [y1^s y1^s] and [y0^s y0^s] for the x1
 terms, and reads it through one read-only view C[r, h, o, i, k] =
 W[r, h, o, N - i + k], the circulant of each.  Then out = x0 @ C[:, 0] +
 x1 @ C[:, 1], in canonical order.  When the union support S of the xs rows
-is not the whole group, and |S| rows of C fit in CELLS bytes, a chunk
-copies those rows alone and multiplies x[:, S] by them: a group element or
-a subgroup average costs |S| rows of C.
+is less than half the group, and |S| rows of C fit in CELLS bytes, a chunk
+copies those rows alone and multiplies x[:, S] by them, 2 n |S| cell
+operations a row against n^2: a group element or a subgroup average costs
+|S| rows of C.
 
 Memory: a row of a chunk holds its W, 32 n bytes, and then either its
 copied rows of C, 8 n |S| bytes, or its four half products before they
@@ -58,8 +59,8 @@ def products(group, field: PrimeField, xs, ys) -> np.ndarray:
 
     The four cyclic convolutions of each product are read off circulant
     views of one buffer of doubled halves, in chunks whose working set
-    fits in CELLS bytes (see the module docstring).  The inputs
-    must be reduced: the 2^63 bound holds for residues below q only.
+    fits in CELLS bytes (see the module docstring).  The inputs must be
+    reduced: the 2^63 bound holds for residues below q only.
     """
     require_int64_products(field.q, group.p, group.m)
     n, N = group.order, group.rot_order
@@ -69,7 +70,7 @@ def products(group, field: PrimeField, xs, ys) -> np.ndarray:
     # b a b = a^flip, flip = +-1 mod N: y^s is y read forwards or backwards
     sign = {1: 1, N - 1: -1}[group._compose(0, 1, 1, 0)[0] % N]
     S = (xs[0] if len(xs) == 1 else xs.any(axis=0)).nonzero()[0]
-    sparse = len(S) < n and 8 * n * len(S) <= CELLS
+    sparse = 2 * len(S) < n and 8 * n * len(S) <= CELLS
     # bytes a row holds: its W, then its copied rows of C or its four halves
     row_bytes = 32 * n + (8 * n * len(S) if sparse else 32 * n)
     step = max(1, CELLS // row_bytes)
@@ -77,8 +78,8 @@ def products(group, field: PrimeField, xs, ys) -> np.ndarray:
     C = np.ndarray(W.shape[:3] + (N, N), np.int64, buffer=W, offset=8 * N,
                    strides=W.strides[:3] + (-8, 8))
     C.flags.writeable = False
-    if sparse:  # C[r, h, :, i] is the row of x's coefficient i + h N
-        h, i = np.divmod(S, N)
+    if sparse:  # C[r, h, i] is the row of L(y) that x's coefficient i + h N takes
+        h, i = np.unravel_index(S, (2, N))
         C = C.transpose(0, 1, 3, 2, 4)
     doubled = W.reshape(len(W), 2, 2, 2, N)[:, 0]
     out = np.empty((len(xs), n), dtype=np.int64)

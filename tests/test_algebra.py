@@ -217,10 +217,10 @@ def mult_table_products(group, q, xs, ys):
 def chunk_boundary(group, support: int) -> int:
     """Rows per chunk of `products`, restated from its memory bound: a row
     holds its buffer W, 32 n bytes, and its copied rows of C, 8 n |S|
-    bytes, when the union support S is short of n and those fit in CELLS
-    bytes, or else its four halves, 32 n bytes more."""
+    bytes, when the union support S is less than half the group and those
+    fit in CELLS bytes, or else its four halves, 32 n bytes more."""
     n = group.order
-    sparse = support < n and 8 * n * support <= CELLS
+    sparse = 2 * support < n and 8 * n * support <= CELLS
     return max(1, CELLS // (32 * n + (8 * n * support if sparse else 32 * n)))
 
 
@@ -308,7 +308,5 @@ def test_products_peak_memory_is_bounded_by_cells(p, m, B, left):
             return np.array([averages[r % len(averages)] for r in range(rows)])
     peaks = [_working_set(group, stack(b), rng.integers(0, 3, (b, group.order)))
              for b in (B, 4 * B)]
-    # the index-block kernel peaked at 9.6 CELLS at n = 250 and 239 CELLS at
-    # n = 1250, whatever B was: its gather buffered a chunk's whole block
     assert max(peaks) < 2 * CELLS
     assert peaks[1] < peaks[0] + CELLS // 16
