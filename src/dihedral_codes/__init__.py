@@ -16,8 +16,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _SOURCES = {
-    "algebra": ("AlgebraElem", "hat", "is_central", "is_idempotent", "left_translate",
-                "products"),
+    "algebra": ("AlgebraElem", "hat", "is_central", "is_idempotent", "products"),
     "check_names": ("CHECK_NAMES",),
     "codes": ("LinearCode", "equivalence_necessary_check", "gamma_image_code",
               "left_ideal_code", "subgroup_pair_code"),

@@ -15,28 +15,29 @@ flip = +-1, the doubled y^s is the doubled y read forwards (flip = 1) or
 backwards (flip = -1) on every position the view reads, so no half is
 gathered either.
 
-One kernel, `products`, forms every product.  It takes two (B, n) stacks
-of residues and returns the B row-wise products.  For each chunk of rows
-it writes one (rows, 2, 2, 2N) int64 buffer W of doubled halves, [y0 y0]
-and [y1 y1] for the x0 terms, [y1^s y1^s] and [y0^s y0^s] for the x1
-terms, and reads it through one read-only view C[r, h, o, i, k] =
-W[r, h, o, N - i + k], the circulant of each.  Then out = x0 @ C[:, 0] +
-x1 @ C[:, 1], in canonical order.  When the union support S of the xs rows
-is less than half the group, and |S| rows of C fit in CELLS bytes, a chunk
-copies those rows alone and multiplies x[:, S] by them, 2 n |S| cell
-operations a row against n^2: a group element or a subgroup average costs
-|S| rows of C.
+L(y), whose row g is the left translate g y, is the 2 x 2 block
+[[circ y0, circ y1], [circ y1^s, circ y0^s]].  Its one source,
+`circulants`, writes for a stack of rows y one (rows, 2, 2, 2N) int64
+buffer W of doubled halves, [y0 y0] and [y1 y1], then [y1^s y1^s] and
+[y0^s y0^s], and returns one read-only view L[r, e, i, o, k] =
+W[r, e, o, N - i + k]: row a^i b^e of L(y) at column a^k b^o.  One
+kernel, `products`, forms every product from the `circulants` of each
+chunk of ys: out = x0 @ L[:, 0] + x1 @ L[:, 1], in canonical order, for
+two (B, n) stacks of residues.  When the union support S of the xs rows
+is less than half the group, and |S| rows of L fit in CELLS bytes, a
+chunk copies those rows alone and multiplies x[:, S] by them, 2 n |S|
+cell operations a row against n^2: a group element or a subgroup average
+costs |S| rows of L.  `AlgebraElem.translates` is the view of one element.
 
 Memory: a row of a chunk holds its W, 32 n bytes, and then either its
-copied rows of C, 8 n |S| bytes, or its four half products before they
+copied rows of L, 8 n |S| bytes, or its four half products before they
 are summed, 32 n bytes.  A chunk holds as many rows as fit in
 `_kernels.CELLS` bytes (256 KB, the scan kernel's bound), and at least
 one.  So a call's working set is a fixed multiple of CELLS whatever B is,
 for n up to CELLS / 64 = 4096.  Only this module and `_kernels` know the
 bound; callers hand over whole stacks.  `AlgebraElem.convolve` is the
-one-row call.  `products` reads no `translate_table`; that table serves
-`translates`, `left_translate`, the code layer and the component-field
-check.
+one-row call.  The view of one element is its W, 32 n bytes; only a
+caller that needs the n x n matrix L(x) copies it out.
 
 Exactness: an entry of x y is a sum of n = 2N products of residues below
 q, so it is at most order (q-1)^2.  Elements and `products` refuse any
@@ -53,47 +54,53 @@ from .ff import PrimeField, require_int64_products
 from .groups import GroupElem, Subgroup
 
 
+def circulants(group, ys) -> np.ndarray:
+    """L(y) for every row y of an (r, n) stack of residues: the read-only
+    view L[r, e, i, o, k] of a fresh buffer of doubled halves (see the
+    module docstring), read by `products` and `AlgebraElem.translates`."""
+    r, N = len(ys), group.rot_order
+    # b a b = a^flip, flip = +-1 mod N: y^s is y read forwards or backwards
+    sign = {1: 1, N - 1: -1}[group._compose(0, 1, 1, 0)[0] % N]
+    W = np.empty((r or 1, 2, 2, 2 * N), dtype=np.int64)  # an empty stack views one row
+    W[:r].reshape(r, 2, 2, 2, N)[:, 0] = ys.reshape(r, 2, 1, N)
+    # [y1^s y1^s] and [y0^s y0^s] on positions 1..2N-1, all the view reads
+    W[:r, 1, :, 1:] = W[:r, 0, ::-1, 1:][..., ::sign]
+    L = np.ndarray((r, 2, N, 2, N), np.int64, buffer=W, offset=8 * N,
+                   strides=W.strides[:2] + (-8, W.strides[2], 8))
+    L.flags.writeable = False
+    return L
+
+
 def products(group, field: PrimeField, xs, ys) -> np.ndarray:
     """Row-wise products xs[r] ys[r] in F_q G of two (B, n) stacks of
     residues in [0, q), as a new (B, n) int64 array of residues.
 
-    The four cyclic convolutions of each product are read off circulant
-    views of one buffer of doubled halves, in chunks whose working set
-    fits in CELLS bytes (see the module docstring).  The inputs must be
-    reduced: the 2^63 bound holds for residues below q only.
+    The four cyclic convolutions of each product are read off the
+    `circulants` of a chunk of ys, in chunks whose working set fits in
+    CELLS bytes (see the module docstring).  The inputs must be reduced:
+    the 2^63 bound holds for residues below q only.
     """
     require_int64_products(field.q, group.p, group.m)
     n, N = group.order, group.rot_order
     xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
     if xs.shape != ys.shape or xs.shape[1:] != (n,):
         raise ValueError(f"expected two (B, {n}) stacks, got {xs.shape} and {ys.shape}")
-    # b a b = a^flip, flip = +-1 mod N: y^s is y read forwards or backwards
-    sign = {1: 1, N - 1: -1}[group._compose(0, 1, 1, 0)[0] % N]
     S = (xs[0] if len(xs) == 1 else xs.any(axis=0)).nonzero()[0]
     sparse = 2 * len(S) < n and 8 * n * len(S) <= CELLS
-    # bytes a row holds: its W, then its copied rows of C or its four halves
+    # bytes a row holds: its W, then its copied rows of L or its four halves
     row_bytes = 32 * n + (8 * n * len(S) if sparse else 32 * n)
     step = max(1, CELLS // row_bytes)
-    W = np.empty((min(step, len(xs)) or 1, 2, 2, 2 * N), dtype=np.int64)
-    C = np.ndarray(W.shape[:3] + (N, N), np.int64, buffer=W, offset=8 * N,
-                   strides=W.strides[:3] + (-8, 8))
-    C.flags.writeable = False
-    if sparse:  # C[r, h, i] is the row of L(y) that x's coefficient i + h N takes
-        h, i = np.unravel_index(S, (2, N))
-        C = C.transpose(0, 1, 3, 2, 4)
-    doubled = W.reshape(len(W), 2, 2, 2, N)[:, 0]
+    e, i = np.divmod(S, N)  # x's coefficient on S takes row a^i b^e of L(y)
     out = np.empty((len(xs), n), dtype=np.int64)
     for start in range(0, len(xs), step):
         x, o = xs[start : start + step], out[start : start + step]
-        r = len(x)
-        doubled[:r] = ys[start : start + step].reshape(r, 2, 1, N)
-        # [y1^s y1^s] and [y0^s y0^s] on positions 1..2N-1, all C reads
-        W[:r, 1, :, 1:] = W[:r, 0, ::-1, 1:][..., ::sign]
+        r, L = len(x), circulants(group, ys[start : start + step])
         if sparse:
-            np.matmul(x[:, None, S], C[:r, h, i].reshape(r, len(S), n), out=o[:, None])
+            np.matmul(x[:, None, S], L[:, e, i].reshape(r, len(S), n), out=o[:, None])
         else:
-            halves = np.matmul(x.reshape(r, 2, 1, 1, N), C[:r])  # [:, h, o] = x_h C[:, h, o]
-            np.add(halves[:, 0], halves[:, 1], out=o.reshape(r, 2, 1, N))
+            halves = np.matmul(x.reshape(r, 2, 1, 1, N), L.transpose(0, 1, 3, 2, 4))
+            np.add(halves[:, 0], halves[:, 1], out=o.reshape(r, 2, 1, N))  # x0 L0 + x1 L1
+        del L  # this chunk's buffer goes before the next one is written
     out %= field.q
     return out
 
@@ -191,8 +198,9 @@ class AlgebraElem:
         return AlgebraElem._of_residues(self.group, self.field, xy[0])
 
     def translates(self) -> np.ndarray:
-        """L(x): the order x order matrix whose row g is the left translate g x."""
-        return self.coeffs[self.group.translate_table]
+        """L(x), row g the left translate g x, as the read-only (2, N, 2, N)
+        view [e, i, o, k] of `circulants`; `.reshape(n, n)` copies it out."""
+        return circulants(self.group, self.coeffs[None])[0]
 
     def __eq__(self, other):
         return (
@@ -214,13 +222,6 @@ class AlgebraElem:
         return f"<{body} in F_{self.field.q}[{self.group!r}]>"
 
 
-def left_translate(g: GroupElem, x: AlgebraElem) -> AlgebraElem:
-    """g x without a full convolution: row g of L(x), a permutation of x."""
-    if g.group != x.group:
-        raise ValueError("group mismatch")
-    return AlgebraElem(x.group, x.field, x.coeffs[x.group.translate_table[g.index]])
-
-
 def hat(field: PrimeField, subgroup: Subgroup) -> AlgebraElem:
     """The normalized subgroup average (1/|H|) sum_{h in H} h.
 
@@ -238,10 +239,10 @@ def is_idempotent(x: AlgebraElem) -> bool:
 
 
 def is_central(x: AlgebraElem) -> bool:
-    """Commutation against the group generators suffices by linearity."""
-    for g in x.group.generators():
-        ge = AlgebraElem.from_group_elem(g, x.field)
-        if ge.convolve(x) != x.convolve(ge):
-            return False
-    return True
+    """Commutation against the group generators suffices by linearity: a x
+    and b x against x a and x b, on one stack each way."""
+    gens = np.zeros((2, x.group.order), dtype=np.int64)
+    gens[[0, 1], [g.index for g in x.group.generators()]] = 1
+    xs, G, F = np.broadcast_to(x.coeffs, gens.shape), x.group, x.field
+    return np.array_equal(products(G, F, gens, xs), products(G, F, xs, gens))
 

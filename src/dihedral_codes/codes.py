@@ -15,7 +15,7 @@ import numpy as np
 
 from . import modmat
 from ._kernels import weight_histogram
-from .algebra import AlgebraElem, hat
+from .algebra import AlgebraElem, hat, products
 from .ff import DEFAULT_BUDGET, PrimeField
 from .gm import format_generator_matrix, write_generator_matrix
 from .groups import AbelianGroup, DihedralGroup, Subgroup
@@ -146,12 +146,15 @@ class LinearCode:
 
     def is_left_ideal(self) -> bool:
         """Closure of the row space under the left action of the group: the
-        translates g x, x[T[g]] with T the `translate_table`, of every basis
-        row x by the generators g = a, b lie in the code."""
+        translates g x of every basis row x by the generators g = a, b, one
+        `products` call each, g broadcast against the basis, lie in the code."""
         if self.group is None:
             raise ValueError("code carries no group")
-        G, T = self.generator_matrix, self.group.translate_table
-        return self._absorbs(*(G[:, T[g.index]] for g in self.group.generators()))
+        G, field = self.generator_matrix, PrimeField(self.q)
+        gens = (AlgebraElem.from_group_elem(g, field).coeffs for g in self.group.generators())
+        return self._absorbs(
+            *(products(self.group, field, np.broadcast_to(g, G.shape), G) for g in gens)
+        )
 
     # -- serialization -------------------------------------------------------
     def to_text(self) -> str:
@@ -197,7 +200,7 @@ def left_ideal_code(x: AlgebraElem) -> LinearCode:
     of L(x)."""
     if x.is_zero():
         raise ValueError("zero generator")
-    return LinearCode(x.translates(), x.field.q, group=x.group)
+    return LinearCode(x.translates().reshape(x.group.order, -1), x.field.q, group=x.group)
 
 
 def subgroup_pair_code(field: PrimeField, H: Subgroup, K: Subgroup) -> np.ndarray:
@@ -219,8 +222,9 @@ def subgroup_pair_code(field: PrimeField, H: Subgroup, K: Subgroup) -> np.ndarra
           K-coset;
       (c) row (r, t) of B is row r of L(e) minus row rt, as t K^ = K^.
     By (a) and (b), span B = V.  V is a left ideal holding e, so A e lies
-    in V, and by (c) B lies in A e.  Hence span B = A e = V.  Only 2k rows
-    of L(e) are gathered.
+    in V, and by (c) B lies in A e.  Hence span B = A e = V.  Only rows r
+    and rt of L(H^) and L(e) are read, 2k each, off their views
+    (`AlgebraElem.translates`), with rt composed on index arrays.
     """
     if not H.within(K):
         raise ValueError("H is not contained in K")
@@ -237,17 +241,20 @@ def subgroup_pair_code(field: PrimeField, H: Subgroup, K: Subgroup) -> np.ndarra
     h_cosets = np.flatnonzero(h_root == ids)
     k_cosets = np.flatnonzero(k_root == ids)
 
-    # row (r, t) = r H^ - r t H^ read as x[T[g]]; r runs over the K-coset
-    # labels and t over the H-coset labels inside K
-    T = group.translate_table
+    # row (r, t) = r H^ - r t H^, rows r and rt of L(H^), row a^i b^e at [e, i]
+    # of the view; r runs over the K-coset labels, t over the H-coset labels in K
+    N = group.rot_order
     tau = h_cosets[k_root[h_cosets] == 0]
-    r = np.repeat(k_cosets, len(tau) - 1)
-    rt = group.mult_table[np.ix_(k_cosets, tau[1:])].ravel()
-    B = (hat_H.coeffs[T[r]] - hat_H.coeffs[T[rt]]) % q
+    r, t = np.repeat(k_cosets, len(tau) - 1), np.tile(tau[1:], len(k_cosets))
+    i, j = group._compose(r % N, r // N, t % N, t // N)
+    rt = i % N + j % 2 * N
+    r_rows, rt_rows = (r // N, r % N), (rt // N, rt % N)
+    L = hat_H.translates()
+    B = (L[r_rows] - L[rt_rows]).reshape(-1, n) % q
 
     if not np.array_equal(B[:, h_root[rt]] != 0, np.eye(len(B), dtype=bool)):
         raise RuntimeError("predicted basis is not linearly independent")
-    c = e.coeffs
+    c, L = e.coeffs, e.translates()
     # V: constant on each H-coset (x = x[h_root]), zero sum over each K-coset
     in_V = np.vstack((B, c))
     by_k_coset = in_V[:, np.argsort(k_root, kind="stable")].reshape(len(in_V), len(k_cosets), -1)
@@ -255,7 +262,7 @@ def subgroup_pair_code(field: PrimeField, H: Subgroup, K: Subgroup) -> np.ndarra
         len(B) == len(h_cosets) - len(k_cosets)
         and np.array_equal(in_V, in_V[:, h_root])
         and not (by_k_coset.sum(axis=2) % q).any()
-        and np.array_equal((c[T[r]] - c[T[rt]]) % q, B)
+        and np.array_equal((L[r_rows] - L[rt_rows]).reshape(-1, n) % q, B)
     ):
         raise RuntimeError("predicted basis does not span the code")
     B.setflags(write=False)

@@ -7,9 +7,12 @@ the canonical index i + j p^m.  That index order is THE coordinate order for
 all coefficient vectors, generator matrices, and file exports, so the
 bijection between the two groups is the identity permutation on coordinates.
 
-numpy loads only in the array tables (`inverse_indices`, `mult_table`,
-`translate_table`), so the elements, the group law, the subgroups and their
-coset labels serve the numpy-free commands too.
+numpy loads only in the array tables (`inverse_indices`, `mult_table`),
+so the elements, the group law, the subgroups and their coset labels serve
+the numpy-free commands too.  The tables serve `verify --check
+group-axioms` alone: the algebra reads L(x) off the circulants of
+`algebra.circulants`, and the code layer composes index arrays with
+`_compose`.
 """
 
 from __future__ import annotations
@@ -166,17 +169,6 @@ class _Group:
         i, j = self._compose(i1, j1, i2, j2)
         table = (i % pm) + (j % 2) * pm
         table = np.ascontiguousarray(table, dtype=np.int64)
-        table.setflags(write=False)
-        return table
-
-    @cached_property
-    def translate_table(self) -> np.ndarray:
-        """order x order table: translate_table[g, h] = index(g^{-1} h).
-
-        For a coefficient vector x, x[translate_table] is the matrix L(x)
-        whose row g is the left translate g x, since (g x)_h = x_{g^{-1} h}.
-        """
-        table = self.mult_table[self.inverse_indices()]
         table.setflags(write=False)
         return table
 

@@ -7,14 +7,14 @@ tolerances anywhere.
 
 The algebra runs on stacks: `convolution` and `component-field` hand
 whole stacks of elements to `algebra.products`, which alone splits them
-to its memory bound, and `hat-idempotents` checks absorption one subgroup
-average against a stack of others.  Checks of one
-`run_checks` call share scans of identical matrices: a weight distribution
-is scanned once per distinct generator matrix and run (see
-`codes.shared_scans`), so `central-codes` and `survey` reuse what
-`subgroup-pairs` scanned: the matrices `construct --gen pair` writes,
-which equal the eliminated codes of e11 and e22.  Each run starts with an
-empty memo.
+to its memory bound, and `hat-idempotents` squares all subgroup averages
+in one stack and checks absorption one average against a stack of
+others.  Checks of one `run_checks` call share scans of identical
+matrices: a weight distribution is scanned once per distinct generator
+matrix and run (see `codes.shared_scans`), so `central-codes` and
+`survey` reuse what `subgroup-pairs` scanned: the matrices `construct
+--gen pair` writes, which equal the eliminated codes of e11 and e22.
+Each run starts with an empty memo.
 
 `survey` and `nonequivalence` are the independent oracle of the survey's
 closed forms: they build the abelian catalog (`idempotents.abelian_catalog`),
@@ -34,7 +34,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import modmat
-from .algebra import hat, is_idempotent, products
+from .algebra import circulants, hat, products
 from .check_names import CHECK_NAMES
 from .codes import (
     DEFAULT_BUDGET,
@@ -164,12 +164,12 @@ def check_group_axioms(ctx: VerifyContext) -> str:
         ids = np.arange(n)
         _require(np.array_equal(table[0], ids), "identity fails on the left")
         _require(np.array_equal(table[:, 0], ids), "identity fails on the right")
-        bad = np.flatnonzero(table[ids, group.inverse_indices()] != 0)
+        inverse = group.inverse_indices()
+        bad = np.flatnonzero(table[ids, inverse] != 0)
         if bad.size:
             raise CheckFailure(f"inverse fails for {group.from_index(int(bad[0]))!r}")
         # no repeated entry in any row
         _require(np.diff(np.sort(table, axis=1), axis=1).all(), "multiplication not cancellative")
-        inverse = group.inverse_indices()
         for S in group.all_subgroups():
             idx = np.array(S.indices())
             member = np.zeros(n, dtype=bool)
@@ -228,21 +228,20 @@ def check_convolution(ctx: VerifyContext) -> str:
 
 
 def check_hat_idempotents(ctx: VerifyContext) -> str:
-    """Every subgroup average is idempotent, and H^ K^ = K^ H^ = K^ for
-    nested H < K.  The absorption products run stacked: H^ against all
-    the K^ above it, then all the H^ below each K^ against it; either way
-    the left factors' supports lie inside the larger subgroup, so each
-    stack copies few rows of the circulants `products` reads."""
+    """Every subgroup average is idempotent, all squared in one stack, and
+    H^ K^ = K^ H^ = K^ for nested H < K.  The absorption products run
+    stacked: H^ against all the K^ above it, then all the H^ below each
+    K^ against it; either way the left factors' supports lie inside the
+    larger subgroup, so each stack copies few rows of the circulants
+    `products` reads."""
     field = ctx.field
     mul = partial(products, ctx.dihedral, field)
     subs = ctx.dihedral.all_subgroups()
-    hats, sets = [], []
-    for S in subs:
-        h = hat(field, S)
-        _require(is_idempotent(h), f"hat of subgroup of order {S.order} is not idempotent")
-        hats.append(h.coeffs)
-        sets.append(frozenset(S.indices()))
-    hats = np.array(hats)
+    hats = np.array([hat(field, S).coeffs for S in subs])
+    bad = np.flatnonzero((mul(hats, hats) != hats).any(axis=1))
+    if bad.size:
+        raise CheckFailure(f"hat of subgroup of order {subs[bad[0]].order} is not idempotent")
+    sets = [frozenset(S.indices()) for S in subs]
     nested = np.array([[si < sj for sj in sets] for si in sets])  # [i, j]: H_i < H_j
     for i in range(len(sets)):
         hj = hats[nested[i]]
@@ -329,8 +328,8 @@ def check_component_field(ctx: VerifyContext) -> str:
     tested = []
     for j in range(1, ctx.m + 1):
         e = ctx.catalog.component(j)
-        # row i < p^m of L(e) is a^i e
-        powers = e.translates()[: D.rot_order]
+        # rows a^i e, i < p^m, of L(e)
+        powers = e.translates()[0].reshape(D.rot_order, -1)
         basis, _ = modmat.rref(powers, q)
         d = basis.shape[0]
         _require(d == phi_prime_power(ctx.p, j), f"F_q<a>e_{j} has wrong dimension")
@@ -342,8 +341,8 @@ def check_component_field(ctx: VerifyContext) -> str:
             mode = "sampled"
         v = combos @ basis % q
         v = v[v.any(axis=1)]
-        # rows a^i v, i < d, of L(v)
-        xs = [modmat.solve(row[D.translate_table[:d]].T, e.coeffs, q) for row in v]
+        # rows a^i v, i < d, of L(v): view[0, :d] of each v's view
+        xs = [modmat.solve(view[0, :d].reshape(d, -1).T, e.coeffs, q) for view in circulants(D, v)]
         _require(all(x is not None for x in xs), "not invertible in component")
         w = np.array(xs, dtype=np.int64).reshape(len(v), d) @ powers[:d] % q
         _require(
@@ -427,7 +426,7 @@ def check_powers_basis(ctx: VerifyContext) -> str:
     parts = []
     for j, gens in ctx.noncentral.items():
         d = phi_prime_power(ctx.p, j)
-        R, _ = modmat.rref(gens.f.translates()[:d], ctx.q)  # a^i f, i < d
+        R, _ = modmat.rref(gens.f.translates()[0, :d].reshape(d, -1), ctx.q)  # a^i f, i < d
         _require(len(R) == d, f"powers-of-a basis has rank < {d}")
         code = left_ideal_code(gens.f)
         _require(
@@ -454,7 +453,8 @@ def check_abelian_images(ctx: VerifyContext) -> str:
         )
         # row g of L(x) is g x, and gamma keeps canonical indices (gamma-map),
         # so gamma(g e11) = gamma(g) gamma(e11) for every g is one matrix identity
-        bad = np.flatnonzero((u.e11.translates() != plus.translates()).any(axis=1))
+        differs = u.e11.translates() != plus.translates()
+        bad = np.flatnonzero(differs.reshape(ctx.dihedral.order, -1).any(axis=1))
         if bad.size:
             g = ctx.dihedral.from_index(int(bad[0]))
             raise CheckFailure(f"gamma(g e11) != gamma(g) (1+t)/2 etil_{j} for g = {g!r}")

@@ -15,7 +15,6 @@ from dihedral_codes import (
     hat,
     is_central,
     is_idempotent,
-    left_translate,
     products,
 )
 from dihedral_codes._kernels import CELLS
@@ -126,12 +125,15 @@ def test_support_weight_examples(field11, d9, catalog):
     assert catalog.component(1).support_weight() == 9
 
 
-def test_left_translate_matches_convolution(field11, d9):
+def test_translates_rows_match_convolution(field11, d9):
     rng = random.Random(5)
     x = rand_elem(d9, field11, rng)
+    L = x.translates()
+    assert L.shape == (2, 9, 2, 9) and not L.flags.writeable
     for g in d9.elements():
         ge = AlgebraElem.from_group_elem(g, field11)
-        assert left_translate(g, x) == ge * x
+        assert np.array_equal(L.reshape(18, 18)[g.index], (ge * x).coeffs)
+        assert np.array_equal(L[g.j, g.i].ravel(), (ge * x).coeffs)
 
 
 def test_coeffs_are_read_only(field11, d9):
@@ -163,7 +165,7 @@ def test_convolve_matches_brute_force(group, q):
         assert list(x.convolve(y).coeffs) == brute_product(x, y)
         for g in group.elements():
             ge = AlgebraElem.from_group_elem(g, field)
-            assert list(left_translate(g, y).coeffs) == brute_product(ge, y)
+            assert list(y.translates().reshape(group.order, -1)[g.index]) == brute_product(ge, y)
 
 
 def test_int64_bound_refuses_wrapping_products(d9):
@@ -202,8 +204,38 @@ def test_convolve_matches_full_translate_matrix(group, q):
     assert [x.support_weight() for x in xs][:3] == [0, 1, subgroup.order]
     for x in xs:
         for y in (rand_elem(group, field, rng), hat(field, subgroup)):
-            full = x.coeffs @ y.translates() % q
+            full = x.coeffs @ y.translates().reshape(group.order, -1) % q
             assert np.array_equal(x.convolve(y).coeffs, full)
+
+
+def translate_index(group):
+    """idx[g, h] = index(g^-1 h), from GroupElem products alone: x[idx] is
+    L(x), whose row g is g x, as (g x)_h = x_(g^-1 h)."""
+    els = group.elements()
+    return np.array([[(g.inverse() * h).index for h in els] for g in els])
+
+
+@pytest.mark.parametrize(
+    "group", [cls(p, m) for cls in (DihedralGroup, AbelianGroup)
+              for p, m in ((3, 1), (3, 2), (5, 1), (5, 3))], ids=repr
+)
+def test_translates_match_an_index_oracle(group):
+    """L(x) of a random x, of every subgroup average H^ and of every
+    H^ - K^ for nested H < K, the elements whose rows `subgroup_pair_code`
+    reads: the whole view, and rows read as that function reads them, at
+    [e, i] for index arrays of a^i b^e."""
+    field, n, N = PrimeField(11), group.order, group.rot_order
+    idx = translate_index(group)
+    subs = group.all_subgroups()
+    hats = {S: hat(field, S) for S in subs}
+    xs = [rand_elem(group, field, random.Random(10)), *hats.values()]
+    xs += [hats[H] - hats[K] for H in subs for K in subs if H != K and H.within(K)]
+    g = np.random.default_rng(11).permutation(n)
+    for x in xs:
+        L = x.translates()
+        assert L.shape == (2, N, 2, N) and not L.flags.writeable
+        assert np.array_equal(L.reshape(n, n), x.coeffs[idx])
+        assert np.array_equal(L[g // N, g % N].reshape(n, n), x.coeffs[idx[g]])
 
 
 def mult_table_products(group, q, xs, ys):

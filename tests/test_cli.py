@@ -657,8 +657,7 @@ def test_the_write_limit_refuses_no_tested_command():
 
 # where each exported name is defined
 HOMES = {
-    "algebra": ["AlgebraElem", "hat", "is_central", "is_idempotent", "left_translate",
-                "products"],
+    "algebra": ["AlgebraElem", "hat", "is_central", "is_idempotent", "products"],
     "check_names": ["CHECK_NAMES"],
     "codes": ["LinearCode", "equivalence_necessary_check", "gamma_image_code",
               "left_ideal_code", "subgroup_pair_code"],

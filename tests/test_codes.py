@@ -2,7 +2,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dihedral_codes import (
@@ -15,7 +15,6 @@ from dihedral_codes import (
     codes,
     hat,
     left_ideal_code,
-    left_translate,
     modmat,
     subgroup_pair_code,
 )
@@ -58,7 +57,10 @@ def test_flagship_code_parameters(gens1):
 
 
 def test_flagship_against_independent_span_oracle(field11, d9, gens1):
-    rows = [tuple(int(v) for v in left_translate(g, gens1.f).coeffs) for g in d9.elements()]
+    L = gens1.f.translates().reshape(18, 18)
+    for g in range(18):
+        assert np.array_equal(L[g], _translate(d9, g, gens1.f.coeffs))
+    rows = [tuple(int(v) for v in row) for row in L]
     words = span_bfs(rows, 11)
     assert len(words) == 121
     weights = sorted(sum(1 for v in w if v) for w in words if any(w))
@@ -239,20 +241,19 @@ def _greedy_transversal(group, sub_indices, pool):
 
 
 def _predicted_basis_by_loop(field, H, K):
-    """The basis {r H^ - r t H^} built one translate at a time: the
-    reference for the gathered rows of `subgroup_pair_code`."""
+    """The basis {r H^ - r t H^} built one translate at a time from
+    GroupElem products: the reference for the rows of `subgroup_pair_code`."""
     group = H.group
     h_idx, k_idx = set(H.indices()), set(K.indices())
-    hat_H = hat(field, H)
+    hat_H = hat(field, H).coeffs
     reps = _greedy_transversal(group, k_idx, range(group.order))
     tau = _greedy_transversal(group, h_idx, sorted(k_idx))
     basis = []
     for r in reps:
-        r_hat = left_translate(group.from_index(r), hat_H)
         for t in tau[1:]:
-            rt = group.from_index(int(group.mult_table[r, t]))
-            basis.append(r_hat - left_translate(rt, hat_H))
-    return np.array([x.coeffs for x in basis], dtype=np.int64)
+            rt = (group.from_index(r) * group.from_index(t)).index
+            basis.append(_translate(group, r, hat_H) - _translate(group, rt, hat_H))
+    return np.array(basis, dtype=np.int64).reshape(-1, group.order) % field.q
 
 
 @pytest.mark.parametrize("q, p, m", [(11, 3, 2), (5, 3, 3), (2, 5, 2)])
@@ -607,22 +608,48 @@ def row_sets(draw):
     S = draw(st.sampled_from(
         [S for S in group.all_subgroups() if q ** (n // S.order) <= SPAN_CAP]
     ))
-    s = np.zeros(n, dtype=np.int64)
+    return _ideal_rows(group, q, draw(_vectors(q, n)), S, source)
+
+
+def _ideal_rows(group, q, y, S, source):
+    """(group, q, rows): the rows a^i x of L(x), i < p^m, or all of L(x),
+    for x = y s, s the sum over S, built from GroupElem products."""
+    s = np.zeros(group.order, dtype=np.int64)
     s[S.indices()] = 1
     field = PrimeField(q)
-    x = (AlgebraElem(group, field, draw(_vectors(q, n))) * AlgebraElem(group, field, s)).coeffs
-    rows = np.array([_translate(group, g, x) for g in range(n)])
+    x = (AlgebraElem(group, field, y) * AlgebraElem(group, field, s)).coeffs
+    rows = np.array([_translate(group, g, x) for g in range(group.order)])
     return group, q, rows[: group.rot_order] if source == "powers of a" else rows
 
 
+def _reflection_cases():
+    """All of L(x) for x = y s, S = {1, a^c b} with c != 0 in D, at three
+    (p, m, q).  A kernel with sigma = identity on D forms another x there
+    (S = <b>, or S without reflections, hides that fault), whose L(x) has
+    rank 8 to 17 at these y, so its span outgrows SPAN_CAP."""
+    cases = []
+    for (p, m, c), q in [((5, 1, 2), 3), ((5, 1, 3), 5), ((3, 2, 4), 2)]:
+        group = DihedralGroup(p, m)
+        y = np.random.default_rng(1).integers(0, q, group.order)
+        cases.append(_ideal_rows(group, q, y, Subgroup(group, m, c), "ideal"))
+    return cases
+
+
+REFLECTION_CASES = _reflection_cases()
+
+
 @settings(max_examples=60, deadline=None)
-@given(row_sets(), st.data())
-def test_contains_matches_brute_force_span(case, data):
+@given(row_sets(), st.integers(0, 2**32 - 1))
+@example(REFLECTION_CASES[0], 0)
+@example(REFLECTION_CASES[1], 0)
+@example(REFLECTION_CASES[2], 0)
+def test_contains_matches_brute_force_span(case, seed):
     group, q, rows = case
     span = _brute_span(rows, q)
     code = LinearCode(rows, q, group=group)
-    combo = data.draw(_vectors(q, len(rows))) @ rows % q
-    candidates = [combo, data.draw(_vectors(q, group.order))]
+    rng = np.random.default_rng(seed)
+    combo = rng.integers(0, q, len(rows)) @ rows % q
+    candidates = [combo, rng.integers(0, q, group.order)]
     candidates += [_translate(group, g, rows[0]) for g in range(group.order)]
     for v in candidates:
         assert code.contains(v) == (v.tobytes() in span)
@@ -630,6 +657,9 @@ def test_contains_matches_brute_force_span(case, data):
 
 @settings(max_examples=60, deadline=None)
 @given(row_sets())
+@example(REFLECTION_CASES[0])
+@example(REFLECTION_CASES[1])
+@example(REFLECTION_CASES[2])
 def test_is_left_ideal_matches_brute_force_closure(case):
     """Closed under left translation by every group element, not only a, b."""
     group, q, rows = case

@@ -143,7 +143,8 @@ def test_component_subalgebra_is_a_field(field11, d9, catalog):
     vs = np.array([(c0 * basis[0] + c1 * basis[1]) % 11
                    for c0 in range(11) for c1 in range(11) if c0 or c1])
     assert len(vs) == 120
-    xs = [modmat.solve(AlgebraElem(d9, field11, v).translates().T, e1.coeffs, 11) for v in vs]
+    xs = [modmat.solve(AlgebraElem(d9, field11, v).translates().reshape(18, 18).T, e1.coeffs, 11)
+          for v in vs]
     assert all(x is not None for x in xs)
     es = np.tile(e1.coeffs, (len(vs), 1))
     ws = products(d9, field11, products(d9, field11, es, np.array(xs)), es)
@@ -171,7 +172,7 @@ def test_closed_form_inverse_matches_the_solve(q, p, m):
             v = v + k * AlgebraElem.from_group_elem(group.a ** (2 * k + 1), field)
         v = field.inv(p**j) * v * e
         assert u * v == v * u == e
-        x = modmat.solve(u.translates().T, e.coeffs, q)
+        x = modmat.solve(u.translates().reshape(group.order, -1).T, e.coeffs, q)
         assert x is not None
         x = e * AlgebraElem(group, field, x) * e
         assert v == x
