@@ -23,11 +23,13 @@ buffer W of doubled halves, [y0 y0] and [y1 y1], then [y1^s y1^s] and
 W[r, e, o, N - i + k]: row a^i b^e of L(y) at column a^k b^o.  One
 kernel, `products`, forms every product from the `circulants` of each
 chunk of ys: out = x0 @ L[:, 0] + x1 @ L[:, 1], in canonical order, for
-two (B, n) stacks of residues.  When the union support S of the xs rows
-is less than half the group, and |S| rows of L fit in CELLS bytes, a
-chunk copies those rows alone and multiplies x[:, S] by them, 2 n |S|
-cell operations a row against n^2: a group element or a subgroup average
-costs |S| rows of L.  `AlgebraElem.translates` is the view of one element.
+two (B, n) stacks of residues.  When the union support S of a chunk's
+xs rows is less than half the group, and |S| rows of L fit in CELLS
+bytes, the chunk copies those rows alone and multiplies x[:, S] by them,
+2 n |S| cell operations a row against n^2: a group element or a subgroup
+average costs |S| rows of L.  Each chunk decides from its own rows (see
+`_chunk`), so a stack ordered by support keeps its sparse rows sparse.
+`AlgebraElem.translates` is the view of one element.
 
 Memory: a row of a chunk holds its W, 32 n bytes, and then either its
 copied rows of L, 8 n |S| bytes, or its four half products before they
@@ -71,6 +73,27 @@ def circulants(group, ys) -> np.ndarray:
     return L
 
 
+def _chunk(x, n: int):
+    """The next chunk of `products`: its row count r and, when it is
+    sparse, the union support S of x[:r], else None.  A row holds its W,
+    32 n bytes, and then either its copied rows of L, 8 n |S| bytes, when
+    S is less than half the group, or its four halves, 32 n bytes.  A
+    chunk whose first row is sparse is the longest run of rows whose own S
+    keeps them sparse within CELLS bytes; any other holds the dense rows
+    that fit.  x is the next CELLS // (32 n) rows of the stack, the most
+    any chunk can hold."""
+    s = np.count_nonzero(x[0])
+    if 2 * s >= n or 32 * n + 8 * n * s > CELLS:
+        return max(1, CELLS // (64 * n)), None
+    if len(x) == 1:
+        return 1, x[0].nonzero()[0]
+    seen = np.logical_or.accumulate(x != 0)  # seen[t]: support of x[: t + 1]
+    s = seen.sum(axis=1)
+    fits = (2 * s < n) & (np.arange(1, len(x) + 1) * (32 * n + 8 * n * s) <= CELLS)
+    r = np.count_nonzero(fits)  # a run of True, then False, as s only grows
+    return r, seen[r - 1].nonzero()[0]
+
+
 def products(group, field: PrimeField, xs, ys) -> np.ndarray:
     """Row-wise products xs[r] ys[r] in F_q G of two (B, n) stacks of
     residues in [0, q), as a new (B, n) int64 array of residues.
@@ -85,17 +108,16 @@ def products(group, field: PrimeField, xs, ys) -> np.ndarray:
     xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
     if xs.shape != ys.shape or xs.shape[1:] != (n,):
         raise ValueError(f"expected two (B, {n}) stacks, got {xs.shape} and {ys.shape}")
-    S = (xs[0] if len(xs) == 1 else xs.any(axis=0)).nonzero()[0]
-    sparse = 2 * len(S) < n and 8 * n * len(S) <= CELLS
-    # bytes a row holds: its W, then its copied rows of L or its four halves
-    row_bytes = 32 * n + (8 * n * len(S) if sparse else 32 * n)
-    step = max(1, CELLS // row_bytes)
-    e, i = np.divmod(S, N)  # x's coefficient on S takes row a^i b^e of L(y)
     out = np.empty((len(xs), n), dtype=np.int64)
-    for start in range(0, len(xs), step):
-        x, o = xs[start : start + step], out[start : start + step]
-        r, L = len(x), circulants(group, ys[start : start + step])
+    start = 0
+    while start < len(xs):
+        r, S = _chunk(xs[start : start + max(1, CELLS // (32 * n))], n)
+        x, o = xs[start : start + r], out[start : start + r]
+        r, sparse = len(x), S is not None
+        L = circulants(group, ys[start : start + r])
+        start += r
         if sparse:
+            e, i = np.divmod(S, N)  # x's coefficient on S takes row a^i b^e of L(y)
             np.matmul(x[:, None, S], L[:, e, i].reshape(r, len(S), n), out=o[:, None])
         else:
             halves = np.matmul(x.reshape(r, 2, 1, 1, N), L.transpose(0, 1, 3, 2, 4))

@@ -81,15 +81,14 @@ class LinearCode:
 
     def __init__(self, rows, q: int, group=None):
         PrimeField(q)  # refuses a q that is not prime
-        R, _ = modmat.rref(rows, q)
-        # R views rref's whole working array; keep a copy of its k rows only
-        self._store(R.copy(), q, group)
+        self._store(modmat.rref(rows, q)[0], q, group)
 
     @classmethod
     def _from_rref(cls, R: np.ndarray, q: int, group=None) -> "LinearCode":
-        """The code whose canonical RREF is R, another code's stored matrix
-        (see `gamma_image_code`).  R is kept as it is, with no copy, field
-        test or elimination: the result equals `LinearCode(R, q, group)`."""
+        """The code whose canonical RREF is R: another code's stored matrix
+        (see `gamma_image_code`), or a fresh `modmat.eliminate` result (see
+        `left_ideal_code`).  R is kept as it is, with no copy, field test or
+        elimination: the result equals `LinearCode(R, q, group)`."""
         code = cls.__new__(cls)
         code._store(R, q, group)
         return code
@@ -197,10 +196,16 @@ class LinearCode:
 
 def left_ideal_code(x: AlgebraElem) -> LinearCode:
     """The code spanned by all left translates {g x : g in G}: the row space
-    of L(x)."""
+    of L(x).  The (2, N, 2, N) view of L(x) (`AlgebraElem.translates`) is
+    copied once, as n x n residues in the elimination lane of q (int8 for
+    q <= 11, see `modmat`), and eliminated in place; only the k rows of
+    the RREF come back as int64."""
     if x.is_zero():
         raise ValueError("zero generator")
-    return LinearCode(x.translates().reshape(x.group.order, -1), x.field.q, group=x.group)
+    q, L = x.field.q, x.translates()
+    A = np.empty((x.group.order,) * 2, modmat.lane(q))
+    A.reshape(L.shape)[...] = L  # the one copy of L(x): residues, so no cast can wrap
+    return LinearCode._from_rref(modmat.eliminate(A, q)[0], q, group=x.group)
 
 
 def subgroup_pair_code(field: PrimeField, H: Subgroup, K: Subgroup) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over F_q on int64 arrays.
+"""Dense exact linear algebra over F_q, on integers as narrow as q allows.
 
 Gaussian elimination with the leftmost-pivot convention.  The reduced row
 echelon form is canonical: two matrices have the same row space exactly when
@@ -7,7 +7,7 @@ its generator matrix in this form and compares codes by comparing matrices,
 and a row lies in a code when appending it to that matrix keeps the rank.
 
 An elimination step touches only the rows with a nonzero entry in the pivot
-column, and only from that column on; `rref` says why the rest is final.
+column, and only from that column on; `eliminate` says why the rest is final.
 It skips the columns that are zero below the last pivot, and stops once
 those rows are all zero.  A matrix proven reduced elsewhere never comes
 here: `LinearCode._from_rref` stores a code's stored matrix as it is for
@@ -15,31 +15,58 @@ here: `LinearCode._from_rref` stores a code's stored matrix as it is for
 numpy.
 
 Exactness: elimination only ever forms one product of two residues below q
-and subtracts it from a residue, so every intermediate is at most (q-1)^2 in
-absolute value.  `asmat` refuses any q for which that bound reaches 2^63.
+and subtracts it from a residue, so every intermediate lies in
+[-(q-1)^2, q-1].  It runs in `lane(q)`, the narrowest of int8, int16, int32
+and int64 whose maximum exceeds (q-1)^2: int8 for q <= 11 (10^2 = 100 <
+127), int16 for q <= 181 (180^2 = 32400 < 32767), int32 for q <= 46337
+(46336^2 = 2147024896 < 2^31 - 1), and int64 up to the largest q with
+(q-1)^2 < 2^63.  The minimum of each width is below minus its maximum, so
+-(q-1)^2 fits as well, and no step can wrap.  `lane` refuses any q beyond
+int64.  Every RREF comes back as a new int64 array, whatever the lane.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 
+@cache  # one width per q, not per call or per pivot
+def lane(q: int) -> np.dtype:
+    """The narrowest signed integer dtype whose maximum exceeds (q-1)^2."""
+    for t in (np.int8, np.int16, np.int32, np.int64):
+        if np.iinfo(t).max > (q - 1) ** 2:
+            return np.dtype(t)
+    raise ValueError(
+        f"(q-1)^2 = {(q - 1) ** 2} reaches 2^63; int64 elimination would overflow"
+    )
+
+
+def _reduce_into(out: np.ndarray, mat, q: int) -> np.ndarray:
+    """Writes mat mod q into out, a lane(q) array, with no int64 copy."""
+    return np.remainder(mat, np.int64(q), out=out, casting="unsafe")
+
+
 def asmat(mat, q: int) -> np.ndarray:
-    if (q - 1) ** 2 >= 1 << 63:
-        raise ValueError(
-            f"(q-1)^2 = {(q - 1) ** 2} reaches 2^63; int64 elimination would overflow"
-        )
-    A = np.array(mat, dtype=np.int64, copy=True)
+    """mat mod q as a new 2-D lane(q) array; a vector becomes one row."""
+    A = np.asarray(mat)
     if A.ndim == 1:
         A = A[None, :]
     if A.ndim != 2:
         raise ValueError("expected a matrix")
-    return A % q
+    return _reduce_into(np.empty(A.shape, lane(q)), A, q)
 
 
 def rref(mat, q: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_q.  Returns (R, pivot_columns);
-    R keeps only the nonzero rows.
+    """Reduced row echelon form over F_q.  Returns (R, pivot_columns):
+    R is a new int64 array of the nonzero rows only."""
+    return eliminate(asmat(mat, q), q)
+
+
+def eliminate(A: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
+    """`rref` of A, a 2-D lane(q) array of residues that the caller hands
+    over: A is overwritten, and R is copied out of it as int64.
 
     The step at pivot (r, c) updates only the rows with a nonzero factor in
     column c, from column c on.  Rows r and below are zero left of c, so the
@@ -51,7 +78,6 @@ def rref(mat, q: int) -> tuple[np.ndarray, list[int]]:
     An input that is already reduced takes one step per pivot, and each
     step's pivot column is nonzero in its own row only.
     The (q-1)^2 bound is unchanged."""
-    A = asmat(mat, q)
     rows, cols = A.shape
     r = c = 0
     pivots: list[int] = []
@@ -74,23 +100,24 @@ def rref(mat, q: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
         c += 1
-    return A[:r], pivots
+    return A[:r].astype(np.int64), pivots
 
 
 def solve(A, b, q: int) -> np.ndarray | None:
     """One solution x of A x = b over F_q (free variables set to 0), or
-    None when the system is inconsistent."""
-    A = asmat(A, q)
-    b = np.asarray(b, dtype=np.int64).reshape(-1) % q
-    if b.shape[0] != A.shape[0]:
+    None when the system is inconsistent.  [A | b] is reduced mod q once,
+    into the lane, and eliminated there."""
+    A, b = np.asarray(A), np.asarray(b).reshape(-1, 1)
+    if A.ndim != 2 or len(b) != len(A):
         raise ValueError("shape mismatch")
-    aug = np.hstack([A, b[:, None]])
-    R, pivots = rref(aug, q)
     cols = A.shape[1]
+    aug = np.empty((len(A), cols + 1), lane(q))
+    _reduce_into(aug[:, :cols], A, q)
+    _reduce_into(aug[:, cols:], b, q)
+    R, pivots = eliminate(aug, q)
     if cols in pivots:
         return None
     x = np.zeros(cols, dtype=np.int64)
     for row, c in enumerate(pivots):
         x[c] = R[row, cols]
     return x
-

@@ -17,6 +17,7 @@ from dihedral_codes import (
     is_idempotent,
     products,
 )
+from dihedral_codes import algebra
 from dihedral_codes._kernels import CELLS
 
 
@@ -247,12 +248,13 @@ def mult_table_products(group, q, xs, ys):
 
 
 def chunk_boundary(group, support: int) -> int:
-    """Rows per chunk of `products`, restated from its memory bound: a row
-    holds its buffer W, 32 n bytes, and its copied rows of C, 8 n |S|
-    bytes, when the union support S is less than half the group and those
-    fit in CELLS bytes, or else its four halves, 32 n bytes more."""
+    """Rows per chunk of `products` for a stack whose rows all have one
+    support S, restated from its memory bound: a row holds its buffer W,
+    32 n bytes, and its copied rows of L, 8 n |S| bytes, when S is less
+    than half the group and one such row fits in CELLS bytes, or else its
+    four halves, 32 n bytes more."""
     n = group.order
-    sparse = 2 * support < n and 8 * n * support <= CELLS
+    sparse = 2 * support < n and 32 * n + 8 * n * support <= CELLS
     return max(1, CELLS // (32 * n + (8 * n * support if sparse else 32 * n)))
 
 
@@ -342,3 +344,39 @@ def test_products_peak_memory_is_bounded_by_cells(p, m, B, left):
              for b in (B, 4 * B)]
     assert max(peaks) < 2 * CELLS
     assert peaks[1] < peaks[0] + CELLS // 16
+
+
+class MatmulKinds:
+    """Stands in for numpy inside `algebra` and records each chunk's kind
+    from its matmul: a sparse chunk multiplies (r, 1, |S|) rows, a dense
+    one (r, 2, 1, 1, N) halves."""
+
+    def __init__(self):
+        self.kinds = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        self.kinds.append({3: "sparse", 5: "dense"}[np.ndim(a)])
+        return np.matmul(a, b, **kwargs)
+
+
+def test_products_choose_sparse_or_dense_per_chunk(monkeypatch):
+    """The subgroup averages of D_250 in `all_subgroups`' order of size,
+    as `hat-idempotents` squares them in one call: the chunks of small
+    averages stay sparse, each on its own union support, and the chunks
+    of large ones are dense; every product matches the oracle, and the
+    working set stays within the CELLS bound."""
+    group, field = DihedralGroup(5, 3), PrimeField(3)
+    xs = np.array([hat(field, H).coeffs for H in group.all_subgroups() if H.order % 3])
+    ys = np.random.default_rng(0).integers(0, 3, xs.shape)
+    kinds = MatmulKinds()
+    monkeypatch.setattr(algebra, "np", kinds)
+    out = products(group, field, xs, ys)
+    monkeypatch.undo()
+    assert np.array_equal(out, mult_table_products(group, 3, xs, ys).astype(np.int64))
+    switch = kinds.kinds.index("dense")
+    assert switch > 1 and set(kinds.kinds[switch:]) == {"dense"}
+    assert set(kinds.kinds[:switch]) == {"sparse"}
+    assert _working_set(group, xs, ys) < 2 * CELLS

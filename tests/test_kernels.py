@@ -159,6 +159,31 @@ def test_peak_memory_does_not_grow_with_n_or_k():
     assert max(peaks) < 4 * min(peaks)
 
 
+def test_span_sums_take_a_wider_dtype_than_residues():
+    # q = 131: a residue fits uint8, but d g + B[t] reaches 260 and d g
+    # itself 130^2, so both take uint16; the span of the last two rows
+    # (inner = 2 at n = 4) sums nonzero words of the first row's span
+    q = 131
+    G = np.array([[130, 1, 65, 7], [129, 130, 0, 128], [130, 127, 129, 1]])
+    assert np.array_equal(weight_histogram(G, q), chunked_histogram(G, q))
+
+
+@pytest.mark.parametrize("q, k, n", [(5, 8, 54), (3, 8, 250)])
+def test_scan_peaks_below_two_cells(q, k, n):
+    """The span is built in its residue dtype, one byte a cell here, so
+    it and one step's compare block stay under 2 CELLS bytes together;
+    the int64 build of the span alone peaked near 11 CELLS."""
+    G = np.random.default_rng(n).integers(0, q, size=(k, n))
+    tracemalloc.start()
+    try:
+        hist = weight_histogram(G, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist.sum() == q**k
+    assert peak < 2 * _kernels.CELLS
+
+
 def test_int64_bound_is_checked_before_scanning():
     # 3037000507 is the smallest prime q with (q-1)^2 >= 2^63; a scan would
     # step through all q messages, so the check must come first

@@ -10,15 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dihedral_codes import (
+    AlgebraElem,
     DihedralGroup,
     LinearCode,
     PrimeField,
     central_idempotents,
+    left_ideal_code,
     matrix_units,
     modmat,
     noncentral_generator,
 )
-from dihedral_codes.modmat import asmat, rref, solve
+from dihedral_codes.modmat import asmat, lane, rref, solve
 
 
 def brute_span(A, q) -> set[tuple[int, ...]]:
@@ -143,9 +145,10 @@ def test_solve_matches_brute_force(case):
 
 
 def dense_rref(mat, q):
-    """Oracle: elimination that rescales the whole pivot row and subtracts
-    a multiple of it from every row, over every column."""
-    A = asmat(mat, q)
+    """Oracle: elimination in int64, whatever q, that rescales the whole
+    pivot row and subtracts a multiple of it from every row, over every
+    column."""
+    A = np.array(mat, dtype=np.int64) % q
     rows, cols = A.shape
     r = 0
     pivots: list[int] = []
@@ -304,3 +307,76 @@ def test_rref_stops_once_the_rows_below_are_zero(monkeypatch):
     monkeypatch.undo()
     assert pivots == [0, 2] and counting.searches == 2 + 1 + 2 + 1
     assert_same_rref(A, 3)
+
+
+# each width's last q and the next prime, where the width steps up
+LANE_EDGES = [(11, np.int8), (13, np.int16), (181, np.int16), (191, np.int32),
+              (46337, np.int32), (46349, np.int64)]
+
+
+@pytest.mark.parametrize("q, width", LANE_EDGES)
+def test_lane_is_the_narrowest_width_above_the_largest_product(q, width):
+    assert lane(q) == width and np.iinfo(width).max > (q - 1) ** 2
+    narrower = {np.int16: np.int8, np.int32: np.int16, np.int64: np.int32}.get(width)
+    assert narrower is None or np.iinfo(narrower).max < (q - 1) ** 2
+    A = asmat([[-1, q, 2 * q + 1], [q - 1, -q - 1, 5 * q]], q)
+    assert A.dtype == width and A.tolist() == [[q - 1, 0, 1], [q - 1, q - 1, 0]]
+
+
+def test_lane_refuses_the_int64_bound():
+    # 3037000507 is the smallest prime q with (q-1)^2 >= 2^63
+    assert lane(3037000493) == np.int64
+    with pytest.raises(ValueError, match=r"2\^63"):
+        rref([[1, 2]], 3037000507)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        solve([[1, 2]], [1], 3037000507)
+
+
+def extreme_matrix(q, rng):
+    """Up to 30 x 40 over {0, 1, q - 2, q - 1}, so the products of the
+    elimination reach (q-1)^2, with a repeated row and a dependent one."""
+    rows, cols = int(rng.integers(3, 31)), int(rng.integers(2, 41))
+    A = rng.choice(np.array([0, 1, q - 2, q - 1]), size=(rows, cols))
+    A[1] = A[0]
+    A[2] = ((q - 1) * A[0] + 2 * A[rows - 1]) % q
+    return A
+
+
+@pytest.mark.parametrize("q", [q for q, _ in LANE_EDGES])
+@pytest.mark.parametrize("seed", range(4))
+def test_rref_and_solve_match_the_int64_oracle_at_lane_edges(q, seed):
+    rng = np.random.default_rng([q, seed])
+    A = extreme_matrix(q, rng)
+    assert_same_rref(A, q)
+    assert_same_rref(A.T, q)
+    b = A @ rng.integers(0, q, A.shape[1]) % q if seed % 2 else rng.integers(0, q, len(A))
+    R0, pivots0 = dense_rref(np.column_stack([A, b]), q)
+    cols = A.shape[1]
+    x = solve(A, b, q)
+    if cols in pivots0:
+        assert x is None
+    else:
+        x0 = np.zeros(cols, dtype=np.int64)
+        x0[pivots0] = R0[:, cols]
+        assert x is not None and x.dtype == np.int64 and np.array_equal(x, x0)
+        assert np.array_equal(A @ x % q, b)
+
+
+@pytest.mark.parametrize("q, p, m", [(11, 3, 2), (13, 5, 2), (3, 5, 3)])
+def test_left_ideal_code_matches_the_int64_route(q, p, m):
+    """L(x) copied once into lane(q) and eliminated there gives the RREF
+    that int64 elimination of the n x n matrix gives: for the central
+    idempotents, each component's matrix units and f, and a random x."""
+    field, group = PrimeField(q), DihedralGroup(p, m)
+    catalog = central_idempotents(field, group)
+    elems = list(catalog.members())
+    for j in range(1, m + 1):
+        units = matrix_units(catalog, j)
+        elems += list(units.as_dict().values()) + [noncentral_generator(units).f]
+    rng = np.random.default_rng(q)
+    elems.append(AlgebraElem(group, field, rng.integers(0, q, group.order)))
+    for x in elems:
+        R = left_ideal_code(x).generator_matrix
+        R0, _ = dense_rref(x.translates().reshape(group.order, -1), q)
+        assert R.dtype == np.int64 and R.shape == R0.shape
+        assert R.tobytes() == R0.tobytes()
