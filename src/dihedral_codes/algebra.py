@@ -74,19 +74,19 @@ def circulants(group, ys) -> np.ndarray:
 
 
 def _chunk(x, n: int):
-    """The next chunk of `products`: its row count r and, when it is
-    sparse, the union support S of x[:r], else None.  A row holds its W,
-    32 n bytes, and then either its copied rows of L, 8 n |S| bytes, when
-    S is less than half the group, or its four halves, 32 n bytes.  A
-    chunk whose first row is sparse is the longest run of rows whose own S
-    keeps them sparse within CELLS bytes; any other holds the dense rows
-    that fit.  x is the next CELLS // (32 n) rows of the stack, the most
-    any chunk can hold."""
-    s = np.count_nonzero(x[0])
-    if 2 * s >= n or 32 * n + 8 * n * s > CELLS:
-        return max(1, CELLS // (64 * n)), None
+    """The next chunk of `products` among the rows x: its row count
+    r <= len(x) and, when it is sparse, the union support S of x[:r], else
+    None.  A row holds its W, 32 n bytes, and then either its copied rows
+    of L, 8 n |S| bytes, when S is less than half the group, or its four
+    halves, 32 n bytes.  A chunk whose first row is sparse is the longest
+    run of rows whose own S keeps them sparse within CELLS bytes; any
+    other holds the dense rows that fit.  x is the next CELLS // (32 n)
+    rows of the stack, the most any chunk can hold."""
+    S = x[0].nonzero()[0]
+    if 2 * len(S) >= n or 32 * n + 8 * n * len(S) > CELLS:
+        return min(len(x), max(1, CELLS // (64 * n))), None
     if len(x) == 1:
-        return 1, x[0].nonzero()[0]
+        return 1, S
     seen = np.logical_or.accumulate(x != 0)  # seen[t]: support of x[: t + 1]
     s = seen.sum(axis=1)
     fits = (2 * s < n) & (np.arange(1, len(x) + 1) * (32 * n + 8 * n * s) <= CELLS)
@@ -113,10 +113,9 @@ def products(group, field: PrimeField, xs, ys) -> np.ndarray:
     while start < len(xs):
         r, S = _chunk(xs[start : start + max(1, CELLS // (32 * n))], n)
         x, o = xs[start : start + r], out[start : start + r]
-        r, sparse = len(x), S is not None
         L = circulants(group, ys[start : start + r])
         start += r
-        if sparse:
+        if S is not None:
             e, i = np.divmod(S, N)  # x's coefficient on S takes row a^i b^e of L(y)
             np.matmul(x[:, None, S], L[:, e, i].reshape(r, len(S), n), out=o[:, None])
         else:
