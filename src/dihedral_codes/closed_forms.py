@@ -21,8 +21,10 @@ each left coset gK.
       K-cosets and t != 1 over those of the H-cosets in K, the
       (G:H) - (G:K) words r (1 - t) H^ = r e - r t e (as t K^ = K^) lie
       in A e, and they are independent: each is the only one nonzero on
-      its coset rtH.  `codes.subgroup_pair_code` checks these identities
-      at run time for any nested pair.
+      its coset rtH.  `codes.subgroup_pair_code` reads the words r e - r t e
+      off L(e), so they lie in A e by construction, and checks at run time,
+      for any nested pair, that they are independent and dim V many, and
+      that they and e lie in V.
   (iii) The RREF.  Label each coset by its least element.  The RREF of V
       has one row 1_C - 1_C' for each H-coset C but the last one C' (by
       label) of its K-coset, its pivot the label of C, rows in pivot

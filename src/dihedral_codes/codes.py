@@ -209,65 +209,61 @@ def left_ideal_code(x: AlgebraElem) -> LinearCode:
 
 
 def subgroup_pair_code(field: PrimeField, H: Subgroup, K: Subgroup) -> np.ndarray:
-    """The predicted basis B = {r (1 - t) H^} of the left ideal A(H^ - K^) of
-    A = F_q G, for nested subgroups H <= K with |H| invertible in F_q: r
-    runs over the coset representatives of K in G and t != 1 over those of
-    H in K, and B comes back as one read-only int64 (k, n) matrix, (0, n)
-    when H = K.  No RREF is written: the code is V(H, K) of the lemma in
-    `closed_forms`, whose RREF `closed_forms.canonical_rows` writes for the
-    chain subgroups.
+    """The predicted basis B = {r e - r t e} of the left ideal A e of
+    A = F_q G, e = H^ - K^, for nested subgroups H <= K with |H| invertible
+    in F_q: r runs over the coset representatives of K in G and t != 1 over
+    those of H in K, and B comes back as one read-only int64 (k, n) matrix,
+    (0, n) when H = K.  As t K^ = K^, row (r, t) is r (1 - t) H^.  No RREF
+    is written: the code is V(H, K) of the lemma in `closed_forms`, whose
+    RREF `closed_forms.canonical_rows` writes for the chain subgroups.
 
     The cosets are those of `Subgroup.roots`, which proves that they are
-    the cosets of the subgroup `hat` averages over.  B is proven to span
-    A e = V(H, K), e = H^ - K^, exactly over F_q, by the identities of the
-    lemma checked on these H and K:
+    the cosets of the subgroup `hat` averages over.  Row (r, t) is row r of
+    L(e) minus row rt, so B lies in A e by construction, and B is proven to
+    span A e = V(H, K) exactly over F_q by two identities of the lemma
+    checked on these H and K:
       (a) B is independent, as B on the columns of the cosets rtH is a
           nonzero diagonal, and |B| = (G:H) - (G:K) = dim V;
       (b) B and e lie in V: constant on each H-coset, zero sum over each
-          K-coset;
-      (c) row (r, t) of B is row r of L(e) minus row rt, as t K^ = K^.
+          K-coset.
     By (a) and (b), span B = V.  V is a left ideal holding e, so A e lies
-    in V, and by (c) B lies in A e.  Hence span B = A e = V.  Only rows r
-    and rt of L(H^) and L(e) are read, 2k each, off their views
-    (`AlgebraElem.translates`), with rt composed on index arrays.
+    in V, and B lies in A e.  Hence span B = A e = V.  Only rows r and rt
+    of L(e) are read, 2k of them, off its view (`AlgebraElem.translates`),
+    with rt composed on index arrays.
     """
     if not H.within(K):
         raise ValueError("H is not contained in K")
     group = H.group
-    h_root, k_root = np.array(H.roots()), np.array(K.roots())
-    hat_H = hat(field, H)
+    q, n = field.q, group.order
     if H == K:
-        B = np.zeros((0, group.order), dtype=np.int64)
+        B = np.zeros((0, n), dtype=np.int64)
         B.setflags(write=False)
         return B
-    e = hat_H - hat(field, K)
-    q, n = field.q, group.order
+    h_root, k_root = np.array(H.roots()), np.array(K.roots())
+    e = hat(field, H) - hat(field, K)
     ids = np.arange(n)
     h_cosets = np.flatnonzero(h_root == ids)
     k_cosets = np.flatnonzero(k_root == ids)
 
-    # row (r, t) = r H^ - r t H^, rows r and rt of L(H^), row a^i b^e at [e, i]
+    # row (r, t) = r e - r t e, rows r and rt of L(e), row a^i b^e at [e, i]
     # of the view; r runs over the K-coset labels, t over the H-coset labels in K
     N = group.rot_order
     tau = h_cosets[k_root[h_cosets] == 0]
     r, t = np.repeat(k_cosets, len(tau) - 1), np.tile(tau[1:], len(k_cosets))
     i, j = group._compose(r % N, r // N, t % N, t // N)
     rt = i % N + j % 2 * N
-    r_rows, rt_rows = (r // N, r % N), (rt // N, rt % N)
-    L = hat_H.translates()
-    B = (L[r_rows] - L[rt_rows]).reshape(-1, n) % q
+    L = e.translates()
+    B = (L[r // N, r % N] - L[rt // N, rt % N]).reshape(-1, n) % q
 
     if not np.array_equal(B[:, h_root[rt]] != 0, np.eye(len(B), dtype=bool)):
         raise RuntimeError("predicted basis is not linearly independent")
-    c, L = e.coeffs, e.translates()
     # V: constant on each H-coset (x = x[h_root]), zero sum over each K-coset
-    in_V = np.vstack((B, c))
+    in_V = np.vstack((B, e.coeffs))
     by_k_coset = in_V[:, np.argsort(k_root, kind="stable")].reshape(len(in_V), len(k_cosets), -1)
     if not (
         len(B) == len(h_cosets) - len(k_cosets)
         and np.array_equal(in_V, in_V[:, h_root])
         and not (by_k_coset.sum(axis=2) % q).any()
-        and np.array_equal((L[r_rows] - L[rt_rows]).reshape(-1, n) % q, B)
     ):
         raise RuntimeError("predicted basis does not span the code")
     B.setflags(write=False)

@@ -353,16 +353,20 @@ def check_component_field(ctx: VerifyContext) -> str:
     return "every tested nonzero element inverts (" + "; ".join(tested) + ")"
 
 
-def _pair_weights(field, group, budget):
-    """Yield (H, K, basis, weight) for every nested pair H < K of subgroups
-    whose orders are invertible in the field, in scan order, once its
-    basis is proven and its dimension checked; the weight is None beyond
-    the budget.
+def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
+    """Basis and (within budget) weight checks over every nested pair of
+    subgroups whose orders are invertible in the field.
 
-    By the lemma in `closed_forms`, the weight distribution of a pair code
-    depends on |H| and |K| alone.  So each (|H|, |K|) is scanned once, on
-    the matrix `construct --gen pair` writes: `closed_forms.canonical_rows`
-    of the chain subgroups of those orders.
+    Returns (pairs checked, weights checked).  Not gated on admissibility;
+    the construction itself only needs invertible subgroup orders.
+
+    Every pair proves its own basis, dimension included
+    (`codes.subgroup_pair_code`).  By the lemma in `closed_forms`, the
+    weight distribution of a pair code depends on |H| and |K| alone, so
+    each (|H|, |K|) is scanned once, on the matrix `construct --gen pair`
+    writes: `closed_forms.canonical_rows` of the chain subgroups of those
+    orders.  Every pair's weight is compared with 2|H|, so the first
+    failing pair is the one a scan of every pair would report.
     """
     from .closed_forms import canonical_rows
 
@@ -372,49 +376,29 @@ def _pair_weights(field, group, budget):
     subs = [S for S in group.all_subgroups() if S.order % q != 0]
     index_sets = [frozenset(S.indices()) for S in subs]
     scanned = {}  # (|H|, |K|) -> weight of the chain pair, None beyond the budget
+    pairs = weights_checked = 0
     for H, h_idx in zip(subs, index_sets):
         for K, k_idx in zip(subs, index_sets):
             if not h_idx < k_idx:
                 continue
-            basis = subgroup_pair_code(field, H, K)
-            k = n // H.order - n // K.order
-            if len(basis) != k:
-                raise CheckFailure(
-                    f"dim {len(basis)} != (G:H)-(G:K) = {k} for |H|={H.order}, |K|={K.order}"
-                )
+            subgroup_pair_code(field, H, K)
+            pairs += 1
             sizes = (H.order, K.order)
             if sizes not in scanned:
                 scanned[sizes] = None
-                if q**k <= budget:
+                if q ** (n // H.order - n // K.order) <= budget:
                     rows = canonical_rows(chain[H.order], chain[K.order], q)
                     dist = weights(np.array(rows, dtype=np.int64), q, budget)
                     scanned[sizes] = int(np.flatnonzero(dist)[1])
-            yield H, K, basis, scanned[sizes]
-
-
-def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
-    """Dimension, basis, and (within budget) weight checks over every nested
-    pair of subgroups whose orders are invertible in the field.
-
-    Returns (pairs checked, weights checked).  Not gated on admissibility;
-    the construction itself only needs invertible subgroup orders.
-
-    Every pair proves its own basis and has its dimension checked; each
-    (|H|, |K|) is scanned once (see `_pair_weights`), and every pair's
-    weight is compared with 2|H|, so the first failing pair is the one a
-    scan of every pair would report.
-    """
-    pairs = weights = 0
-    for H, K, _, w in _pair_weights(field, group, budget):
-        pairs += 1
-        if w is None:
-            continue
-        if w != 2 * H.order:
-            raise CheckFailure(
-                f"min weight {w} != 2|H| = {2 * H.order} for |H|={H.order}, |K|={K.order}"
-            )
-        weights += 1
-    return pairs, weights
+            w = scanned[sizes]
+            if w is None:
+                continue
+            if w != 2 * H.order:
+                raise CheckFailure(
+                    f"min weight {w} != 2|H| = {2 * H.order} for |H|={H.order}, |K|={K.order}"
+                )
+            weights_checked += 1
+    return pairs, weights_checked
 
 
 def check_subgroup_pairs(ctx: VerifyContext) -> str:

@@ -378,17 +378,13 @@ def test_pair_basis_is_a_read_only_array_of_full_rank(q, p, m):
     assert len(pairs) > len(subs)
 
 
-@pytest.mark.parametrize(
-    "corrupted, message",
-    [("H", "predicted basis is not linearly independent"),
-     ("K", "predicted basis does not span the code")],
-    ids=["H", "K"],
-)
-def test_pair_code_proof_rejects_a_corrupted_generator(monkeypatch, corrupted, message):
+@pytest.mark.parametrize("corrupted", ["H", "K"])
+def test_pair_code_proof_rejects_a_corrupted_generator(monkeypatch, corrupted):
     """e = H^ - K^ with one coefficient of H^ or of K^ moved, outside both
-    subgroups: e leaves V, and a moved H^ also puts off-diagonal entries in
-    the predicted basis on its diagonal columns.  So the proof fails with
-    an existing message instead of returning a code."""
+    subgroups: e leaves V, and the moved coefficient, translated along the
+    rows of L(e), puts off-diagonal entries in the predicted basis on its
+    diagonal columns.  So the proof fails with an existing message instead
+    of returning a code."""
     field, group = PrimeField(5), DihedralGroup(3, 3)
     H, K = Subgroup(group, 1), Subgroup(group, 1, 0)
     real_hat = codes.hat
@@ -402,7 +398,7 @@ def test_pair_code_proof_rejects_a_corrupted_generator(monkeypatch, corrupted, m
         return x
 
     monkeypatch.setattr(codes, "hat", corrupt_hat)
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(RuntimeError, match="predicted basis is not linearly independent"):
         subgroup_pair_code(field, H, K)
 
 
@@ -421,29 +417,53 @@ def test_pair_code_refuses_elements_that_are_not_the_orbit_of_1(monkeypatch):
         subgroup_pair_code(field, H, K)
 
 
+def _move_one_view_entry(monkeypatch):
+    """Row a of every view L(x) gains 1 at a^3 and loses 1 at a^6: both
+    lie in H = H_1 and label no coset, so the diagonal columns and the sum
+    over each K-coset keep their values."""
+    real = AlgebraElem.translates
+
+    def translates(x):
+        L = real(x).copy()
+        L[0, 1, 0, 3] += 1  # [e, i, o, k]: row a^i b^e, column a^k b^o
+        L[0, 1, 0, 6] -= 1
+        return L
+
+    monkeypatch.setattr(AlgebraElem, "translates", translates)
+
+
 @pytest.mark.parametrize(
-    "averages",
+    "averages, views, message",
     [
-        # e = 0: in V, but R != |H| (p e - l e) = 0
-        lambda hH, hK, one: (hH, hH),
+        # e = 0 lies in V, and so does B = 0, but its diagonal is zero
+        (lambda hH, hK: (hH, hH), None, "is not linearly independent"),
         # e = H^ - K^ + (1, ..., 1) is constant on each H-coset, but sums to
-        # |K| over each K-coset
-        lambda hH, hK, one: (hH, AlgebraElem(hK.group, hK.field, hK.coeffs - 1)),
-        # e is right, but B = {r H'^ - r t H'^} leaves V, as H'^ = H^ + 2 is
-        # not constant on H; its diagonal stays nonzero
-        lambda hH, hK, one: (hH + 2 * one, hK + 2 * one),
+        # |K| over each K-coset; B is right, as L(1, ..., 1) has equal rows
+        (
+            lambda hH, hK: (hH, AlgebraElem(hK.group, hK.field, hK.coeffs - 1)),
+            None,
+            "does not span the code",
+        ),
+        # e is right, but B read off the moved view leaves V: row (a, b) is
+        # 0 at 1, 1 at a^3 and -1 at a^6, three elements of one H-coset
+        (lambda hH, hK: (hH, hK), _move_one_view_entry, "does not span the code"),
     ],
     ids=["zero-generator", "e-outside-V", "basis-outside-V"],
 )
-def test_pair_code_proof_rejects_averages_that_break_one_identity(monkeypatch, averages):
-    """Each pair of averages, handed over by `codes.hat`, breaks one
-    identity of the proof and keeps the others, so dropping that
-    identity's test would return a wrong code or a wrong basis."""
+def test_pair_code_proof_rejects_averages_that_break_one_identity(
+    monkeypatch, averages, views, message
+):
+    """Each case, averages handed over by `codes.hat` or a view moved in
+    `AlgebraElem.translates`, breaks one identity of the proof and keeps
+    the others, so dropping that identity's test would return a wrong code
+    or a wrong basis."""
     field, group = PrimeField(5), DihedralGroup(3, 3)
     H, K = Subgroup(group, 1), Subgroup(group, 1, 0)
-    wrong = averages(hat(field, H), hat(field, K), AlgebraElem.one(group, field))
+    wrong = averages(hat(field, H), hat(field, K))
     monkeypatch.setattr(codes, "hat", lambda f, S: wrong[(H, K).index(S)])
-    with pytest.raises(RuntimeError, match="predicted basis does not span the code"):
+    if views is not None:
+        views(monkeypatch)
+    with pytest.raises(RuntimeError, match=message):
         subgroup_pair_code(field, H, K)
 
 

@@ -119,6 +119,25 @@ def test_f_two_routes_agree(field11, d9, units1, gens1):
     assert gens1.f == units1.e11 - units1.e12
 
 
+@pytest.mark.parametrize(
+    "units, message",
+    [
+        # some of the 16 identities fail, but no `matrix_units` call checks them here
+        (lambda u: u._replace(e12=2 * u.e12), "closed form of f does not match e11 - e12"),
+        # all 16 identities hold for zero units, and the closed form is 0 too
+        (lambda u: u._replace(**{k: 0 * u.e11 for k in u._fields[1:]}),
+         "f is unexpectedly central"),
+    ],
+    ids=["e12-doubled", "all-zero"],
+)
+def test_noncentral_generator_guards_what_the_units_leave_open(units1, units, message):
+    """Hand-built units reach `noncentral_generator` unproven: a wrong e12
+    is caught by the closed form of f, and zero units, where e = 0, by the
+    test that f is not central."""
+    with pytest.raises(RuntimeError, match=message):
+        noncentral_generator(units(units1))
+
+
 def test_f_frozen_vector(gens1):
     assert list(gens1.f.coeffs) == [5, 2, 4, 5, 2, 4, 5, 2, 4, 5, 4, 2, 5, 4, 2, 5, 4, 2]
     assert gens1.f.support_weight() == 18
@@ -182,7 +201,7 @@ def test_closed_form_inverse_matches_the_solve(q, p, m):
 
 @pytest.mark.parametrize("q,p,m", [(11, 3, 1), (7, 5, 1), (3, 5, 1), (5, 3, 2)])
 def test_other_admissible_triples_build(q, p, m):
-    # construction re-verifies every identity and raises on any failure
+    # construction proves every identity once and raises on any failure
     field = PrimeField(q)
     group = DihedralGroup(p, m)
     catalog = central_idempotents(field, group)

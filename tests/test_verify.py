@@ -17,6 +17,7 @@ from dihedral_codes import (
     idempotents,
     modmat,
     run_checks,
+    subgroup_pair_code,
     verify,
 )
 from dihedral_codes.cli import main
@@ -156,13 +157,14 @@ def _pair_enumerator(q, h, s, cosets):
      (3, 5, 2, codes.DEFAULT_BUDGET), (5, 3, 3, 5**6), (13, 5, 2, codes.DEFAULT_BUDGET)],
 )
 def test_every_pair_weight_matches_a_scan_of_its_own_code(q, p, m, budget):
-    # a pair takes the weight of the first pair of its (|H|, |K|); scan its
-    # own code instead, and compare the scan with the lemma's enumerator
-    group = DihedralGroup(p, m)
+    # the suite scans one chain pair of each (|H|, |K|); scan every nested
+    # pair's own code instead, and compare the scan with the lemma's enumerator
+    field, group = PrimeField(q), DihedralGroup(p, m)
+    subs = [S for S in group.all_subgroups() if S.order % q != 0]
+    nested = [(H, K) for H in subs for K in subs if set(H.indices()) < set(K.indices())]
     checked = 0
-    for H, K, basis, w in verify._pair_weights(PrimeField(q), group, budget):
-        hist = codes.weights(basis, q, budget)
-        assert w == (None if hist is None else int(np.flatnonzero(hist)[1]))
+    for H, K in nested:
+        hist = codes.weights(subgroup_pair_code(field, H, K), q, budget)
         if hist is not None:
             expect = _pair_enumerator(q, H.order, K.order // H.order, group.order // K.order)
             assert hist.tolist() == expect
