@@ -79,27 +79,28 @@ def weight_histogram(G, q: int) -> np.ndarray:
     inner = 0
     while inner < k - 1 and q ** (inner + 1) * n <= CELLS:
         inner += 1
-    B = np.zeros((q**inner, n), dtype=np.min_scalar_type(q - 1))
+    B = np.zeros((n, q**inner), dtype=np.min_scalar_type(q - 1))
     prod = np.min_scalar_type((q - 1) ** 2)  # a residue times a residue
     wide = np.min_scalar_type(2 * (q - 1))  # a residue plus a residue
     for j in range(inner):
-        # B[:q^(j+1)] = d g + B[:q^j] for the digits d of the next row up
+        # B[:, :q^(j+1)] = d g + B[:, :q^j] for the digits d of the next row up
         s, g = q**j, G[k - 1 - j].astype(prod)
-        dg = (np.arange(1, q, dtype=prod)[:, None] * g % q).astype(B.dtype)
-        new = B[s : q * s].reshape(q - 1, s, n)
+        dg = (g[:, None] * np.arange(1, q, dtype=prod) % q).astype(B.dtype)
+        new = B[:, s : q * s].reshape(n, q - 1, s)
         out = new if wide == B.dtype else None  # in place when a sum fits a residue's dtype
-        total = np.add(dg[:, None], B[:s], dtype=wide, out=out)
+        total = np.add(dg[:, :, None], B[:, None, :s], dtype=wide, out=out)
         np.remainder(total, q, out=new, casting="unsafe")
+    count = np.min_scalar_type(n)  # a match count, at most n
     hist = np.zeros(n + 1, dtype=np.int64)
     for i in range(k):
         j = min(k - 1 - i, inner)
-        span = B[None, : q**j]
+        span = B[None, :, : q**j]
         outer = G[i + 1 : k - j]
         total = q ** len(outer)
         step = max(1, CELLS // (q**j * max(n, 1)))
         for s in range(0, total, step):
             neg = -_words(outer, q, s, min(s + step, total), G[i]) % q
-            zeros = np.count_nonzero(span == neg.astype(B.dtype)[:, None], axis=2)
+            zeros = (span == neg.astype(B.dtype)[:, :, None]).sum(axis=1, dtype=count)
             hist[::-1] += np.bincount(zeros.ravel(), minlength=n + 1)
     hist *= q - 1
     hist[0] += 1

@@ -73,6 +73,30 @@ def test_weight_histogram_property(case):
     assert np.array_equal(weight_histogram(G, q), brute_histogram(G, q))
 
 
+
+@st.composite
+def small_cell_scans(draw):
+    # q^k <= 3125 keeps the python reference fast
+    q = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    k = draw(st.integers(0, max(i for i in range(6) if q**i <= 3125)))
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return np.array(rows, dtype=np.int64).reshape(k, n), q, draw(st.integers(40, 400))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_cell_scans())
+def test_span_prefixes_and_uneven_steps(case):
+    """A few hundred cells split the rows into several inner ones, so the
+    leading rows near the end read the strided prefixes B[:, :q^j] of the
+    span, and the outer words go a few per step, the last step short."""
+    G, q, cells = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "CELLS", cells)
+        assert np.array_equal(weight_histogram(G, q), brute_histogram(G, q))
+
+
 def test_zero_row_matrix():
     G = np.zeros((0, 8), dtype=np.int64)
     hist = weight_histogram(G, 5)
@@ -141,6 +165,17 @@ def test_dependent_rows_count_the_zero_words(rows, q):
 def test_weight_histogram_at_residue_dtype_edges(q, rows):
     G = np.array(rows, dtype=np.int64)
     assert np.array_equal(weight_histogram(G, q), brute_histogram(G, q))
+
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_match_counts_at_count_dtype_edges(n):
+    # the second row negates the first, so message (1, 1) gives the zero
+    # word and its n matches fill a uint8 count at n = 255, and need a
+    # uint16 one at 256 and 257
+    row = np.random.default_rng(n).integers(1, 3, size=n)
+    G = np.stack([row, -row % 3])
+    assert np.array_equal(weight_histogram(G, 3), brute_histogram(G, 3))
 
 
 def test_peak_memory_does_not_grow_with_n_or_k():
