@@ -13,36 +13,44 @@ row makes some of these words zero.
 
 Meet in the middle.  The rows after the leading one split into outer rows
 and the last `inner` rows of G.  The span B of the inner rows is built
-once, in lexicographic message order, so the span of its last j rows is
-B[:q^j].  It is held as residues in the smallest unsigned dtype that holds
-q - 1, and built in that dtype one more significant digit at a time:
-B[d q^j + t] = (d g + B[t]) mod q for the next row up g and its digits d.
-For an outer word a, a + b vanishes at coordinate c exactly when
-b_c = -a_c, so weight(a + b) = n - #{c : b_c = (-a)_c}: one compare of
-small residues per cell and a count, with no product and no reduction mod
-q per codeword.
+once, coordinate-major: column t of the (n, q^inner) array B is the word
+of the t-th inner message in lexicographic order, so the span of its last
+j rows is the prefix B[:, :q^j].  It is held as residues in the smallest
+unsigned dtype that holds q - 1, and built in that dtype one more
+significant digit at a time: B[:, d q^j + t] = (d g + B[:, t]) mod q for
+the next row up g and its digits d.  For an outer word a, a + b vanishes
+at coordinate c exactly when b_c = -a_c, so weight(a + b) = n - #{c : b_c
+= (-a)_c}: one compare of small residues per cell and a count, with no
+product and no reduction mod q per codeword.  A step compares w outer
+words with the span as a (w, n, q^j) boolean block and sums it over the n
+axis, so each count is n additions of contiguous rows, in the smallest
+unsigned dtype that holds n.
 
 Exactness: the span build forms d g in the smallest unsigned dtype that
-holds (q-1)^2, and d g + B[t] in the smallest one that holds 2 (q-1), so
-neither can wrap.  The outer words are the int64 product digits @ G: each
+holds (q-1)^2, and d g + B[:, t] in the smallest one that holds 2 (q-1),
+so neither can wrap; a count of matches is at most n, in a dtype that
+holds n.  The outer words are the int64 product digits @ G: each
 entry is a sum of at most k products of residues below q, so at most
 k (q-1)^2, and the scan refuses any (G, q) for which that bound reaches
 2^63.  Everything else is equality of residues and integer counting, so
 every count is exact.
 
 Memory, in bytes, for q <= 128, where a residue and the sum of two take
-one byte each: the span holds at most CELLS words x n, so CELLS bytes.
-Building it adds the q - 1 multiples d g of one row, at most 3 (q - 1) n
-bytes, and nothing else: each block of new words is summed and reduced
-in place.  (From q = 129 a sum, and from q = 257 a residue, takes two
-bytes, and the span and its sums scale with them.)  One step then
-compares a block of outer words with the span in at most CELLS booleans,
-and counts the matches of each pair in 8 bytes, at most 8 CELLS / n.  The
-outer words are int64, 8 n bytes each: a step holds CELLS / (q^j n) of
-them, or one when that is below one.  So the working set is a fixed
-multiple of CELLS whatever k and q are, and whatever n is up to CELLS.
-Traced, [54, 8] over F_5 and [250, 8] over F_3 peak at 0.46 MB, 1.75
-CELLS, against about 2.9 MB when the span was built as int64 words.
+one byte each: the span holds at most CELLS cells, n coordinates of at
+most CELLS / n words, so CELLS bytes.  Building it adds the q - 1
+multiples d g of one row, at most 3 (q - 1) n bytes, and nothing else:
+each block of new words is summed and reduced in place.  (From q = 129 a
+sum, and from q = 257 a residue, takes two bytes, and the span and its
+sums scale with them.)  One step then compares a block of outer words with
+the span in at most CELLS booleans, and counts the matches of each pair in
+one byte up to n = 255 (two up to 65535), at most CELLS / n bytes; bincount
+reads the counts as intp, a transient 8 CELLS / n bytes.  The outer words
+are int64, 8 n bytes each: a step holds CELLS / (q^j n) of them, or one
+when that is below one.  So the working set is a fixed multiple of CELLS
+whatever k and q are, and whatever n is up to CELLS.  Traced, [54, 8] over
+F_5 peaks at 0.36 MB (1.37 CELLS) and [250, 8] over F_3 at 0.40 MB (1.51
+CELLS), against 0.46 MB for both when the span was word-major and the
+counts intp, and about 2.9 MB when the span was built as int64 words.
 """
 
 from __future__ import annotations

@@ -57,10 +57,11 @@ def test_weight_histogram_matches_brute_force(q, shape, seed):
 
 
 @st.composite
-def generator_matrices(draw):
+def generator_matrices(draw, max_k=3, max_n=10):
     q = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
-    k = draw(st.integers(0, 3))
-    n = draw(st.integers(1, 10))
+    # q^k <= 3125 keeps the python reference fast
+    k = draw(st.integers(0, max(i for i in range(max_k + 1) if q**i <= 3125)))
+    n = draw(st.integers(1, max_n))
     rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
                          min_size=k, max_size=k))
     return np.array(rows, dtype=np.int64).reshape(k, n), q
@@ -73,25 +74,13 @@ def test_weight_histogram_property(case):
     assert np.array_equal(weight_histogram(G, q), brute_histogram(G, q))
 
 
-
-@st.composite
-def small_cell_scans(draw):
-    # q^k <= 3125 keeps the python reference fast
-    q = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
-    k = draw(st.integers(0, max(i for i in range(6) if q**i <= 3125)))
-    n = draw(st.integers(1, 12))
-    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
-                         min_size=k, max_size=k))
-    return np.array(rows, dtype=np.int64).reshape(k, n), q, draw(st.integers(40, 400))
-
-
 @settings(max_examples=80, deadline=None)
-@given(small_cell_scans())
-def test_span_prefixes_and_uneven_steps(case):
+@given(generator_matrices(max_k=5, max_n=12), st.integers(40, 400))
+def test_span_prefixes_and_uneven_steps(case, cells):
     """A few hundred cells split the rows into several inner ones, so the
     leading rows near the end read the strided prefixes B[:, :q^j] of the
     span, and the outer words go a few per step, the last step short."""
-    G, q, cells = case
+    G, q = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "CELLS", cells)
         assert np.array_equal(weight_histogram(G, q), brute_histogram(G, q))
@@ -165,7 +154,6 @@ def test_dependent_rows_count_the_zero_words(rows, q):
 def test_weight_histogram_at_residue_dtype_edges(q, rows):
     G = np.array(rows, dtype=np.int64)
     assert np.array_equal(weight_histogram(G, q), brute_histogram(G, q))
-
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
