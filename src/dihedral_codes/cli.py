@@ -25,7 +25,7 @@ only `closed_forms`, `gm` and `groups`, no numpy.  `construct --gen
 f|custom` and `compare` add numpy and the algebra stack (`groups`,
 `algebra`, `modmat`, `_kernels`, `codes`, `gm`, `idempotents`), not
 `closed_forms`; `verify` adds that stack, `verify` and, for its central
-and pair checks, `closed_forms`.  Every handler
+checks, `closed_forms`.  Every handler
 imports what it needs after its dispatch, so importing this module costs
 no more than a survey needs.  `check_names` gives `verify --check` its
 choices without importing `verify`.

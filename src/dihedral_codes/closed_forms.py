@@ -16,24 +16,23 @@ each left coset gK.
   (i) dim V(H, K) = (G:H) - (G:K).  A word of V is its values on the
       H-cosets, each repeated |H| times; a K-coset sums to |H| times the
       sum of the values on its (K:H) H-cosets, so those values sum to 0.
-  (ii) A e = V(H, K).  e lies in V, and V is a left ideal (g permutes
-      the cosets), so A e lies in V.  With r over representatives of the
-      K-cosets and t != 1 over those of the H-cosets in K, the
-      (G:H) - (G:K) words r (1 - t) H^ = r e - r t e (as t K^ = K^) lie
-      in A e, and they are independent: each is the only one nonzero on
-      its coset rtH.  `codes.subgroup_pair_code` reads the words r e - r t e
-      off L(e), so they lie in A e by construction, and checks at run time,
-      for any nested pair, that they are independent and dim V many, and
-      that they and e lie in V.
-  (iii) The RREF.  Label each coset by its least element.  The RREF of V
-      has one row 1_C - 1_C' for each H-coset C but the last one C' (by
-      label) of its K-coset, its pivot the label of C, rows in pivot
-      order: the rows lie in V, are dim V many, and each pivot column is
-      nonzero in its own row alone, as no such C is a last C'.
-  (iv) d = 2|H|.  A nonzero word of V is nonzero on some K-coset, where
+  (ii) A e = V(H, K), and its RREF.  e lies in V, and V is a left ideal
+      (g permutes the cosets), so A e lies in V.  Label each coset by its
+      least element.  For each H-coset C but the last one C' (by label) of
+      its K-coset, with labels c and c', the word
+          1_C - 1_C' = |H| (c H^ - c' H^) = |H| (c e - c' e)
+      (as c K^ = c' K^) lies in A e.  These words are (G:H) - (G:K) many,
+      one per H-coset but one per K-coset, and each is nonzero in the
+      column of its label c alone, as no such C is a last C', so they are
+      independent and span A e = V.  Each leads with a 1 at c < c', so in
+      the order of c they are the RREF of V.  `codes.subgroup_pair_code`
+      reads them off L(e) and checks at run time, for any nested pair,
+      that their pivot columns form the identity and that they and e lie
+      in V.
+  (iii) d = 2|H|.  A nonzero word of V is nonzero on some K-coset, where
       its values on the H-cosets sum to 0, so at least two of them are
-      nonzero, each on |H| coordinates; each row of (iii) has weight 2|H|.
-  (v) The weight enumerator depends on |H| and |K| alone.  On each of the
+      nonzero, each on |H| coordinates; each row of (ii) has weight 2|H|.
+  (iv) The weight enumerator depends on |H| and |K| alone.  On each of the
       (G:K) K-cosets the s = (K:H) values of a word form a word of the
       zero-sum code of length s, so up to a permutation of coordinates V
       is (G:K) copies of that code, each coordinate repeated |H| times:

@@ -209,79 +209,69 @@ def left_ideal_code(x: AlgebraElem) -> LinearCode:
 
 
 def subgroup_pair_code(field: PrimeField, H: Subgroup, K: Subgroup) -> np.ndarray:
-    """The predicted basis B = {r e - r t e} of the left ideal A e of
-    A = F_q G, e = H^ - K^, for nested subgroups H <= K with |H| invertible
-    in F_q: r runs over the coset representatives of K in G and t != 1 over
-    those of H in K, and B comes back as one read-only int64 (k, n) matrix,
-    (0, n) when H = K.  As t K^ = K^, row (r, t) is r (1 - t) H^.  No RREF
-    is written: the code is V(H, K) of the lemma in `closed_forms`, whose
-    RREF `closed_forms.canonical_rows` writes for the chain subgroups.
+    """The canonical RREF of the left ideal A e of A = F_q G, e = H^ - K^,
+    for nested subgroups H <= K with |H| invertible in F_q, read off L(e)
+    and proven: one read-only int64 (k, n) matrix, (0, n) when H = K.  By
+    the lemma in `closed_forms`, A e = V(H, K), and its RREF has a row
+    1_C - 1_C' = |H| (c e - c' e) for each H-coset C, label c, but the
+    last C' (label c') of its K-coset: rows c and c' of L(|H| e), read off
+    its view (`AlgebraElem.translates`).  These are the rows
+    `closed_forms.canonical_rows` writes, byte for byte.
 
     The cosets are those of `Subgroup.roots`, which proves that they are
-    the cosets of the subgroup `hat` averages over.  Row (r, t) is row r of
-    L(e) minus row rt, so B lies in A e by construction, and B is proven to
-    span A e = V(H, K) exactly over F_q by two identities of the lemma
-    checked on these H and K:
-      (a) B is independent, as B on the columns of the cosets rtH is a
-          nonzero diagonal, and |B| = (G:H) - (G:K) = dim V;
-      (b) B and e lie in V: constant on each H-coset, zero sum over each
-          K-coset.
-    By (a) and (b), span B = V.  V is a left ideal holding e, so A e lies
-    in V, and B lies in A e.  Hence span B = A e = V.  Only rows r and rt
-    of L(e) are read, 2k of them, off its view (`AlgebraElem.translates`),
-    with rt composed on index arrays.
+    the cosets of the subgroup `hat` averages over.  The rows lie in A e by
+    construction, and are (G:H) - (G:K) = dim V many, one per H-coset but
+    one per K-coset.  They are proven to span A e = V(H, K) exactly over
+    F_q by two identities of the lemma checked on these H and K:
+      (a) the rows are independent: their pivot columns, the labels c,
+          form the identity;
+      (b) the rows and e lie in V: constant on each H-coset, zero sum over
+          each K-coset.
+    By (a) and (b), the rows span V.  V is a left ideal holding e, so A e
+    lies in V, and the rows lie in A e.  Hence they span A e = V.
     """
     if not H.within(K):
         raise ValueError("H is not contained in K")
     group = H.group
-    q, n = field.q, group.order
+    q, n, N = field.q, group.order, group.rot_order
     if H == K:
         B = np.zeros((0, n), dtype=np.int64)
         B.setflags(write=False)
         return B
     h_root, k_root = np.array(H.roots()), np.array(K.roots())
     e = hat(field, H) - hat(field, K)
-    ids = np.arange(n)
-    h_cosets = np.flatnonzero(h_root == ids)
-    k_cosets = np.flatnonzero(k_root == ids)
 
-    # row (r, t) = r e - r t e, rows r and rt of L(e), row a^i b^e at [e, i]
-    # of the view; r runs over the K-coset labels, t over the H-coset labels in K
-    N = group.rot_order
-    tau = h_cosets[k_root[h_cosets] == 0]
-    r, t = np.repeat(k_cosets, len(tau) - 1), np.tile(tau[1:], len(k_cosets))
-    i, j = group._compose(r % N, r // N, t % N, t // N)
-    rt = i % N + j % 2 * N
-    L = e.translates()
-    B = (L[r // N, r % N] - L[rt // N, rt % N]).reshape(-1, n) % q
+    # each H-coset label c but the greatest of its K-coset, paired with that c'
+    labels = np.flatnonzero(h_root == np.arange(n))
+    last = np.zeros(n, dtype=np.intp)
+    np.maximum.at(last, k_root[labels], labels)
+    c = labels[labels != last[k_root[labels]]]
+    c_last = last[k_root[c]]
+    # row 1_C - 1_C' = |H| (c e - c' e), rows c and c' of L(|H| e), row a^i b^e at [e, i]
+    L = (e * H.order).translates()
+    B = (L[c // N, c % N] - L[c_last // N, c_last % N]).reshape(-1, n) % q
 
-    if not np.array_equal(B[:, h_root[rt]] != 0, np.eye(len(B), dtype=bool)):
+    if not np.array_equal(B[:, c] != 0, np.eye(len(B), dtype=bool)):
         raise RuntimeError("predicted basis is not linearly independent")
     # V: constant on each H-coset (x = x[h_root]), zero sum over each K-coset
     in_V = np.vstack((B, e.coeffs))
-    by_k_coset = in_V[:, np.argsort(k_root, kind="stable")].reshape(len(in_V), len(k_cosets), -1)
-    if not (
-        len(B) == len(h_cosets) - len(k_cosets)
-        and np.array_equal(in_V, in_V[:, h_root])
-        and not (by_k_coset.sum(axis=2) % q).any()
-    ):
+    by_k_coset = in_V[:, np.argsort(k_root, kind="stable")].reshape(len(in_V), -1, K.order)
+    if not (np.array_equal(in_V, in_V[:, h_root]) and not (by_k_coset.sum(axis=2) % q).any()):
         raise RuntimeError("predicted basis does not span the code")
     B.setflags(write=False)
     return B
 
 
-def gamma_image_code(code: LinearCode, target: AbelianGroup | None = None) -> LinearCode:
-    """Image of a dihedral-group code under the coordinate bijection.
+def gamma_image_code(code: LinearCode) -> LinearCode:
+    """Image of a dihedral-group code under the coordinate bijection, a
+    code over the abelian group of the same parameters.
 
     The bijection preserves the canonical index, so the code's stored RREF
     is reused verbatim, with no elimination; only the group the coordinates
     refer to changes."""
     if not isinstance(code.group, DihedralGroup):
         raise ValueError("gamma_image_code needs a code over a dihedral group")
-    if target is None:
-        target = AbelianGroup(code.group.p, code.group.m)
-    if (target.p, target.m) != (code.group.p, code.group.m):
-        raise ValueError("parameter mismatch between code group and target group")
+    target = AbelianGroup(code.group.p, code.group.m)
     return LinearCode._from_rref(code.generator_matrix, code.q, group=target)
 
 

@@ -11,8 +11,8 @@ numpy loads only in the array tables (`inverse_indices`, `mult_table`),
 so the elements, the group law, the subgroups and their coset labels serve
 the numpy-free commands too.  The tables serve `verify --check
 group-axioms` alone: the algebra reads L(x) off the circulants of
-`algebra.circulants`, and the code layer composes index arrays with
-`_compose`.
+`algebra.circulants`, and the code layer reads its cosets off
+`Subgroup.roots`.
 """
 
 from __future__ import annotations

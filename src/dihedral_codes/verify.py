@@ -46,7 +46,7 @@ from .codes import (
     weights,
 )
 from .ff import PrimeField, phi_prime_power, require_admissible
-from .groups import AbelianGroup, DihedralGroup, Subgroup, gamma
+from .groups import AbelianGroup, DihedralGroup, gamma
 from .idempotents import abelian_catalog, central_idempotents, matrix_units, noncentral_generator
 from .survey import enumerate_abelian_codes
 
@@ -360,36 +360,29 @@ def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
     Returns (pairs checked, weights checked).  Not gated on admissibility;
     the construction itself only needs invertible subgroup orders.
 
-    Every pair proves its own basis, dimension included
+    Every pair proves its own basis, the canonical RREF of its code
     (`codes.subgroup_pair_code`).  By the lemma in `closed_forms`, the
     weight distribution of a pair code depends on |H| and |K| alone, so
-    each (|H|, |K|) is scanned once, on the matrix `construct --gen pair`
-    writes: `closed_forms.canonical_rows` of the chain subgroups of those
-    orders.  Every pair's weight is compared with 2|H|, so the first
+    each (|H|, |K|) is scanned once, on the basis just proven for its
+    first pair: the chain pair of H_j or H*_j, the matrix `construct --gen
+    pair` writes.  Every pair's weight is compared with 2|H|, so the first
     failing pair is the one a scan of every pair would report.
     """
-    from .closed_forms import canonical_rows
-
-    q, n = field.q, group.order
-    chain = [Subgroup(group, j, c) for c in (None, 0) for j in range(group.m + 1)]
-    chain = {S.order: S for S in chain}  # one chain subgroup H_j or H*_j of each order
+    q = field.q
     subs = [S for S in group.all_subgroups() if S.order % q != 0]
     index_sets = [frozenset(S.indices()) for S in subs]
-    scanned = {}  # (|H|, |K|) -> weight of the chain pair, None beyond the budget
+    scanned = {}  # (|H|, |K|) -> weight of its first pair, None beyond the budget
     pairs = weights_checked = 0
     for H, h_idx in zip(subs, index_sets):
         for K, k_idx in zip(subs, index_sets):
             if not h_idx < k_idx:
                 continue
-            subgroup_pair_code(field, H, K)
+            B = subgroup_pair_code(field, H, K)
             pairs += 1
             sizes = (H.order, K.order)
             if sizes not in scanned:
-                scanned[sizes] = None
-                if q ** (n // H.order - n // K.order) <= budget:
-                    rows = canonical_rows(chain[H.order], chain[K.order], q)
-                    dist = weights(np.array(rows, dtype=np.int64), q, budget)
-                    scanned[sizes] = int(np.flatnonzero(dist)[1])
+                dist = weights(B, q, budget)
+                scanned[sizes] = None if dist is None else int(np.flatnonzero(dist)[1])
             w = scanned[sizes]
             if w is None:
                 continue
@@ -423,7 +416,6 @@ def check_powers_basis(ctx: VerifyContext) -> str:
 
 def check_abelian_images(ctx: VerifyContext) -> str:
     acat = ctx.abelian_cat
-    A = ctx.abelian
     for j in range(1, ctx.m + 1):
         u = ctx.units[j]
         plus, minus = acat.members[2 * j], acat.members[2 * j + 1]
@@ -442,8 +434,8 @@ def check_abelian_images(ctx: VerifyContext) -> str:
         if bad.size:
             g = ctx.dihedral.from_index(int(bad[0]))
             raise CheckFailure(f"gamma(g e11) != gamma(g) (1+t)/2 etil_{j} for g = {g!r}")
-        img11 = gamma_image_code(left_ideal_code(u.e11), A)
-        img22 = gamma_image_code(left_ideal_code(u.e22), A)
+        img11 = gamma_image_code(left_ideal_code(u.e11))
+        img22 = gamma_image_code(left_ideal_code(u.e22))
         _require(
             img11.same_code(acat.codes[2 * j]),
             f"gamma image of code(e11) is not the abelian ideal, j={j}",

@@ -523,7 +523,8 @@ def test_survey_imports_no_numpy(tmp_path):
     """Every survey field and every matrix of construct --gen e11|e22|ej|pair
     is a closed form, so neither importing the CLI, a full survey nor those
     constructs load numpy, nor `dataclasses` and the `inspect` it pulls in;
-    construct --gen f loads numpy, but not the closed forms."""
+    construct --gen f loads numpy, but not the closed forms, and nor does
+    the pair suite, which scans the bases it proves."""
     out = _python(
         "import contextlib, io, sys\n"
         "import dihedral_codes.cli as cli\n"
@@ -553,10 +554,14 @@ def test_survey_imports_no_numpy(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['construct', '--q', '11', '--p', '3', '--m', '2',\n"
         "                     '--gen', 'f', '--out', sys.argv[1]]) == 0\n"
+        "print('dihedral_codes.closed_forms' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--q', '11', '--p', '3', '--m', '2',\n"
+        "                     '--check', 'subgroup-pairs']) == 0\n"
         "print('dihedral_codes.closed_forms' in sys.modules)\n",
         str(tmp_path / "f.gm"),
     )
-    assert out == "False\n"
+    assert out == "False\n" * 2
 
 
 def test_a_survey_streams_its_rows(tmp_path, capsys):

@@ -18,6 +18,7 @@ from dihedral_codes import (
     modmat,
     subgroup_pair_code,
 )
+from dihedral_codes.closed_forms import canonical_rows
 from dihedral_codes.codes import weights
 from dihedral_codes.modmat import rref
 
@@ -229,31 +230,19 @@ def test_subgroup_pair_rejects_non_nested(field11, d9):
         subgroup_pair_code(field11, Subgroup(d9, 0), Subgroup(d9, 2, 0))
 
 
-def _greedy_transversal(group, sub_indices, pool):
-    """Coset representatives of a subgroup, greedy in canonical order."""
-    reps, covered = [], set()
-    members = sorted(sub_indices)
-    for g in pool:
-        if g not in covered:
-            reps.append(g)
-            covered.update(int(t) for t in group.mult_table[g, members])
-    return reps
-
-
-def _predicted_basis_by_loop(field, H, K):
-    """The basis {r H^ - r t H^} built one translate at a time from
-    GroupElem products: the reference for the rows of `subgroup_pair_code`."""
+def _rows_by_translate_loop(field, H, K):
+    """The rows |H| (c e - c' e), e = H^ - K^, for each H-coset label c
+    but the greatest c' of its K-coset, built one translate at a time from
+    GroupElem products, with the cosets read off element sets: the
+    reference for the rows of `subgroup_pair_code`."""
     group = H.group
-    h_idx, k_idx = set(H.indices()), set(K.indices())
-    hat_H = hat(field, H).coeffs
-    reps = _greedy_transversal(group, k_idx, range(group.order))
-    tau = _greedy_transversal(group, h_idx, sorted(k_idx))
-    basis = []
-    for r in reps:
-        for t in tau[1:]:
-            rt = (group.from_index(r) * group.from_index(t)).index
-            basis.append(_translate(group, r, hat_H) - _translate(group, rt, hat_H))
-    return np.array(basis, dtype=np.int64).reshape(-1, group.order) % field.q
+    table = _left_products(group)
+    h_cosets = {frozenset(table[g, H.indices()].tolist()) for g in range(group.order)}
+    labels = sorted(min(C) for C in h_cosets)
+    last = {c: max(x for x in labels if x in table[c, K.indices()]) for c in labels}
+    e = (hat(field, H) - hat(field, K)).coeffs * H.order
+    rows = [_translate(group, c, e) - _translate(group, last[c], e) for c in labels if c != last[c]]
+    return np.array(rows, dtype=np.int64).reshape(-1, group.order) % field.q
 
 
 @pytest.mark.parametrize("q, p, m", [(11, 3, 2), (5, 3, 3), (2, 5, 2)])
@@ -267,21 +256,10 @@ def test_predicted_basis_matches_the_translate_loop(q, p, m):
                 continue
             basis = subgroup_pair_code(field, H, K)
             assert basis.dtype == np.int64 and not basis.flags.writeable
-            expect = _predicted_basis_by_loop(field, H, K)
+            expect = _rows_by_translate_loop(field, H, K)
             assert basis.shape == expect.shape and basis.tobytes() == expect.tobytes()
             nested += 1
     assert nested == {11: 42, 5: 166, 2: 3}[q]
-
-
-def _pair_code_by_elimination(field, H, K):
-    """The two-elimination construction: reduce L(H^ - K^), then check that
-    the predicted basis has full rank and the same RREF.  Returns the code
-    and that basis."""
-    code = left_ideal_code(hat(field, H) - hat(field, K))
-    basis = _predicted_basis_by_loop(field, H, K)
-    R, _ = rref(basis, field.q)
-    assert len(R) == code.k and np.array_equal(R, code.generator_matrix)
-    return code, basis
 
 
 def _nested_pairs(group, q):
@@ -293,15 +271,18 @@ def _nested_pairs(group, q):
 
 
 def _assert_pair_code_is_the_eliminated_one(field, H, K):
-    """The proven basis reduces to the RREF of the eliminated L(H^ - K^)."""
+    """The proven basis is, byte for byte, the RREF `closed_forms` writes
+    from the coset labels and the RREF `left_ideal_code` eliminates from
+    L(H^ - K^)."""
     basis = subgroup_pair_code(field, H, K)
-    expect, expect_basis = _pair_code_by_elimination(field, H, K)
-    got, _ = rref(basis, field.q)
-    assert got.shape == expect.generator_matrix.shape
-    assert got.tobytes() == expect.generator_matrix.tobytes()
-    assert basis.tobytes() == expect_basis.tobytes()
-    n = expect.n
-    assert expect.k == len(basis) == n // H.order - n // K.order
+    n = basis.shape[1]
+    assert len(basis) == n // H.order - n // K.order
+    for expect in (
+        np.array(canonical_rows(H, K, field.q)),
+        left_ideal_code(hat(field, H) - hat(field, K)).generator_matrix,
+    ):
+        assert basis.shape == expect.shape and basis.dtype == expect.dtype
+        assert basis.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -444,8 +425,8 @@ def _move_one_view_entry(monkeypatch):
             None,
             "does not span the code",
         ),
-        # e is right, but B read off the moved view leaves V: row (a, b) is
-        # 0 at 1, 1 at a^3 and -1 at a^6, three elements of one H-coset
+        # e is right, but B read off the moved view leaves V: row a is 0
+        # at 1, 1 at a^3 and -1 at a^6, three elements of one H-coset
         (lambda hH, hK: (hH, hK), _move_one_view_entry, "does not span the code"),
     ],
     ids=["zero-generator", "e-outside-V", "basis-outside-V"],
