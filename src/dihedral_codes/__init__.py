@@ -19,7 +19,7 @@ _SOURCES = {
     "algebra": ("AlgebraElem", "hat", "is_central", "is_idempotent", "products"),
     "check_names": ("CHECK_NAMES",),
     "codes": ("LinearCode", "equivalence_necessary_check", "gamma_image_code",
-              "left_ideal_code", "subgroup_pair_code"),
+              "left_ideal_code"),
     "ff": ("DEFAULT_BUDGET", "InadmissibleParameters", "PrimeField", "check_admissible",
            "is_prime", "multiplicative_order", "phi_prime_power"),
     "groups": ("AbelianGroup", "DihedralGroup", "GroupElem", "Subgroup", "gamma"),

@@ -24,10 +24,10 @@ RREF of its code in `closed_forms`, from the coset labels
 only `closed_forms`, `gm` and `groups`, no numpy.  `construct --gen
 f|custom` and `compare` add numpy and the algebra stack (`groups`,
 `algebra`, `modmat`, `_kernels`, `codes`, `gm`, `idempotents`), not
-`closed_forms`; `verify` adds that stack, `verify` and, for its central
-checks, `closed_forms`.  Every handler
-imports what it needs after its dispatch, so importing this module costs
-no more than a survey needs.  `check_names` gives `verify --check` its
+`closed_forms`; `verify` adds that stack, `verify` and `closed_forms`,
+whose rows its central checks compare and its pair suite scans.  Every
+handler imports what it needs after its dispatch, so importing this
+module costs no more than a survey needs.  `check_names` gives `verify --check` its
 choices without importing `verify`.
 
 Exit codes: 0 success, 1 a `verify` check failed, 3 enumeration budget

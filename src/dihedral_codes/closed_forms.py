@@ -25,10 +25,9 @@ each left coset gK.
       one per H-coset but one per K-coset, and each is nonzero in the
       column of its label c alone, as no such C is a last C', so they are
       independent and span A e = V.  Each leads with a 1 at c < c', so in
-      the order of c they are the RREF of V.  `codes.subgroup_pair_code`
-      reads them off L(e) and checks at run time, for any nested pair,
-      that their pivot columns form the identity and that they and e lie
-      in V.
+      the order of c they are the RREF of V.  `pair_labels` lists the
+      (c, c') and proves on the labels that each H-coset lies in one
+      K-coset; `canonical_rows` writes the rows from them.
   (iii) d = 2|H|.  A nonzero word of V is nonzero on some K-coset, where
       its values on the H-cosets sum to 0, so at least two of them are
       nonzero, each on |H| coordinates; each row of (ii) has weight 2|H|.
@@ -106,28 +105,26 @@ def _sign(group: DihedralGroup, rows: list[list[int]], q: int) -> list[list[int]
     return [row[:N] + [-v % q for v in row[N:]] for row in rows]
 
 
+def pair_labels(H: Subgroup, K: Subgroup) -> list[tuple[int, int]]:
+    """The (c, c') of the rows 1_C - 1_C' of the lemma: each H-coset label c
+    but the greatest label c' of its K-coset, with that c', in the order of
+    c.  Raises ValueError unless every H-coset lies in one K-coset, so that
+    H <= K, proven on the labels in O(n): each g has the K-label of its
+    H-label."""
+    h_root, k_root = H.roots(), K.roots()
+    if any(k_root[g] != k_root[c] for g, c in enumerate(h_root)):
+        raise ValueError("H is not contained in K")
+    labels = [c for g, c in enumerate(h_root) if g == c]
+    last = {k_root[c]: c for c in labels}  # labels increase, so the greatest stays
+    return [(c, last[k_root[c]]) for c in labels if c != last[k_root[c]]]
+
+
 def _label_rows(H: Subgroup, K: Subgroup, q: int) -> list[list[int]]:
     """The RREF of V(H, K) read off the coset labels: a row 1_C - 1_C' for
-    each H-coset C but the last C' of its K-coset, in pivot order."""
-    h_root, k_root = H.roots(), K.roots()
-    members: dict[int, list[int]] = {}  # H-coset label -> its elements
-    for g, c in enumerate(h_root):
-        members.setdefault(c, []).append(g)
-    last: dict[int, int] = {}  # K-coset label -> its greatest H-coset label
-    for c in members:
-        last[k_root[c]] = max(last.get(k_root[c], c), c)
-    rows = []
-    for c in sorted(members):
-        c_last = last[k_root[c]]
-        if c == c_last:
-            continue
-        row = [0] * len(h_root)
-        for g in members[c]:
-            row[g] = 1
-        for g in members[c_last]:
-            row[g] = q - 1
-        rows.append(row)
-    return rows
+    each pair (c, c') of `pair_labels`, in pivot order."""
+    h_root = H.roots()
+    return [[1 if x == c else q - 1 if x == c_last else 0 for x in h_root]
+            for c, c_last in pair_labels(H, K)]
 
 
 def _prove(rows: list[list[int]], H: Subgroup, K: Subgroup, q: int, twist: bool):

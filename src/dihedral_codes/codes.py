@@ -1,8 +1,9 @@
 """Left ideals of a group algebra as linear codes: generator matrices in
 reduced row echelon form, exact minimum weight and weight distribution by
-exhaustive message enumeration, the proven basis of each subgroup-pair
-code, and the image of a dihedral code under the coordinate bijection
-gamma with the necessary test for an equivalence to an abelian code.
+exhaustive message enumeration, and the image of a dihedral code under
+the coordinate bijection gamma with the necessary test for an equivalence
+to an abelian code.  The subgroup-pair codes are written and proven in
+`closed_forms`, with no algebra.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import numpy as np
 
 from . import modmat
 from ._kernels import weight_histogram
-from .algebra import AlgebraElem, hat, products
+from .algebra import AlgebraElem, products
 from .ff import DEFAULT_BUDGET, PrimeField
 from .gm import format_generator_matrix, write_generator_matrix
-from .groups import AbelianGroup, DihedralGroup, Subgroup
+from .groups import AbelianGroup, DihedralGroup
 
 _scans: ContextVar[dict | None] = ContextVar("scans", default=None)
 
@@ -206,60 +207,6 @@ def left_ideal_code(x: AlgebraElem) -> LinearCode:
     A = np.empty((x.group.order,) * 2, modmat.lane(q))
     A.reshape(L.shape)[...] = L  # the one copy of L(x): residues, so no cast can wrap
     return LinearCode._from_rref(modmat.eliminate(A, q)[0], q, group=x.group)
-
-
-def subgroup_pair_code(field: PrimeField, H: Subgroup, K: Subgroup) -> np.ndarray:
-    """The canonical RREF of the left ideal A e of A = F_q G, e = H^ - K^,
-    for nested subgroups H <= K with |H| invertible in F_q, read off L(e)
-    and proven: one read-only int64 (k, n) matrix, (0, n) when H = K.  By
-    the lemma in `closed_forms`, A e = V(H, K), and its RREF has a row
-    1_C - 1_C' = |H| (c e - c' e) for each H-coset C, label c, but the
-    last C' (label c') of its K-coset: rows c and c' of L(|H| e), read off
-    its view (`AlgebraElem.translates`).  These are the rows
-    `closed_forms.canonical_rows` writes, byte for byte.
-
-    The cosets are those of `Subgroup.roots`, which proves that they are
-    the cosets of the subgroup `hat` averages over.  The rows lie in A e by
-    construction, and are (G:H) - (G:K) = dim V many, one per H-coset but
-    one per K-coset.  They are proven to span A e = V(H, K) exactly over
-    F_q by two identities of the lemma checked on these H and K:
-      (a) the rows are independent: their pivot columns, the labels c,
-          form the identity;
-      (b) the rows and e lie in V: constant on each H-coset, zero sum over
-          each K-coset.
-    By (a) and (b), the rows span V.  V is a left ideal holding e, so A e
-    lies in V, and the rows lie in A e.  Hence they span A e = V.
-    """
-    if not H.within(K):
-        raise ValueError("H is not contained in K")
-    group = H.group
-    q, n, N = field.q, group.order, group.rot_order
-    if H == K:
-        B = np.zeros((0, n), dtype=np.int64)
-        B.setflags(write=False)
-        return B
-    h_root, k_root = np.array(H.roots()), np.array(K.roots())
-    e = hat(field, H) - hat(field, K)
-
-    # each H-coset label c but the greatest of its K-coset, paired with that c'
-    labels = np.flatnonzero(h_root == np.arange(n))
-    last = np.zeros(n, dtype=np.intp)
-    np.maximum.at(last, k_root[labels], labels)
-    c = labels[labels != last[k_root[labels]]]
-    c_last = last[k_root[c]]
-    # row 1_C - 1_C' = |H| (c e - c' e), rows c and c' of L(|H| e), row a^i b^e at [e, i]
-    L = (e * H.order).translates()
-    B = (L[c // N, c % N] - L[c_last // N, c_last % N]).reshape(-1, n) % q
-
-    if not np.array_equal(B[:, c] != 0, np.eye(len(B), dtype=bool)):
-        raise RuntimeError("predicted basis is not linearly independent")
-    # V: constant on each H-coset (x = x[h_root]), zero sum over each K-coset
-    in_V = np.vstack((B, e.coeffs))
-    by_k_coset = in_V[:, np.argsort(k_root, kind="stable")].reshape(len(in_V), -1, K.order)
-    if not (np.array_equal(in_V, in_V[:, h_root]) and not (by_k_coset.sum(axis=2) % q).any()):
-        raise RuntimeError("predicted basis does not span the code")
-    B.setflags(write=False)
-    return B
 
 
 def gamma_image_code(code: LinearCode) -> LinearCode:

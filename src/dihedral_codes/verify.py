@@ -12,9 +12,11 @@ in one stack and checks absorption one average against a stack of
 others.  Checks of one `run_checks` call share scans of identical
 matrices: a weight distribution is scanned once per distinct generator
 matrix and run (see `codes.shared_scans`), so `central-codes` and
-`survey` reuse what `subgroup-pairs` scanned: the matrices `construct
---gen pair` writes, which equal the eliminated codes of e11 and e22.
-Each run starts with an empty memo.
+`survey` reuse what `subgroup-pairs` scanned: the rows `closed_forms`
+writes for `construct --gen pair`, which equal the eliminated codes of
+e11 and e22.  Each run starts with an empty memo.  `subgroup-pairs`
+proves every nested pair on its coset labels in O(n) and writes rows
+only for the pairs it scans.
 
 `survey` and `nonequivalence` are the independent oracle of the survey's
 closed forms: they build the abelian catalog (`idempotents.abelian_catalog`),
@@ -36,13 +38,13 @@ import numpy as np
 from . import modmat
 from .algebra import circulants, hat, products
 from .check_names import CHECK_NAMES
+from .closed_forms import canonical_rows, central_pair, pair_labels
 from .codes import (
     DEFAULT_BUDGET,
     equivalence_necessary_check,
     gamma_image_code,
     left_ideal_code,
     shared_scans,
-    subgroup_pair_code,
     weights,
 )
 from .ff import PrimeField, phi_prime_power, require_admissible
@@ -257,10 +259,7 @@ def check_hat_idempotents(ctx: VerifyContext) -> str:
 
 def _require_closed_form(ctx: VerifyContext, code, gen: str, j: int) -> None:
     """The eliminated code(gen) at component j must be, entry for entry,
-    the matrix `construct` writes from its closed form.  Imported here, so
-    that a run without the central checks does not compile the module."""
-    from .closed_forms import canonical_rows, central_pair
-
+    the matrix `construct` writes from its closed form."""
     H, K, twist = central_pair(ctx.dihedral, gen, j)
     rows = canonical_rows(H, K, ctx.q, twist)
     _require(
@@ -360,28 +359,40 @@ def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
     Returns (pairs checked, weights checked).  Not gated on admissibility;
     the construction itself only needs invertible subgroup orders.
 
-    Every pair proves its own basis, the canonical RREF of its code
-    (`codes.subgroup_pair_code`).  By the lemma in `closed_forms`, the
-    weight distribution of a pair code depends on |H| and |K| alone, so
-    each (|H|, |K|) is scanned once, on the basis just proven for its
-    first pair: the chain pair of H_j or H*_j, the matrix `construct --gen
-    pair` writes.  Every pair's weight is compared with 2|H|, so the first
-    failing pair is the one a scan of every pair would report.
+    Every pair proves the lemma in `closed_forms` on its own labels.
+    `pair_labels` proves that each H-coset lies in one K-coset and lists
+    the pivots c of the rows 1_C - 1_C' of the canonical RREF of A e,
+    e = H^ - K^.  Then e must equal |H|^-1 1_H - |K|^-1 1_K, with 1_H and
+    1_K the elements the roots label 0.  So e lies in V(H, K), is not 0
+    (it is -|K|^-1 on K outside H), and each row is |H| (c e - c' e).
+    By the lemma the weight distribution depends on |H| and |K| alone, so
+    each (|H|, |K|) is written and scanned once, for its first pair: the
+    chain pair of H_j or H*_j, whose rows `canonical_rows` proves and
+    `construct --gen pair` writes.  Every pair's weight is compared with
+    2|H|, so the first failing pair is the one a scan of every pair would
+    report.
     """
     q = field.q
     subs = [S for S in group.all_subgroups() if S.order % q != 0]
     index_sets = [frozenset(S.indices()) for S in subs]
+    # S^, and |S|^-1 on the elements the roots of S label 0
+    hats = {S: hat(field, S).coeffs for S in subs}
+    marks = {S: field.inv(S.order) * (np.array(S.roots()) == 0) for S in subs}
     scanned = {}  # (|H|, |K|) -> weight of its first pair, None beyond the budget
     pairs = weights_checked = 0
     for H, h_idx in zip(subs, index_sets):
         for K, k_idx in zip(subs, index_sets):
             if not h_idx < k_idx:
                 continue
-            B = subgroup_pair_code(field, H, K)
+            pair_labels(H, K)
+            _require(
+                np.array_equal((hats[H] - hats[K]) % q, (marks[H] - marks[K]) % q),
+                f"H^ - K^ is not |H|^-1 1_H - |K|^-1 1_K for |H|={H.order}, |K|={K.order}",
+            )
             pairs += 1
             sizes = (H.order, K.order)
             if sizes not in scanned:
-                dist = weights(B, q, budget)
+                dist = weights(np.array(canonical_rows(H, K, q), dtype=np.int64), q, budget)
                 scanned[sizes] = None if dist is None else int(np.flatnonzero(dist)[1])
             w = scanned[sizes]
             if w is None:

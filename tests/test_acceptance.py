@@ -69,9 +69,10 @@ def test_criterion_3_subgroup_pair_suite(field11, d9):
 def test_criterion_3_d25_weight_value():
     f2 = PrimeField(2)
     d25 = DihedralGroup(5, 2)
-    from dihedral_codes import LinearCode, Subgroup, subgroup_pair_code
+    from dihedral_codes import LinearCode, Subgroup
+    from dihedral_codes.closed_forms import canonical_rows
 
-    basis = subgroup_pair_code(f2, Subgroup(d25, 1), Subgroup(d25, 0))
+    basis = canonical_rows(Subgroup(d25, 1), Subgroup(d25, 0), 2)
     code = LinearCode(basis, 2, group=d25)
     assert (code.n, code.k) == (50, 8)
     assert code.min_weight() == 10 == 2 * 5

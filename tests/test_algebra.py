@@ -222,9 +222,8 @@ def translate_index(group):
 )
 def test_translates_match_an_index_oracle(group):
     """L(x) of a random x, of every subgroup average H^ and of every
-    H^ - K^ for nested H < K, the elements whose rows `subgroup_pair_code`
-    reads: the whole view, and rows read as that function reads them, at
-    [e, i] for index arrays of a^i b^e."""
+    H^ - K^ for nested H < K: the whole view, and rows read at [e, i] for
+    index arrays of a^i b^e."""
     field, n, N = PrimeField(11), group.order, group.rot_order
     idx = translate_index(group)
     subs = group.all_subgroups()

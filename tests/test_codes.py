@@ -16,9 +16,9 @@ from dihedral_codes import (
     hat,
     left_ideal_code,
     modmat,
-    subgroup_pair_code,
+    verify,
 )
-from dihedral_codes.closed_forms import canonical_rows
+from dihedral_codes.closed_forms import canonical_rows, pair_labels
 from dihedral_codes.codes import weights
 from dihedral_codes.modmat import rref
 
@@ -191,8 +191,14 @@ def test_full_space_shortcut(field11, d9):
     assert code.min_weight(budget=10) == 1
 
 
+def _pair_matrix(H, K, q):
+    """The canonical RREF `closed_forms` writes for the pair, as the pair
+    suite scans it: an int64 (k, n) array, (0, n) when H = K."""
+    return np.array(canonical_rows(H, K, q), dtype=np.int64).reshape(-1, H.group.order)
+
+
 def test_subgroup_pair_hstar(field11, d9, units1):
-    basis = subgroup_pair_code(field11, Subgroup(d9, 1, 0), Subgroup(d9, 0, 0))
+    basis = _pair_matrix(Subgroup(d9, 1, 0), Subgroup(d9, 0, 0), 11)
     code = LinearCode(basis, 11, group=d9)
     assert code.k == (18 // 6) - (18 // 18) == 2
     assert code.min_weight() == 12  # 2 |H| = 2 * 6
@@ -205,15 +211,16 @@ def test_subgroup_pair_hstar(field11, d9, units1):
 
 
 def test_subgroup_pair_equal_subgroups_zero_code(field11, d9):
-    basis = subgroup_pair_code(field11, Subgroup(d9, 1), Subgroup(d9, 1))
-    assert basis.shape == (0, 18) and basis.dtype == np.int64 and not basis.flags.writeable
+    H = Subgroup(d9, 1)
+    assert pair_labels(H, H) == [] and canonical_rows(H, H, 11) == []
+    assert _pair_matrix(H, H, 11).shape == (0, 18)
 
 
 def test_subgroup_pair_trivial_in_b(field11, d9):
     """H = {1} inside K = <b>: dimension 9, weight 2 exhibited by 1 - b."""
     H = Subgroup(d9, 2)
     K = Subgroup(d9, 2, 0)
-    basis = subgroup_pair_code(field11, H, K)
+    basis = _pair_matrix(H, K, 11)
     code = LinearCode(basis, 11, group=d9)
     assert code.k == len(basis) == 18 - 9 == 9
     one_minus_b = AlgebraElem.one(d9, field11) - AlgebraElem.from_group_elem(d9.b, field11)
@@ -226,15 +233,17 @@ def test_subgroup_pair_trivial_in_b(field11, d9):
 
 
 def test_subgroup_pair_rejects_non_nested(field11, d9):
-    with pytest.raises(ValueError, match="^H is not contained in K$"):
-        subgroup_pair_code(field11, Subgroup(d9, 0), Subgroup(d9, 2, 0))
+    # <a> and <b>: the coset <a> b of <a> meets every coset g<b>
+    for write in (pair_labels, lambda H, K: canonical_rows(H, K, 11)):
+        with pytest.raises(ValueError, match="^H is not contained in K$"):
+            write(Subgroup(d9, 0), Subgroup(d9, 2, 0))
 
 
 def _rows_by_translate_loop(field, H, K):
     """The rows |H| (c e - c' e), e = H^ - K^, for each H-coset label c
     but the greatest c' of its K-coset, built one translate at a time from
     GroupElem products, with the cosets read off element sets: the
-    reference for the rows of `subgroup_pair_code`."""
+    reference for the rows `closed_forms.canonical_rows` writes."""
     group = H.group
     table = _left_products(group)
     h_cosets = {frozenset(table[g, H.indices()].tolist()) for g in range(group.order)}
@@ -254,8 +263,7 @@ def test_predicted_basis_matches_the_translate_loop(q, p, m):
         for K in subs:
             if not set(H.indices()) < set(K.indices()):
                 continue
-            basis = subgroup_pair_code(field, H, K)
-            assert basis.dtype == np.int64 and not basis.flags.writeable
+            basis = _pair_matrix(H, K, q)
             expect = _rows_by_translate_loop(field, H, K)
             assert basis.shape == expect.shape and basis.tobytes() == expect.tobytes()
             nested += 1
@@ -271,15 +279,15 @@ def _nested_pairs(group, q):
 
 
 def _assert_pair_code_is_the_eliminated_one(field, H, K):
-    """The proven basis is, byte for byte, the RREF `closed_forms` writes
-    from the coset labels and the RREF `left_ideal_code` eliminates from
-    L(H^ - K^)."""
-    basis = subgroup_pair_code(field, H, K)
+    """The rows `closed_forms` writes from the coset labels are, byte for
+    byte, the RREF `left_ideal_code` eliminates from L(H^ - K^) and the
+    RREF `LinearCode` eliminates from the rows themselves."""
+    basis = _pair_matrix(H, K, field.q)
     n = basis.shape[1]
     assert len(basis) == n // H.order - n // K.order
     for expect in (
-        np.array(canonical_rows(H, K, field.q)),
         left_ideal_code(hat(field, H) - hat(field, K)).generator_matrix,
+        LinearCode(basis, field.q).generator_matrix,
     ):
         assert basis.shape == expect.shape and basis.dtype == expect.dtype
         assert basis.tobytes() == expect.tobytes()
@@ -322,130 +330,133 @@ def test_closed_form_pair_code_matches_two_eliminations_at_3_5_3():
 
 
 def test_pair_code_hands_rref_only_reduced_matrices(monkeypatch):
-    """No elimination: `subgroup_pair_code` proves its basis by identities
-    and writes no RREF, so it hands `rref` no matrix at all, the zero code
-    of H = K included."""
+    """No elimination: the pair suite proves each pair on its labels and
+    `canonical_rows` writes its rows from them, so neither hands `rref` or
+    `eliminate` any matrix, the zero code of H = K included."""
     seen = []
-    real = modmat.rref
-
-    def recording(mat, q):
-        seen.append(np.array(mat))
-        return real(mat, q)
-
-    monkeypatch.setattr(modmat, "rref", recording)
+    for name in ("rref", "eliminate"):
+        real = getattr(modmat, name)
+        monkeypatch.setattr(
+            modmat, name, lambda mat, q, real=real: seen.append(np.array(mat)) or real(mat, q)
+        )
     field, group = PrimeField(5), DihedralGroup(3, 3)
-    nested = _nested_pairs(group, 5)
-    for H, K in nested + [(K, K) for _, K in nested]:
-        subgroup_pair_code(field, H, K)
-    assert len(nested) == 166 and seen == []
+    assert verify.subgroup_pair_suite(field, group, budget=0) == (166, 0)
+    for K in group.all_subgroups():
+        canonical_rows(K, K, 5)
+    assert seen == []
 
 
 @pytest.mark.parametrize("q, p, m", [(11, 3, 2), (5, 3, 3)])
-def test_pair_basis_is_a_read_only_array_of_full_rank(q, p, m):
-    """For every nested pair and every H = K the basis is a C-contiguous,
-    read-only int64 (k, n) array of residues, k = (G:H) - (G:K), whose rows
-    are independent: `LinearCode` of it keeps all k of them."""
+def test_pair_basis_is_a_read_only_array_of_full_rank(monkeypatch, q, p, m):
+    """For every nested pair and every H = K the written rows make an int64
+    (k, n) array of residues, k = (G:H) - (G:K), whose rows are independent
+    and already the canonical RREF: `LinearCode` of it keeps all k of them
+    and stores them, read-only, byte for byte.  The suite scans such
+    arrays, C-contiguous int64."""
     field, group = PrimeField(q), DihedralGroup(p, m)
     subs = group.all_subgroups()
     pairs = [(H, H) for H in subs] + _nested_pairs(group, q)
     n = group.order
     for H, K in pairs:
-        B = subgroup_pair_code(field, H, K)
+        B = _pair_matrix(H, K, q)
         assert B.dtype == np.int64 and B.shape == (n // H.order - n // K.order, n)
-        assert B.flags.c_contiguous and not B.flags.writeable
         assert ((0 <= B) & (B < q)).all()
         if len(B):
-            assert LinearCode(B, q, group=group).k == len(B)
+            G = LinearCode(B, q, group=group).generator_matrix
+            assert not G.flags.writeable and G.tobytes() == B.tobytes()
     assert len(pairs) > len(subs)
+    scanned = []
+    monkeypatch.setattr(verify, "weights", lambda G, q, budget: scanned.append(G))
+    verify.subgroup_pair_suite(field, group, budget=0)
+    assert scanned and all(G.dtype == np.int64 and G.flags.c_contiguous for G in scanned)
+
+
+def _suite_error(monkeypatch, hats, roots=None):
+    """The first failure of the pair suite at (5, 3, 3), with the averages
+    of H = H_1 and K = H*_1 handed over by `verify.hat` as `hats` gives
+    them and, when given, the roots of K replaced."""
+    field, group = PrimeField(5), DihedralGroup(3, 3)
+    H, K = Subgroup(group, 1), Subgroup(group, 1, 0)
+    real_hat, real_roots = verify.hat, Subgroup.roots
+    wrong = dict(zip((H, K), hats(real_hat(field, H), real_hat(field, K))))
+    monkeypatch.setattr(verify, "hat", lambda f, S: wrong[S] if S in wrong else real_hat(f, S))
+    if roots is not None:
+        patched = roots(list(real_roots(K)))
+        monkeypatch.setattr(Subgroup, "roots", lambda S: patched if S == K else real_roots(S))
+    with pytest.raises((verify.CheckFailure, ValueError)) as info:
+        verify.subgroup_pair_suite(field, group, budget=0)
+    return info
+
+
+def _move_last_coefficient(x):
+    c = x.coeffs.copy()
+    c[-1] += 1
+    return AlgebraElem(x.group, x.field, c)
 
 
 @pytest.mark.parametrize("corrupted", ["H", "K"])
 def test_pair_code_proof_rejects_a_corrupted_generator(monkeypatch, corrupted):
     """e = H^ - K^ with one coefficient of H^ or of K^ moved, outside both
-    subgroups: e leaves V, and the moved coefficient, translated along the
-    rows of L(e), puts off-diagonal entries in the predicted basis on its
-    diagonal columns.  So the proof fails with an existing message instead
-    of returning a code."""
-    field, group = PrimeField(5), DihedralGroup(3, 3)
-    H, K = Subgroup(group, 1), Subgroup(group, 1, 0)
-    real_hat = codes.hat
-
-    def corrupt_hat(f, S):
-        x = real_hat(f, S)
-        if S == {"H": H, "K": K}[corrupted]:
-            c = x.coeffs.copy()
-            c[-1] += 1
-            x = AlgebraElem(group, f, c)
-        return x
-
-    monkeypatch.setattr(codes, "hat", corrupt_hat)
-    with pytest.raises(RuntimeError, match="predicted basis is not linearly independent"):
-        subgroup_pair_code(field, H, K)
+    subgroups: the suite's check of e on the labels fails, so no pair code
+    is claimed."""
+    if corrupted == "H":
+        hats = lambda hH, hK: (_move_last_coefficient(hH), hK)  # noqa: E731
+    else:
+        hats = lambda hH, hK: (hH, _move_last_coefficient(hK))  # noqa: E731
+    info = _suite_error(monkeypatch, hats)
+    assert info.type is verify.CheckFailure
+    assert str(info.value).startswith("H^ - K^ is not |H|^-1 1_H - |K|^-1 1_K")
 
 
 def test_pair_code_refuses_elements_that_are_not_the_orbit_of_1(monkeypatch):
     """The cosets are read off `roots()`, which walks the generators, and
     the averages off `indices()`: `roots()` proves the two name one
     subgroup.  H*_1 listed with its reflections a^(3i + 1) b, the elements
-    of Subgroup(group, 1, 1), is refused before any average is built."""
-    field, group = PrimeField(5), DihedralGroup(3, 3)
+    of Subgroup(group, 1, 1), is refused before any pair is listed."""
+    group = DihedralGroup(3, 3)
     H, K = Subgroup(group, 1), Subgroup(group, 1, 0)
     real = Subgroup.indices
     moved = Subgroup(group, 1, 1).indices()
     monkeypatch.setattr(Subgroup, "indices", lambda S: moved if S == K else real(S))
-    monkeypatch.setattr(codes, "hat", None)
     with pytest.raises(RuntimeError, match=r"^the elements of .*c=0\) are not the orbit of 1"):
-        subgroup_pair_code(field, H, K)
+        pair_labels(H, K)
 
 
-def _move_one_view_entry(monkeypatch):
-    """Row a of every view L(x) gains 1 at a^3 and loses 1 at a^6: both
-    lie in H = H_1 and label no coset, so the diagonal columns and the sum
-    over each K-coset keep their values."""
-    real = AlgebraElem.translates
-
-    def translates(x):
-        L = real(x).copy()
-        L[0, 1, 0, 3] += 1  # [e, i, o, k]: row a^i b^e, column a^k b^o
-        L[0, 1, 0, 6] -= 1
-        return L
-
-    monkeypatch.setattr(AlgebraElem, "translates", translates)
+def _straddle(k_root):
+    """K = H*_1 at (3, 3): a^4, in the H_1-coset of a, moved from the
+    K-coset of a to that of a^2.  The roots label 0 the same elements,
+    so only the labels of a^4 change."""
+    k_root[4] = k_root[2]
+    return k_root
 
 
 @pytest.mark.parametrize(
-    "averages, views, message",
+    "hats, roots, error, message",
     [
-        # e = 0 lies in V, and so does B = 0, but its diagonal is zero
-        (lambda hH, hK: (hH, hH), None, "is not linearly independent"),
+        # e = 0 lies in V, but is not the lemma's e
+        (lambda hH, hK: (hH, hH), None, verify.CheckFailure, "is not |H|^-1 1_H"),
         # e = H^ - K^ + (1, ..., 1) is constant on each H-coset, but sums to
-        # |K| over each K-coset; B is right, as L(1, ..., 1) has equal rows
+        # |K| over each K-coset
         (
             lambda hH, hK: (hH, AlgebraElem(hK.group, hK.field, hK.coeffs - 1)),
             None,
-            "does not span the code",
+            verify.CheckFailure,
+            "is not |H|^-1 1_H",
         ),
-        # e is right, but B read off the moved view leaves V: row a is 0
-        # at 1, 1 at a^3 and -1 at a^6, three elements of one H-coset
-        (lambda hH, hK: (hH, hK), _move_one_view_entry, "does not span the code"),
+        # e is right, but the H_1-coset of a straddles two K-cosets, so
+        # the row 1_C - 1_C' of its label would leave V
+        (lambda hH, hK: (hH, hK), _straddle, ValueError, "H is not contained in K"),
     ],
-    ids=["zero-generator", "e-outside-V", "basis-outside-V"],
+    ids=["zero-generator", "e-outside-V", "H-coset-straddles-two-K-cosets"],
 )
 def test_pair_code_proof_rejects_averages_that_break_one_identity(
-    monkeypatch, averages, views, message
+    monkeypatch, hats, roots, error, message
 ):
-    """Each case, averages handed over by `codes.hat` or a view moved in
-    `AlgebraElem.translates`, breaks one identity of the proof and keeps
-    the others, so dropping that identity's test would return a wrong code
-    or a wrong basis."""
-    field, group = PrimeField(5), DihedralGroup(3, 3)
-    H, K = Subgroup(group, 1), Subgroup(group, 1, 0)
-    wrong = averages(hat(field, H), hat(field, K))
-    monkeypatch.setattr(codes, "hat", lambda f, S: wrong[(H, K).index(S)])
-    if views is not None:
-        views(monkeypatch)
-    with pytest.raises(RuntimeError, match=message):
-        subgroup_pair_code(field, H, K)
+    """Each case, averages handed over by `verify.hat` or the roots of K
+    patched, breaks one fact the suite proves per pair and keeps the
+    others, so dropping that fact's test would claim a wrong pair code."""
+    info = _suite_error(monkeypatch, hats, roots)
+    assert info.type is error and message in str(info.value)
 
 
 def test_a_code_holds_its_k_rows_only(gens1):

@@ -17,10 +17,10 @@ from dihedral_codes import (
     idempotents,
     modmat,
     run_checks,
-    subgroup_pair_code,
     verify,
 )
 from dihedral_codes.cli import main
+from dihedral_codes.closed_forms import canonical_rows
 
 PINNED_11_3_2 = """\
 PASS field-axioms: field axioms hold (exhaustive over 11^3 triples)
@@ -164,7 +164,7 @@ def test_every_pair_weight_matches_a_scan_of_its_own_code(q, p, m, budget):
     nested = [(H, K) for H in subs for K in subs if set(H.indices()) < set(K.indices())]
     checked = 0
     for H, K in nested:
-        hist = codes.weights(subgroup_pair_code(field, H, K), q, budget)
+        hist = codes.weights(np.array(canonical_rows(H, K, q), dtype=np.int64), q, budget)
         if hist is not None:
             expect = _pair_enumerator(q, H.order, K.order // H.order, group.order // K.order)
             assert hist.tolist() == expect
