@@ -374,15 +374,15 @@ def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
     """
     q = field.q
     subs = [S for S in group.all_subgroups() if S.order % q != 0]
-    index_sets = [frozenset(S.indices()) for S in subs]
+    elements = {S: frozenset(S.indices()) for S in subs}
     # S^, and |S|^-1 on the elements the roots of S label 0
     hats = {S: hat(field, S).coeffs for S in subs}
     marks = {S: field.inv(S.order) * (np.array(S.roots()) == 0) for S in subs}
     scanned = {}  # (|H|, |K|) -> weight of its first pair, None beyond the budget
     pairs = weights_checked = 0
-    for H, h_idx in zip(subs, index_sets):
-        for K, k_idx in zip(subs, index_sets):
-            if not h_idx < k_idx:
+    for H in subs:
+        for K in subs:
+            if not elements[H] < elements[K]:
                 continue
             pair_labels(H, K)
             _require(
