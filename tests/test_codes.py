@@ -447,7 +447,7 @@ def _straddle(k_root):
         # the row 1_C - 1_C' of its label would leave V
         (lambda hH, hK: (hH, hK), _straddle, ValueError, "H is not contained in K"),
     ],
-    ids=["zero-generator", "e-outside-V", "H-coset-straddles-two-K-cosets"],
+    ids=["zero-generator", "e-outside-V", "straddling-coset"],
 )
 def test_pair_code_proof_rejects_averages_that_break_one_identity(
     monkeypatch, hats, roots, error, message
