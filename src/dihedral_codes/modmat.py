@@ -43,11 +43,6 @@ def lane(q: int) -> np.dtype:
     )
 
 
-def _reduce_into(out: np.ndarray, mat, q: int) -> np.ndarray:
-    """Writes mat mod q into out, a lane(q) array, with no int64 copy."""
-    return np.remainder(mat, np.int64(q), out=out, casting="unsafe")
-
-
 def asmat(mat, q: int) -> np.ndarray:
     """mat mod q as a new 2-D lane(q) array; a vector becomes one row."""
     A = np.asarray(mat)
@@ -55,7 +50,8 @@ def asmat(mat, q: int) -> np.ndarray:
         A = A[None, :]
     if A.ndim != 2:
         raise ValueError("expected a matrix")
-    return _reduce_into(np.empty(A.shape, lane(q)), A, q)
+    # written into the lane, with no int64 copy
+    return np.remainder(A, np.int64(q), out=np.empty(A.shape, lane(q)), casting="unsafe")
 
 
 def rref(mat, q: int) -> tuple[np.ndarray, list[int]]:
@@ -101,23 +97,3 @@ def eliminate(A: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
         r += 1
         c += 1
     return A[:r].astype(np.int64), pivots
-
-
-def solve(A, b, q: int) -> np.ndarray | None:
-    """One solution x of A x = b over F_q (free variables set to 0), or
-    None when the system is inconsistent.  [A | b] is reduced mod q once,
-    into the lane, and eliminated there."""
-    A, b = np.asarray(A), np.asarray(b).reshape(-1, 1)
-    if A.ndim != 2 or len(b) != len(A):
-        raise ValueError("shape mismatch")
-    cols = A.shape[1]
-    aug = np.empty((len(A), cols + 1), lane(q))
-    _reduce_into(aug[:, :cols], A, q)
-    _reduce_into(aug[:, cols:], b, q)
-    R, pivots = eliminate(aug, q)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for row, c in enumerate(pivots):
-        x[c] = R[row, cols]
-    return x

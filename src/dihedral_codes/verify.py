@@ -36,7 +36,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import modmat
-from .algebra import circulants, hat, products
+from .algebra import hat, products
 from .check_names import CHECK_NAMES
 from .closed_forms import canonical_rows, central_pair, pair_labels
 from .codes import (
@@ -306,29 +306,41 @@ def check_noncentral_generator(ctx: VerifyContext) -> str:
     return f"f built two ways matches; dims {dims} preserved under conjugation"
 
 
+def _frobenius(xs, t: int) -> np.ndarray:
+    """x -> x^(q^s) on a stack of elements of F_q<a>, for t = q^s mod N.
+    The algebra is commutative of characteristic q and x_i^q = x_i on
+    residues, so (sum x_i a^i)^(q^s) = sum x_i a^(t i): a permutation of
+    the rotation half, as t is prime to N."""
+    N = xs.shape[1] // 2
+    out = np.zeros_like(xs)
+    out[:, t * np.arange(N) % N] = xs[:, :N]
+    return out
+
+
 def check_component_field(ctx: VerifyContext) -> str:
     """Every nonzero element of F_q<a> e_j inverts inside the component.
 
     F_q<a> e_j = F_q[a e_j] has dimension d = phi(p^j) (checked), so its
-    first d powers (a e_j)^i = a^i e_j, i < d, are a basis.  If v has an
-    inverse in e_j F_q D e_j, the inverse is a polynomial in v (from v's
-    minimal polynomial, whose constant term is then nonzero), so it lies in
-    F_q[v], inside F_q<a> e_j, and is w = sum x_i a^i e_j for some x.  Since
-    e_j v = v, that x solves x L(v)[:d] = e_j, the rows of L(v)[:d] being
-    a^i v: a system in d unknowns, not n.  No solution means v has no
-    inverse; a solution passes only when v w = e_j and w v = e_j hold
-    exactly.
-
-    Both products are checked on one stack per component, one solve each.
+    first d powers (a e_j)^i = a^i e_j, i < d, are a basis, from which the
+    tested v are drawn.  The witness w comes from the norm (Itoh and
+    Tsujii): in a field of q^d elements, u = v^(q + q^2 + ... + q^(d-1))
+    gives v u = N(v) = c e_j with c in F_q nonzero, so w = c^-1 u.  As
+    x -> x^q permutes coordinates (`_frobenius`), r_k = v^(1 + q + ... +
+    q^(k-1)) follows the bits of d - 1 from r_1 = v by r_2k = r_k sigma^k(r_k)
+    and r_(k+1) = sigma(r_k) v, and u = sigma(r_(d-1)): O(log d) products,
+    each of one stack per component.  c is read off one coordinate where e_j
+    is nonzero, and c = 0 fails.  The route only finds w: v passes only
+    when v w = e_j and w v = e_j hold exactly, so a v with no inverse fails
+    whatever the route computes.
     """
     rng = ctx.rng()
-    D, q = ctx.dihedral, ctx.q
+    D, q, N = ctx.dihedral, ctx.q, ctx.dihedral.rot_order
     mul = partial(products, D, ctx.field)
     tested = []
     for j in range(1, ctx.m + 1):
         e = ctx.catalog.component(j)
         # rows a^i e, i < p^m, of L(e)
-        powers = e.translates()[0].reshape(D.rot_order, -1)
+        powers = e.translates()[0].reshape(N, -1)
         basis, _ = modmat.rref(powers, q)
         d = basis.shape[0]
         _require(d == phi_prime_power(ctx.p, j), f"F_q<a>e_{j} has wrong dimension")
@@ -340,10 +352,16 @@ def check_component_field(ctx: VerifyContext) -> str:
             mode = "sampled"
         v = combos @ basis % q
         v = v[v.any(axis=1)]
-        # rows a^i v, i < d, of L(v): view[0, :d] of each v's view
-        xs = [modmat.solve(view[0, :d].reshape(d, -1).T, e.coeffs, q) for view in circulants(D, v)]
-        _require(all(x is not None for x in xs), "not invertible in component")
-        w = np.array(xs, dtype=np.int64).reshape(len(v), d) @ powers[:d] % q
+        r, k = v, 1  # r = r_k
+        for bit in bin(d - 1)[3:]:
+            r, k = mul(r, _frobenius(r, pow(q, k, N))), 2 * k
+            if bit == "1":
+                r, k = mul(_frobenius(r, q), v), k + 1
+        u = _frobenius(r, q)
+        at = int(np.flatnonzero(e.coeffs)[0])  # c = (v u)[at] / e_j[at]
+        c = mul(v, u)[:, at] * ctx.field.inv(int(e.coeffs[at])) % q
+        _require(c.all(), "not invertible in component")
+        w = u * np.array([ctx.field.inv(x) for x in c.tolist()])[:, None] % q
         _require(
             (mul(v, w) == e.coeffs).all() and (mul(w, v) == e.coeffs).all(),
             "not invertible in component",
@@ -366,7 +384,8 @@ def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
     1_K the elements the roots label 0.  So e lies in V(H, K), is not 0
     (it is -|K|^-1 on K outside H), and each row is |H| (c e - c' e).
     By the lemma the weight distribution depends on |H| and |K| alone, so
-    each (|H|, |K|) is written and scanned once, for its first pair: the
+    each (|H|, |K|) is written and scanned once, for its first pair, when
+    its q^k codewords (k = the number of labels) fit in the budget: the
     chain pair of H_j or H*_j, whose rows `canonical_rows` proves and
     `construct --gen pair` writes.  Every pair's weight is compared with
     2|H|, so the first failing pair is the one a scan of every pair would
@@ -378,23 +397,23 @@ def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
     # S^, and |S|^-1 on the elements the roots of S label 0
     hats = {S: hat(field, S).coeffs for S in subs}
     marks = {S: field.inv(S.order) * (np.array(S.roots()) == 0) for S in subs}
-    scanned = {}  # (|H|, |K|) -> weight of its first pair, None beyond the budget
+    scanned = {}  # (|H|, |K|) -> weight of its first pair, within the budget
     pairs = weights_checked = 0
     for H in subs:
         for K in subs:
             if not elements[H] < elements[K]:
                 continue
-            pair_labels(H, K)
+            k = len(pair_labels(H, K))
             _require(
                 np.array_equal((hats[H] - hats[K]) % q, (marks[H] - marks[K]) % q),
                 f"H^ - K^ is not |H|^-1 1_H - |K|^-1 1_K for |H|={H.order}, |K|={K.order}",
             )
             pairs += 1
             sizes = (H.order, K.order)
-            if sizes not in scanned:
+            if sizes not in scanned and q**k <= budget:
                 dist = weights(np.array(canonical_rows(H, K, q), dtype=np.int64), q, budget)
-                scanned[sizes] = None if dist is None else int(np.flatnonzero(dist)[1])
-            w = scanned[sizes]
+                scanned[sizes] = int(np.flatnonzero(dist)[1])
+            w = scanned.get(sizes)
             if w is None:
                 continue
             if w != 2 * H.order:

@@ -352,7 +352,7 @@ def test_pair_basis_is_a_read_only_array_of_full_rank(monkeypatch, q, p, m):
     (k, n) array of residues, k = (G:H) - (G:K), whose rows are independent
     and already the canonical RREF: `LinearCode` of it keeps all k of them
     and stores them, read-only, byte for byte.  The suite scans such
-    arrays, C-contiguous int64."""
+    arrays, C-contiguous int64, and writes none beyond the budget."""
     field, group = PrimeField(q), DihedralGroup(p, m)
     subs = group.all_subgroups()
     pairs = [(H, H) for H in subs] + _nested_pairs(group, q)
@@ -365,10 +365,15 @@ def test_pair_basis_is_a_read_only_array_of_full_rank(monkeypatch, q, p, m):
             G = LinearCode(B, q, group=group).generator_matrix
             assert not G.flags.writeable and G.tobytes() == B.tobytes()
     assert len(pairs) > len(subs)
-    scanned = []
-    monkeypatch.setattr(verify, "weights", lambda G, q, budget: scanned.append(G))
+    written, scanned = [], []
+    rows, scan = verify.canonical_rows, verify.weights
+    monkeypatch.setattr(verify, "canonical_rows", lambda *a: written.append(a) or rows(*a))
+    monkeypatch.setattr(verify, "weights", lambda G, q, b: scanned.append(G) or scan(G, q, b))
     verify.subgroup_pair_suite(field, group, budget=0)
-    assert scanned and all(G.dtype == np.int64 and G.flags.c_contiguous for G in scanned)
+    assert written == scanned == []  # no q^k fits, so no matrix is written
+    verify.subgroup_pair_suite(field, group, budget=q**6)
+    assert scanned and len(written) == len(scanned)
+    assert all(G.dtype == np.int64 and G.flags.c_contiguous for G in scanned)
 
 
 def _suite_error(monkeypatch, hats, roots=None):

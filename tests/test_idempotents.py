@@ -149,8 +149,9 @@ def test_conjugation_preserves_dimension(units1, gens1):
 
 
 def test_component_subalgebra_is_a_field(field11, d9, catalog):
-    """Every nonzero element of F_11<a> e_1 inverts (all 120 of them): x
-    solves x L(v) = e_1, and w = e_1 x e_1 is checked by exact products."""
+    """Every nonzero element of F_11<a> e_1 inverts (all 120 of them): a
+    brute-force search of all 121 elements finds one w with v w = e_1, and
+    w v = e_1 holds as well, by exact products."""
     e1 = catalog.component(1)
     a = AlgebraElem.from_group_elem(d9.a, field11)
     rows, x = [], e1
@@ -159,14 +160,14 @@ def test_component_subalgebra_is_a_field(field11, d9, catalog):
         x = a * x
     basis, _ = modmat.rref(np.array(rows), 11)
     assert basis.shape[0] == phi_prime_power(3, 1)
-    vs = np.array([(c0 * basis[0] + c1 * basis[1]) % 11
-                   for c0 in range(11) for c1 in range(11) if c0 or c1])
+    elems = np.array([(c0 * basis[0] + c1 * basis[1]) % 11
+                      for c0 in range(11) for c1 in range(11)])
+    vs = elems[elems.any(axis=1)]
     assert len(vs) == 120
-    xs = [modmat.solve(AlgebraElem(d9, field11, v).translates().reshape(18, 18).T, e1.coeffs, 11)
-          for v in vs]
-    assert all(x is not None for x in xs)
-    es = np.tile(e1.coeffs, (len(vs), 1))
-    ws = products(d9, field11, products(d9, field11, es, np.array(xs)), es)
+    pairs = products(d9, field11, np.repeat(vs, len(elems), axis=0), np.tile(elems, (len(vs), 1)))
+    hits = (pairs == e1.coeffs).all(axis=1).reshape(len(vs), len(elems))
+    assert (hits.sum(axis=1) == 1).all()
+    ws = elems[hits.argmax(axis=1)]
     assert (products(d9, field11, vs, ws) == e1.coeffs).all()
     assert (products(d9, field11, ws, vs) == e1.coeffs).all()
 
@@ -174,8 +175,9 @@ def test_component_subalgebra_is_a_field(field11, d9, catalog):
 @pytest.mark.parametrize("q,p,m", [(11, 3, 2), (5, 3, 3), (3, 5, 3), (13, 5, 2), (7, 5, 1)])
 def test_closed_form_inverse_matches_the_solve(q, p, m):
     """v = p^-j sum_{k < p^j} k a^(2k+1) e_j inverts u = (a - a^-1) e_j, equals
-    the inverse e x e that solving x L(u) = e_j gives, and the e21 that
-    `matrix_units` builds is the textbook 4 x^2 (1 - b)/2 a (1 + b)/2 e_j."""
+    the inverse e x e that solving x L(u) = e_j gives (the RREF of the
+    augmented system [L(u)^T | e_j]), and the e21 that `matrix_units`
+    builds is the textbook 4 x^2 (1 - b)/2 a (1 + b)/2 e_j."""
     field, group = PrimeField(q), DihedralGroup(p, m)
     catalog = central_idempotents(field, group)
     a = AlgebraElem.from_group_elem(group.a, field)
@@ -191,8 +193,11 @@ def test_closed_form_inverse_matches_the_solve(q, p, m):
             v = v + k * AlgebraElem.from_group_elem(group.a ** (2 * k + 1), field)
         v = field.inv(p**j) * v * e
         assert u * v == v * u == e
-        x = modmat.solve(u.translates().reshape(group.order, -1).T, e.coeffs, q)
-        assert x is not None
+        n = group.order
+        R, pivots = modmat.rref(np.column_stack([u.translates().reshape(n, -1).T, e.coeffs]), q)
+        assert n not in pivots  # consistent
+        x = np.zeros(n, dtype=np.int64)
+        x[pivots] = R[:, n]
         x = e * AlgebraElem(group, field, x) * e
         assert v == x
         e21 = 4 * (x * x) * ((one - b) * half) * a * ((one + b) * half) * e

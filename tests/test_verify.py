@@ -15,7 +15,6 @@ from dihedral_codes import (
     Subgroup,
     codes,
     idempotents,
-    modmat,
     run_checks,
     verify,
 )
@@ -429,16 +428,23 @@ def test_hat_idempotents_names_the_first_subgroup_whose_average_fails(monkeypatc
         verify.check_hat_idempotents(verify.VerifyContext(11, 3, 2))
 
 
-@pytest.mark.parametrize("solver", ["exact", "wrong"])
-def test_a_non_invertible_element_fails_component_field(monkeypatch, solver):
-    # component 1 replaced by 1: F_11<a> = F_11 x F_121 has zero divisors,
-    # which the 3-unknown solve finds unsolvable; a wrong solution fails
-    # the two exact products instead
-    ctx = verify.VerifyContext(11, 3, 1)
-    one = AlgebraElem.one(ctx.dihedral, ctx.field)
-    vars(ctx)["catalog"] = types.SimpleNamespace(component=lambda j: one)
-    monkeypatch.setattr(verify, "phi_prime_power", lambda p, j: p)
-    if solver == "wrong":
-        monkeypatch.setattr(modmat, "solve", lambda A, b, q: np.ones(A.shape[1], np.int64))
+@pytest.mark.parametrize("route", ["exact", "wrong"])
+def test_a_non_invertible_element_fails_component_field(monkeypatch, route):
+    if route == "exact":
+        # component 1 replaced by 1: F_11<a> = F_11 x F_121 has zero
+        # divisors, and some norm v^(1 + 11 + 121) reads c = 0
+        ctx = verify.VerifyContext(11, 3, 1)
+        one = AlgebraElem.one(ctx.dihedral, ctx.field)
+        vars(ctx)["catalog"] = types.SimpleNamespace(component=lambda j: one)
+        monkeypatch.setattr(verify, "phi_prime_power", lambda p, j: p)
+    else:
+        # x^q taken as x: the route returns u = v, a wrong witness for most
+        # v of F_25 = F_5<a> e_1.  c is read off the identity coordinate of
+        # v^2, which is Tr(v^2) / 3, and Tr(v^2) = v^2 (1 + v^8) = 0 would
+        # need an element of order 16 in a group of order 24, so c never
+        # vanishes: only the exact products v w = e_1 and w v = e_1 can
+        # refuse u / c
+        ctx = verify.VerifyContext(5, 3, 1)
+        monkeypatch.setattr(verify, "_frobenius", lambda xs, t: xs)
     with pytest.raises(verify.CheckFailure, match="^not invertible in component$"):
         verify.check_component_field(ctx)
