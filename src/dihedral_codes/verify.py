@@ -385,7 +385,7 @@ def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
     (it is -|K|^-1 on K outside H), and each row is |H| (c e - c' e).
     By the lemma the weight distribution depends on |H| and |K| alone, so
     each (|H|, |K|) is written and scanned once, for its first pair, when
-    its q^k codewords (k = the number of labels) fit in the budget: the
+    its q^k codewords fit in the budget (k rows, one per (c, c')): the
     chain pair of H_j or H*_j, whose rows `canonical_rows` proves and
     `construct --gen pair` writes.  Every pair's weight is compared with
     2|H|, so the first failing pair is the one a scan of every pair would
