@@ -23,13 +23,12 @@ buffer W of doubled halves, [y0 y0] and [y1 y1], then [y1^s y1^s] and
 W[r, e, o, N - i + k]: row a^i b^e of L(y) at column a^k b^o.  One
 kernel, `products`, forms every product from the `circulants` of each
 chunk of ys: out = x0 @ L[:, 0] + x1 @ L[:, 1], in canonical order, for
-two (B, n) stacks of residues.  When the union support S of a chunk's
-xs rows is less than half the group, and |S| rows of L fit in CELLS
-bytes, the chunk copies those rows alone and multiplies x[:, S] by them,
-2 n |S| cell operations a row against n^2: a group element or a subgroup
-average costs |S| rows of L.  Each chunk decides from its own rows (see
-`_chunk`), so a stack ordered by support keeps its sparse rows sparse.
-`AlgebraElem.translates` is the view of one element.
+two (B, n) stacks of residues.  When the union support S of the whole
+xs stack is less than half the group, and |S| rows of L fit in CELLS
+bytes, every chunk copies those rows alone and multiplies x[:, S] by
+them, 2 n |S| cell operations a row against n^2: a group element or a
+subgroup average costs |S| rows of L.  `AlgebraElem.translates` is the
+view of one element.
 
 Memory: a row of a chunk holds its W, 32 n bytes, and then either its
 copied rows of L, 8 n |S| bytes, or its four half products before they
@@ -63,35 +62,14 @@ def circulants(group, ys) -> np.ndarray:
     r, N = len(ys), group.rot_order
     # b a b = a^flip, flip = +-1 mod N: y^s is y read forwards or backwards
     sign = {1: 1, N - 1: -1}[group._compose(0, 1, 1, 0)[0] % N]
-    W = np.empty((r or 1, 2, 2, 2 * N), dtype=np.int64)  # an empty stack views one row
-    W[:r].reshape(r, 2, 2, 2, N)[:, 0] = ys.reshape(r, 2, 1, N)
+    W = np.empty((r, 2, 2, 2 * N), dtype=np.int64)
+    W.reshape(r, 2, 2, 2, N)[:, 0] = ys.reshape(r, 2, 1, N)
     # [y1^s y1^s] and [y0^s y0^s] on positions 1..2N-1, all the view reads
-    W[:r, 1, :, 1:] = W[:r, 0, ::-1, 1:][..., ::sign]
+    W[:, 1, :, 1:] = W[:, 0, ::-1, 1:][..., ::sign]
     L = np.ndarray((r, 2, N, 2, N), np.int64, buffer=W, offset=8 * N,
                    strides=W.strides[:2] + (-8, W.strides[2], 8))
     L.flags.writeable = False
     return L
-
-
-def _chunk(x, n: int):
-    """The next chunk of `products` among the rows x: its row count
-    r <= len(x) and, when it is sparse, the union support S of x[:r], else
-    None.  A row holds its W, 32 n bytes, and then either its copied rows
-    of L, 8 n |S| bytes, when S is less than half the group, or its four
-    halves, 32 n bytes.  A chunk whose first row is sparse is the longest
-    run of rows whose own S keeps them sparse within CELLS bytes; any
-    other holds the dense rows that fit.  x is the next CELLS // (32 n)
-    rows of the stack, the most any chunk can hold."""
-    S = x[0].nonzero()[0]
-    if 2 * len(S) >= n or 32 * n + 8 * n * len(S) > CELLS:
-        return min(len(x), max(1, CELLS // (64 * n))), None
-    if len(x) == 1:
-        return 1, S
-    seen = np.logical_or.accumulate(x != 0)  # seen[t]: support of x[: t + 1]
-    s = seen.sum(axis=1)
-    fits = (2 * s < n) & (np.arange(1, len(x) + 1) * (32 * n + 8 * n * s) <= CELLS)
-    r = np.count_nonzero(fits)  # a run of True, then False, as s only grows
-    return r, seen[r - 1].nonzero()[0]
 
 
 def products(group, field: PrimeField, xs, ys) -> np.ndarray:
@@ -100,21 +78,25 @@ def products(group, field: PrimeField, xs, ys) -> np.ndarray:
 
     The four cyclic convolutions of each product are read off the
     `circulants` of a chunk of ys, in chunks whose working set fits in
-    CELLS bytes (see the module docstring).  The inputs must be reduced:
-    the 2^63 bound holds for residues below q only.
+    CELLS bytes; the union support of all of xs makes every chunk sparse
+    or every chunk dense (see the module docstring).  The inputs must be
+    reduced: the 2^63 bound holds for residues below q only.
     """
     require_int64_products(field.q, group.p, group.m)
     n, N = group.order, group.rot_order
     xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
     if xs.shape != ys.shape or xs.shape[1:] != (n,):
         raise ValueError(f"expected two (B, {n}) stacks, got {xs.shape} and {ys.shape}")
+    S = xs.any(axis=0).nonzero()[0]  # the union support of the stack
+    row = 32 * n + 8 * n * len(S)  # bytes a row holds: its W and copied rows of L
+    if 2 * len(S) >= n or row > CELLS:
+        S, row = None, 64 * n  # its W and its four halves
+    step = max(1, CELLS // row)
     out = np.empty((len(xs), n), dtype=np.int64)
-    start = 0
-    while start < len(xs):
-        r, S = _chunk(xs[start : start + max(1, CELLS // (32 * n))], n)
-        x, o = xs[start : start + r], out[start : start + r]
-        L = circulants(group, ys[start : start + r])
-        start += r
+    for start in range(0, len(xs), step):
+        x, o = xs[start : start + step], out[start : start + step]
+        L = circulants(group, ys[start : start + step])
+        r = len(x)
         if S is not None:
             e, i = np.divmod(S, N)  # x's coefficient on S takes row a^i b^e of L(y)
             np.matmul(x[:, None, S], L[:, e, i].reshape(r, len(S), n), out=o[:, None])

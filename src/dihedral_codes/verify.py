@@ -7,8 +7,8 @@ tolerances anywhere.
 
 The algebra runs on stacks: `convolution` and `component-field` hand
 whole stacks of elements to `algebra.products`, which alone splits them
-to its memory bound, and `hat-idempotents` squares all subgroup averages
-in one stack and checks absorption one average against a stack of
+to its memory bound, and `hat-idempotents` squares each subgroup average
+in its own call and checks absorption one average against a stack of
 others.  Checks of one `run_checks` call share scans of identical
 matrices: a weight distribution is scanned once per distinct generator
 matrix and run (see `codes.shared_scans`), so `central-codes` and
@@ -230,19 +230,19 @@ def check_convolution(ctx: VerifyContext) -> str:
 
 
 def check_hat_idempotents(ctx: VerifyContext) -> str:
-    """Every subgroup average is idempotent, all squared in one stack, and
-    H^ K^ = K^ H^ = K^ for nested H < K.  The absorption products run
+    """Every subgroup average is idempotent, each squared in its own call,
+    and H^ K^ = K^ H^ = K^ for nested H < K.  The absorption products run
     stacked: H^ against all the K^ above it, then all the H^ below each
-    K^ against it; either way the left factors' supports lie inside the
-    larger subgroup, so each stack copies few rows of the circulants
-    `products` reads."""
+    K^ against it.  Every call's left factors lie inside one subgroup, so
+    it copies few rows of the circulants `products` reads."""
     field = ctx.field
     mul = partial(products, ctx.dihedral, field)
     subs = ctx.dihedral.all_subgroups()
     hats = np.array([hat(field, S).coeffs for S in subs])
-    bad = np.flatnonzero((mul(hats, hats) != hats).any(axis=1))
-    if bad.size:
-        raise CheckFailure(f"hat of subgroup of order {subs[bad[0]].order} is not idempotent")
+    for S, h in zip(subs, hats[:, None]):
+        _require(
+            np.array_equal(mul(h, h), h), f"hat of subgroup of order {S.order} is not idempotent"
+        )
     sets = [frozenset(S.indices()) for S in subs]
     nested = np.array([[si < sj for sj in sets] for si in sets])  # [i, j]: H_i < H_j
     for i in range(len(sets)):
@@ -449,32 +449,25 @@ def check_abelian_images(ctx: VerifyContext) -> str:
     for j in range(1, ctx.m + 1):
         u = ctx.units[j]
         plus, minus = acat.members[2 * j], acat.members[2 * j + 1]
+        for x, image, name, sign in ((u.e11, plus, "e11", "+"), (u.e22, minus, "e22", "-")):
+            _require(
+                np.array_equal(x.coeffs, image.coeffs),
+                f"gamma({name}) != (1{sign}t)/2 etil_{j} as coefficient vectors",
+            )
+            # row g of L(x) is g x, and gamma keeps canonical indices
+            # (gamma-map), so gamma(g x) = gamma(g) gamma(x) for every g is one
+            # matrix identity; equal matrices have one RREF, so the codes of x
+            # over D and of its image over C_N x C_2 have one row space
+            differs = x.translates() != image.translates()
+            bad = np.flatnonzero(differs.reshape(ctx.dihedral.order, -1).any(axis=1))
+            if bad.size:
+                g = ctx.dihedral.from_index(int(bad[0]))
+                raise CheckFailure(
+                    f"gamma(g {name}) != gamma(g) (1{sign}t)/2 etil_{j} for g = {g!r}"
+                )
         _require(
-            np.array_equal(u.e11.coeffs, plus.coeffs),
-            f"gamma(e11) != (1+t)/2 etil_{j} as coefficient vectors",
+            acat.codes[2 * j].is_left_ideal(), "gamma image of code(e11) not an abelian ideal"
         )
-        _require(
-            np.array_equal(u.e22.coeffs, minus.coeffs),
-            f"gamma(e22) != (1-t)/2 etil_{j} as coefficient vectors",
-        )
-        # row g of L(x) is g x, and gamma keeps canonical indices (gamma-map),
-        # so gamma(g e11) = gamma(g) gamma(e11) for every g is one matrix identity
-        differs = u.e11.translates() != plus.translates()
-        bad = np.flatnonzero(differs.reshape(ctx.dihedral.order, -1).any(axis=1))
-        if bad.size:
-            g = ctx.dihedral.from_index(int(bad[0]))
-            raise CheckFailure(f"gamma(g e11) != gamma(g) (1+t)/2 etil_{j} for g = {g!r}")
-        img11 = gamma_image_code(left_ideal_code(u.e11))
-        img22 = gamma_image_code(left_ideal_code(u.e22))
-        _require(
-            img11.same_code(acat.codes[2 * j]),
-            f"gamma image of code(e11) is not the abelian ideal, j={j}",
-        )
-        _require(
-            img22.same_code(acat.codes[2 * j + 1]),
-            f"gamma image of code(e22) is not the abelian ideal, j={j}",
-        )
-        _require(img11.is_left_ideal(), "gamma image of code(e11) not an abelian ideal")
     return f"vector identity for all {ctx.dihedral.order} g; row spaces match for j=1..{ctx.m}"
 
 

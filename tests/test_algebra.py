@@ -247,7 +247,7 @@ def mult_table_products(group, q, xs, ys):
 
 
 def chunk_boundary(group, support: int) -> int:
-    """Rows per chunk of `products` for a stack whose rows all have one
+    """Rows per chunk of `products` for a stack whose rows have the union
     support S, restated from its memory bound: a row holds its buffer W,
     32 n bytes, and its copied rows of L, 8 n |S| bytes, when S is less
     than half the group and one such row fits in CELLS bytes, or else its
@@ -361,21 +361,24 @@ class MatmulKinds:
         return np.matmul(a, b, **kwargs)
 
 
-def test_products_choose_sparse_or_dense_per_chunk(monkeypatch):
-    """The subgroup averages of D_250 in `all_subgroups`' order of size,
-    as `hat-idempotents` squares them in one call: the chunks of small
-    averages stay sparse, each on its own union support, and the chunks
-    of large ones are dense; every product matches the oracle, and the
-    working set stays within the CELLS bound."""
+def test_products_choose_sparse_or_dense_per_call(monkeypatch):
+    """One call decides for all its chunks from the union support of its
+    left factors: the subgroup averages of D_250 inside H*_1, a union of 50
+    elements, take only sparse matmuls, and all 160 averages in
+    `all_subgroups`' order only dense ones, the small averages first among
+    them included.  Every product matches the oracle, and the working set
+    stays within the CELLS bound."""
     group, field = DihedralGroup(5, 3), PrimeField(3)
-    xs = np.array([hat(field, H).coeffs for H in group.all_subgroups() if H.order % 3])
-    ys = np.random.default_rng(0).integers(0, 3, xs.shape)
-    kinds = MatmulKinds()
-    monkeypatch.setattr(algebra, "np", kinds)
-    out = products(group, field, xs, ys)
-    monkeypatch.undo()
-    assert np.array_equal(out, mult_table_products(group, 3, xs, ys).astype(np.int64))
-    switch = kinds.kinds.index("dense")
-    assert switch > 1 and set(kinds.kinds[switch:]) == {"dense"}
-    assert set(kinds.kinds[:switch]) == {"sparse"}
-    assert _working_set(group, xs, ys) < 2 * CELLS
+    subs = group.all_subgroups()
+    inside = [H for H in subs if H.within(Subgroup(group, 1, 0))]
+    assert len(subs) == 160
+    for stack, kind in ((inside, "sparse"), (subs, "dense")):
+        xs = np.array([hat(field, H).coeffs for H in stack])
+        ys = np.random.default_rng(0).integers(0, 3, xs.shape)
+        kinds = MatmulKinds()
+        monkeypatch.setattr(algebra, "np", kinds)
+        out = products(group, field, xs, ys)
+        monkeypatch.undo()
+        assert np.array_equal(out, mult_table_products(group, 3, xs, ys).astype(np.int64))
+        assert len(kinds.kinds) > 1 and set(kinds.kinds) == {kind}
+        assert _working_set(group, xs, ys) < 2 * CELLS

@@ -400,26 +400,30 @@ def test_group_axioms_checks_every_subgroup_of_both_groups(monkeypatch, group):
 
 
 def test_abelian_images_names_the_first_g_whose_translate_differs(monkeypatch):
-    # rows a^4 and a^7 of L((1+t)/2 etil_1) become (1+t)/2 etil_1 itself
+    # rows a^4 and a^7 of L((1+t)/2 etil_1), and then of L((1-t)/2 etil_1),
+    # become that idempotent itself
     ctx = verify.VerifyContext(11, 3, 2)
-    plus, real = ctx.abelian_cat.members[2], AlgebraElem.translates
+    real = AlgebraElem.translates
+    for member, name, sign in ((2, "e11", "+"), (3, "e22", "-")):
+        image = ctx.abelian_cat.members[member]
 
-    def translates(x):
-        if x is not plus:
-            return real(x)
-        L = real(x).copy()
-        L[0, [4, 7]] = L[0, 0]  # rows [e, i] = [0, 4] and [0, 7]: a^4 and a^7
-        return L
+        def translates(x, image=image):
+            if x is not image:
+                return real(x)
+            L = real(x).copy()
+            L[0, [4, 7]] = L[0, 0]  # rows [e, i] = [0, 4] and [0, 7]: a^4 and a^7
+            return L
 
-    monkeypatch.setattr(AlgebraElem, "translates", translates)
-    with pytest.raises(verify.CheckFailure) as exc:
-        verify.check_abelian_images(ctx)
-    assert str(exc.value) == "gamma(g e11) != gamma(g) (1+t)/2 etil_1 for g = a^4"
+        monkeypatch.setattr(AlgebraElem, "translates", translates)
+        with pytest.raises(verify.CheckFailure) as exc:
+            verify.check_abelian_images(ctx)
+        assert str(exc.value) == f"gamma(g {name}) != gamma(g) (1{sign}t)/2 etil_1 for g = a^4"
 
 
 def test_hat_idempotents_names_the_first_subgroup_whose_average_fails(monkeypatch):
     # twice the average of each subgroup of order 6 or 18 squares to four
-    # times it; the squares run as one stack, and order 6 comes first
+    # times it; the squares run in `all_subgroups`' order, and order 6
+    # comes first
     real = verify.hat
     monkeypatch.setattr(
         verify, "hat", lambda field, S: real(field, S) * (2 if S.order in (6, 18) else 1)
