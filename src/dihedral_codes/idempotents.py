@@ -6,8 +6,9 @@ conjugating e11 by alpha = e11 + e12 + e22 produces the non-central
 idempotent f = e11 - e12 whose left ideal is the interesting code.
 
 The abelian catalog holds the 2(m+1) primitive idempotents of
-F_q[C_{p^m} x C_2] and the code of each; it is the scanned oracle of the
-closed-form survey (`survey`, `verify`'s `survey` check).
+F_q[C_{p^m} x C_2] (`abelian_members`) and the code of each; it is the
+scanned oracle of the closed-form survey (`survey`, `verify`'s `survey`
+check).
 
 Each identity is proven once, exactly, where its objects are built, and
 a failure raises, so a wrong formula cannot propagate silently: the
@@ -218,19 +219,26 @@ def noncentral_generator(units: MatrixUnits) -> NonCentralGenerators:
     return NonCentralGenerators(units, f, alpha, alpha_inv)
 
 
-def abelian_catalog(field: PrimeField, p: int, m: int) -> AbelianCatalog:
-    """The 2(m+1) primitive idempotents of F_q[C_{p^m} x C_2], verified
-    idempotent, pairwise orthogonal, and summing to 1, whose codes are
-    verified to span the algebra independently."""
+def abelian_members(field: PrimeField, p: int, m: int) -> tuple[AlgebraElem, ...]:
+    """The 2(m+1) primitive idempotents ((1 +/- t)/2) etil_j of
+    F_q[C_{p^m} x C_2], in bit order, verified idempotent, pairwise
+    orthogonal, and summing to 1."""
     require_admissible(field.q, p, m)
     group = AbelianGroup(p, m)
     halves = _halves(group, field)
-    members = [h * e for e in chain_idempotents(field, group) for h in halves]
+    members = tuple(h * e for e in chain_idempotents(field, group) for h in halves)
     check_decomposition(members, "abelian catalog")
+    return members
 
-    catalog = AbelianCatalog(
-        group, field, tuple(members), tuple(left_ideal_code(x) for x in members)
-    )
+
+def abelian_catalog(field: PrimeField, p: int, m: int, members=None) -> AbelianCatalog:
+    """The catalog of the members (`abelian_members(field, p, m)`, built
+    when not given) and their codes, verified to span the algebra
+    independently."""
+    if members is None:
+        members = abelian_members(field, p, m)
+    group = members[0].group
+    catalog = AbelianCatalog(group, field, members, tuple(left_ideal_code(x) for x in members))
     # independent member codes give every row the sum of its members' dims
     if catalog.code((1 << len(members)) - 1).k != group.order:
         raise RuntimeError("abelian catalog member codes are not independent")

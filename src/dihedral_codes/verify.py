@@ -8,18 +8,20 @@ tolerances anywhere.
 The algebra runs on stacks: `convolution` and `component-field` hand
 whole stacks of elements to `algebra.products`, which alone splits them
 to its memory bound, and `hat-idempotents` squares each subgroup average
-in its own call and checks absorption one average against a stack of
-others.  Checks of one `run_checks` call share scans of identical
-matrices: a weight distribution is scanned once per distinct generator
-matrix and run (see `codes.shared_scans`), so `central-codes` and
+in one call with the averages above it, which absorb it.  Checks of one
+`run_checks` call share scans of identical matrices: a weight
+distribution is scanned once per distinct generator matrix and run (see
+`codes.shared_scans`), so `central-codes` and
 `survey` reuse what `subgroup-pairs` scanned: the rows `closed_forms`
 writes for `construct --gen pair`, which equal the eliminated codes of
 e11 and e22.  Each run starts with an empty memo.  `subgroup-pairs`
 proves every nested pair on its coset labels in O(n) and writes rows
 only for the pairs it scans.
 
-`survey` and `nonequivalence` are the independent oracle of the survey's
-closed forms: they build the abelian catalog (`idempotents.abelian_catalog`),
+`abelian-images` builds the members of the abelian catalog alone
+(`idempotents.abelian_members`), which the catalog shares.  `survey` and
+`nonequivalence` are the independent oracle of the survey's closed
+forms: they build the abelian catalog (`idempotents.abelian_catalog`),
 compare its member dimensions with phi(p^j), scan each abelian row within
 the budget from its stacked member bases and compare the scan with
 `survey.abelian_min_weight`.
@@ -49,7 +51,13 @@ from .codes import (
 )
 from .ff import PrimeField, phi_prime_power, require_admissible
 from .groups import AbelianGroup, DihedralGroup, gamma
-from .idempotents import abelian_catalog, central_idempotents, matrix_units, noncentral_generator
+from .idempotents import (
+    abelian_catalog,
+    abelian_members,
+    central_idempotents,
+    matrix_units,
+    noncentral_generator,
+)
 from .survey import enumerate_abelian_codes
 
 
@@ -91,8 +99,12 @@ class VerifyContext:
         return {j: noncentral_generator(self.units[j]) for j in range(1, self.m + 1)}
 
     @cached_property
+    def abelian_members(self):
+        return abelian_members(self.field, self.p, self.m)
+
+    @cached_property
     def abelian_cat(self):
-        return abelian_catalog(self.field, self.p, self.m)
+        return abelian_catalog(self.field, self.p, self.m, self.abelian_members)
 
     def rng(self):
         """A fresh stream from the seed; each sampled check starts its own, so
@@ -230,29 +242,33 @@ def check_convolution(ctx: VerifyContext) -> str:
 
 
 def check_hat_idempotents(ctx: VerifyContext) -> str:
-    """Every subgroup average is idempotent, each squared in its own call,
-    and H^ K^ = K^ H^ = K^ for nested H < K.  The absorption products run
-    stacked: H^ against all the K^ above it, then all the H^ below each
-    K^ against it.  Every call's left factors lie inside one subgroup, so
-    it copies few rows of the circulants `products` reads."""
+    """Every subgroup average is idempotent, and H^ K^ = K^ H^ = K^ for
+    nested H < K.  H^ is squared in one `products` call with its
+    absorption stack, all the K^ above it, as both have the left factor
+    H^; so every call's left factors lie inside one subgroup, and it
+    copies few rows of the circulants `products` reads.  K^ H^ = K^ needs
+    no product: the anti-automorphism x -> x* (g -> g^-1) fixes every
+    average, checked by one compare, so K^ H^ = (H^ K^)* = K^* = K^.
+    A failing square is reported first, then an average that x* moves,
+    then a failing absorption."""
     field = ctx.field
     mul = partial(products, ctx.dihedral, field)
     subs = ctx.dihedral.all_subgroups()
     hats = np.array([hat(field, S).coeffs for S in subs])
-    for S, h in zip(subs, hats[:, None]):
-        _require(
-            np.array_equal(mul(h, h), h), f"hat of subgroup of order {S.order} is not idempotent"
-        )
     sets = [frozenset(S.indices()) for S in subs]
     nested = np.array([[si < sj for sj in sets] for si in sets])  # [i, j]: H_i < H_j
-    for i in range(len(sets)):
-        hj = hats[nested[i]]
-        hi = np.broadcast_to(hats[i], hj.shape)
-        _require(np.array_equal(mul(hi, hj), hj), "hat absorption fails for nested subgroups")
-    for j in range(len(sets)):
-        hi = hats[nested[:, j]]
-        hj = np.broadcast_to(hats[j], hi.shape)
-        _require(np.array_equal(mul(hj, hi), hj), "hat absorption fails for nested subgroups")
+    absorbs = True
+    for S, h, above in zip(subs, hats, nested):
+        ys = np.vstack([h, hats[above]])
+        out = mul(np.broadcast_to(h, ys.shape), ys)
+        square = np.array_equal(out[0], h)
+        _require(square, f"hat of subgroup of order {S.order} is not idempotent")
+        absorbs = absorbs and np.array_equal(out[1:], ys[1:])
+    fixed = (hats[:, ctx.dihedral.inverse_indices()] == hats).all(axis=1)
+    if not fixed.all():
+        order = subs[fixed.argmin()].order
+        raise CheckFailure(f"hat of subgroup of order {order} is not fixed by g -> g^-1")
+    _require(absorbs, "hat absorption fails for nested subgroups")
     absorbed = int(nested.sum())
     return f"{len(subs)} subgroup averages idempotent, {absorbed} absorption pairs"
 
@@ -445,10 +461,14 @@ def check_powers_basis(ctx: VerifyContext) -> str:
 
 
 def check_abelian_images(ctx: VerifyContext) -> str:
-    acat = ctx.abelian_cat
+    """gamma maps e11 and e22 of each component to the members
+    (1 +/- t)/2 etil_j of the abelian catalog, and each row g x of L(x)
+    to gamma(g) gamma(x); only the members are built, and only the code
+    of (1 + t)/2 etil_j, for its ideal test."""
+    members = ctx.abelian_members
     for j in range(1, ctx.m + 1):
         u = ctx.units[j]
-        plus, minus = acat.members[2 * j], acat.members[2 * j + 1]
+        plus, minus = members[2 * j], members[2 * j + 1]
         for x, image, name, sign in ((u.e11, plus, "e11", "+"), (u.e22, minus, "e22", "-")):
             _require(
                 np.array_equal(x.coeffs, image.coeffs),
@@ -466,7 +486,7 @@ def check_abelian_images(ctx: VerifyContext) -> str:
                     f"gamma(g {name}) != gamma(g) (1{sign}t)/2 etil_{j} for g = {g!r}"
                 )
         _require(
-            acat.codes[2 * j].is_left_ideal(), "gamma image of code(e11) not an abelian ideal"
+            left_ideal_code(plus).is_left_ideal(), "gamma image of code(e11) not an abelian ideal"
         )
     return f"vector identity for all {ctx.dihedral.order} g; row spaces match for j=1..{ctx.m}"
 

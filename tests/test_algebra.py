@@ -246,15 +246,23 @@ def mult_table_products(group, q, xs, ys):
     return (xs[:, :, None] * ys[:, solve]).sum(axis=1) % q
 
 
-def chunk_boundary(group, support: int) -> int:
+def chunk_boundary(group, q: int, support: int, halves: int) -> int:
     """Rows per chunk of `products` for a stack whose rows have the union
-    support S, restated from its memory bound: a row holds its buffer W,
-    32 n bytes, and its copied rows of L, 8 n |S| bytes, when S is less
-    than half the group and one such row fits in CELLS bytes, or else its
-    four halves, 32 n bytes more."""
-    n = group.order
-    sparse = 2 * support < n and 32 * n + 8 * n * support <= CELLS
-    return max(1, CELLS // (32 * n + (8 * n * support if sparse else 32 * n)))
+    support S, meeting `halves` halves of x, restated from its memory bound.
+    A sparse row, when S is less than half the group and one fits in CELLS
+    bytes, holds its buffer W, 32 n bytes, and its copied rows of L,
+    8 n |S|.  A dense row holds W with its cyclic tail, 4 (n + s - 1)
+    cells, and the lanes of its halves' products, summed in place, 2 h c,
+    with s fields a lane (1 below PACK_FROM) and c = ceil(N / s) lanes an
+    output half; a packed row also holds P, 2 h (n + s - 1) cells, and
+    the fields, 2 c s."""
+    n, N = group.order, group.rot_order
+    if 2 * support < n and 32 * n + 8 * n * support <= CELLS:
+        return max(1, CELLS // (32 * n + 8 * n * support))
+    s = 63 // (n * (q - 1) ** 2).bit_length() if N >= algebra.PACK_FROM else 1
+    c, h = -(-N // s), halves
+    cells = 4 * (n + s - 1) + 2 * h * c + (2 * h * (n + s - 1) + 2 * c * s if s > 1 else 0)
+    return max(1, CELLS // (8 * cells))
 
 
 @settings(max_examples=80, deadline=None)
@@ -265,19 +273,24 @@ def chunk_boundary(group, support: int) -> int:
     st.booleans(),  # rows on different subsets of those columns, or all on them
     st.integers(0, 3),  # stack size: empty, below, at or past the chunk boundary
     st.sampled_from(["plain", "broadcast left", "broadcast right", "column slices"]),
+    st.sampled_from(["both", "a", "b"]),  # the halves of x the columns lie in
     st.integers(0, 2**32 - 1),
 )
-@example(DihedralGroup(5, 3), 3, 0, True, 3, "plain", 0)  # n = 250, dense chunks
-@example(AbelianGroup(5, 3), 3, 0, True, 3, "plain", 0)
-@example(DihedralGroup(5, 3), 3, 0, True, 0, "plain", 0)  # empty stacks
-@example(AbelianGroup(5, 3), 3, 0, True, 0, "plain", 0)
-def test_products_match_a_mult_table_oracle(group, q, sparse, mixed, where, layout, seed):
+@example(DihedralGroup(5, 3), 3, 0, True, 3, "plain", "both", 0)  # n = 250, packed chunks
+@example(AbelianGroup(5, 3), 3, 0, True, 3, "plain", "both", 0)
+@example(DihedralGroup(5, 3), 3, 0, True, 3, "plain", "a", 0)  # x in F_3<a>, as component-field
+@example(DihedralGroup(5, 3), 11, 0, False, 3, "plain", "b", 0)
+@example(AbelianGroup(5, 3), 2, 0, True, 3, "plain", "b", 0)
+@example(DihedralGroup(5, 3), 3, 0, True, 0, "plain", "both", 0)  # empty stacks
+@example(AbelianGroup(5, 3), 3, 0, True, 0, "plain", "both", 0)
+def test_products_match_a_mult_table_oracle(group, q, sparse, mixed, where, layout, halves, seed):
     # the object-dtype oracle is too slow at n = 250 for huge residues
     assume(group.order < 250 or q < 1000)
     rng = np.random.default_rng(seed)
-    n = group.order
-    cols = rng.choice(n, size=sparse or n, replace=False)
-    chunk = chunk_boundary(group, len(cols))
+    n, N = group.order, group.rot_order
+    pool = {"both": n, "a": N, "b": N}[halves]
+    cols = rng.choice(pool, size=sparse or pool, replace=False) + (N if halves == "b" else 0)
+    chunk = chunk_boundary(group, q, len(cols), 2 if halves == "both" else 1)
     B = [0, max(chunk - 1, 1), chunk, 2 * chunk + 1][where]
     # row r is nonzero on the first ends[r] of cols, ends growing down the
     # stack to the last row's, all of cols: so the union support is cols,
@@ -300,6 +313,23 @@ def test_products_match_a_mult_table_oracle(group, q, sparse, mixed, where, layo
     out = products(group, PrimeField(q), xs, ys)
     assert out.shape == (B, n) and out.dtype == np.int64
     assert np.array_equal(out, mult_table_products(group, q, xs, ys).astype(np.int64))
+
+
+@pytest.mark.parametrize("family", [DihedralGroup, AbelianGroup], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("p, m", [(3, 4), (11, 2), (5, 3), (13, 2), (3, 5), (5, 4)])
+@pytest.mark.parametrize("q", [2, 3, 5, 11, 13])
+def test_products_of_top_residues_fill_every_field(family, p, m, q):
+    """N = 81 to 625, all packed.  Every unreduced entry of the product of
+    two all-(q-1) stacks is n (q-1)^2, the bound the field width is taken
+    from, and as (q-1)^2 = 1 mod q every coordinate is n mod q; with x on
+    one half only, every entry is N (q-1)^2 = N mod q."""
+    group, field = family(p, m), PrimeField(q)
+    n, N = group.order, group.rot_order
+    assert N >= algebra.PACK_FROM
+    top = np.full((3, n), q - 1)
+    half = top * (np.arange(n) < N)
+    assert (products(group, field, top, top) == n % q).all()
+    assert (products(group, field, half, top) == N % q).all()
 
 
 def test_products_refuse_the_int64_bound_and_mismatched_stacks(d9):

@@ -1,6 +1,7 @@
 """`verify` output pinned line for line, and the int64 bound as seen by the
 checks."""
 
+import re
 import time
 import types
 
@@ -405,7 +406,7 @@ def test_abelian_images_names_the_first_g_whose_translate_differs(monkeypatch):
     ctx = verify.VerifyContext(11, 3, 2)
     real = AlgebraElem.translates
     for member, name, sign in ((2, "e11", "+"), (3, "e22", "-")):
-        image = ctx.abelian_cat.members[member]
+        image = ctx.abelian_members[member]
 
         def translates(x, image=image):
             if x is not image:
@@ -429,6 +430,49 @@ def test_hat_idempotents_names_the_first_subgroup_whose_average_fails(monkeypatc
         verify, "hat", lambda field, S: real(field, S) * (2 if S.order in (6, 18) else 1)
     )
     with pytest.raises(verify.CheckFailure, match="^hat of subgroup of order 6 is not idempotent$"):
+        verify.check_hat_idempotents(verify.VerifyContext(11, 3, 2))
+
+
+def _fake_hats(monkeypatch, fakes):
+    """verify.hat of D_18 over F_11 returns fakes[S](e, b, a) for the
+    subgroups S it names, with e the real average and b, a the generators."""
+    real = verify.hat
+
+    def hat(field, S):
+        h = real(field, S)
+        if S not in fakes:
+            return h
+        b, a = (AlgebraElem.from_group_elem(g, field) for g in (S.group.b, S.group.a))
+        return fakes[S](h, b, a)
+
+    monkeypatch.setattr(verify, "hat", hat)
+
+
+@pytest.mark.parametrize("fault, message", [
+    # 1 read as (1 + b)/2: idempotent and fixed by g -> g^-1, but
+    # (1 + b)/2 K^ != K^ for K = H_1, which lacks b
+    ("absorption", "hat absorption fails for nested subgroups"),
+    # that, and twice the averages of order 6: the absorption fails in the
+    # first row, the square of order 6 later, and the square is reported
+    ("absorption and square", "hat of subgroup of order 6 is not idempotent"),
+    # <b>^ = (1 + b)/2 read as x = (1 + b)/2 + (1 + b)/2 a (1 - b)/2: x^2 = x
+    # and x K^ = K^ for every K > <b>, as (1 - b) K^ = 0, but x* != x and
+    # K^ x != K^, which only the compare with x* finds
+    ("not fixed", "hat of subgroup of order 2 is not fixed by g -> g^-1"),
+])
+def test_hat_idempotents_reports_squares_then_star_then_absorption(monkeypatch, fault, message):
+    D = DihedralGroup(3, 2)
+    fakes = {}
+    if fault.startswith("absorption"):
+        fakes[Subgroup(D, 2)] = lambda e, b, a: (e + b) * PrimeField(11).inv(2)
+    if fault == "absorption and square":
+        for S in D.all_subgroups():
+            if S.order == 6:
+                fakes[S] = lambda e, b, a: 2 * e
+    if fault == "not fixed":
+        fakes[Subgroup(D, 2, 0)] = lambda e, b, a: e + e * a * (e - b)
+    _fake_hats(monkeypatch, fakes)
+    with pytest.raises(verify.CheckFailure, match=f"^{re.escape(message)}$"):
         verify.check_hat_idempotents(verify.VerifyContext(11, 3, 2))
 
 
