@@ -27,7 +27,7 @@ each left coset gK.
       independent and span A e = V.  Each leads with a 1 at c < c', so in
       the order of c they are the RREF of V.  `pair_labels` lists the
       (c, c') and proves on the labels that each H-coset lies in one
-      K-coset; `canonical_rows` writes the rows from them.
+      K-coset; `label_rows` writes the rows from them.
   (iii) d = 2|H|.  A nonzero word of V is nonzero on some K-coset, where
       its values on the H-cosets sum to 0, so at least two of them are
       nonzero, each on |H| coordinates; each row of (ii) has weight 2|H|.
@@ -57,7 +57,7 @@ of the cyclic component, one per c < phi(p^j),
 1[i = c mod p^j] - 1[i = (c mod p^(j-1)) + (p - 1) p^(j-1) mod p^j], these
 read [r | r] for e11, [r | -r] for e22 and [[r | 0], [0 | r]] for e_j.
 
-Proof at run time (`canonical_rows`), on the roots of H and K: the rows
+Proof at run time (`_prove`), on the roots of H and K: the rows
 are in RREF (each leads with a 1, pivots increase, and the pivot columns
 form the identity); each row, after sigma for e22, is constant on the
 cosets gH and sums to 0 on the cosets gK; and k = (G:H) - (G:K), counting
@@ -67,6 +67,13 @@ what `left_ideal_code` eliminates.  The rows are written from the same
 roots, so the proof checks the writing, not the roots; those come from
 the group law, and `Subgroup.roots` proves that each subgroup's elements
 are the orbit of 1.
+
+`canonical_rows` is `label_rows`, which writes the rows, followed by that
+proof.  `construct` and the pair suite of `verify` call it, as nothing
+else proves the rows they write or scan.  `verify`'s `central-catalog`
+and `central-codes` call `label_rows` alone: they compare its rows with
+the eliminated code, the canonical RREF of L(x), and that equality proves
+more than the proof above.
 """
 
 from __future__ import annotations
@@ -119,12 +126,14 @@ def pair_labels(H: Subgroup, K: Subgroup) -> list[tuple[int, int]]:
     return [(c, last[k_root[c]]) for c in labels if c != last[k_root[c]]]
 
 
-def _label_rows(H: Subgroup, K: Subgroup, q: int) -> list[list[int]]:
-    """The RREF of V(H, K) read off the coset labels: a row 1_C - 1_C' for
-    each pair (c, c') of `pair_labels`, in pivot order."""
+def label_rows(H: Subgroup, K: Subgroup, q: int, twist: bool = False) -> list[list[int]]:
+    """The RREF of V(H, K), or of sigma V(H, K) when `twist`, read off the
+    coset labels and not proven: a row 1_C - 1_C' for each pair (c, c') of
+    `pair_labels`, in pivot order, as lists of residues mod q."""
     h_root = H.roots()
-    return [[1 if x == c else q - 1 if x == c_last else 0 for x in h_root]
+    rows = [[1 if x == c else q - 1 if x == c_last else 0 for x in h_root]
             for c, c_last in pair_labels(H, K)]
+    return _sign(H.group, rows, q) if twist else rows
 
 
 def _prove(rows: list[list[int]], H: Subgroup, K: Subgroup, q: int, twist: bool):
@@ -153,11 +162,8 @@ def _prove(rows: list[list[int]], H: Subgroup, K: Subgroup, q: int, twist: bool)
 
 
 def canonical_rows(H: Subgroup, K: Subgroup, q: int, twist: bool = False):
-    """The canonical RREF of V(H, K), or of sigma V(H, K) when `twist`, as
-    lists of residues mod q, written from the coset labels and proven
-    (see the module)."""
-    rows = _label_rows(H, K, q)
-    if twist:
-        rows = _sign(H.group, rows, q)
+    """`label_rows`, proven to be the canonical RREF of V(H, K), or of
+    sigma V(H, K) when `twist` (see the module)."""
+    rows = label_rows(H, K, q, twist)
     _prove(rows, H, K, q, twist)
     return rows

@@ -1,9 +1,8 @@
 """Named verification checks behind the `verify` CLI command.
 
-Each check re-derives one block of identities or code parameters from
-scratch for the given (q, p, m).  Checks either pass with a one-line detail
-or fail with the first violated identity; everything is exact, no
-tolerances anywhere.
+Each check derives one block of identities or code parameters for the
+given (q, p, m).  Checks either pass with a one-line detail or fail with
+the first violated identity; everything is exact, no tolerances anywhere.
 
 The algebra runs on stacks: `convolution` and `component-field` hand
 whole stacks of elements to `algebra.products`, which alone splits them
@@ -16,12 +15,19 @@ distribution is scanned once per distinct generator matrix and run (see
 writes for `construct --gen pair`, which equal the eliminated codes of
 e11 and e22.  Each run starts with an empty memo.  `subgroup-pairs`
 proves every nested pair on its coset labels in O(n) and writes rows
-only for the pairs it scans.
+only for the pairs it scans.  It and `hat-idempotents` read which
+subgroups nest from one matrix, built from element sets (`_nesting`).
 
-`abelian-images` builds the members of the abelian catalog alone
-(`idempotents.abelian_members`), which the catalog shares.  `survey` and
-`nonequivalence` are the independent oracle of the survey's closed
-forms: they build the abelian catalog (`idempotents.abelian_catalog`),
+Each fact is derived once.  `central-catalog` and `central-codes`
+compare each eliminated code, the canonical RREF of L(x), with the rows
+`closed_forms.label_rows` writes, so the equality proves the closed form
+and `closed_forms` need not.  `abelian-images` compares L(x) with the
+L of its gamma image, whose row space is an abelian ideal, with no
+elimination; it builds the members of the abelian catalog alone
+(`idempotents.abelian_members`), which the catalog shares.
+
+`survey` and `nonequivalence` are the independent oracle of the survey's
+closed forms: they build the abelian catalog (`idempotents.abelian_catalog`),
 compare its member dimensions with phi(p^j), scan each abelian row within
 the budget from its stacked member bases and compare the scan with
 `survey.abelian_min_weight`.
@@ -40,7 +46,7 @@ import numpy as np
 from . import modmat
 from .algebra import hat, products
 from .check_names import CHECK_NAMES
-from .closed_forms import canonical_rows, central_pair, pair_labels
+from .closed_forms import canonical_rows, central_pair, label_rows, pair_labels
 from .codes import (
     DEFAULT_BUDGET,
     equivalence_necessary_check,
@@ -132,6 +138,13 @@ class VerifyContext:
 def _require(cond: bool, msg: str):
     if not cond:
         raise CheckFailure(msg)
+
+
+def _nesting(subs) -> np.ndarray:
+    """The bool matrix [i, j] = subs[i] < subs[j], from element sets."""
+    sets = [frozenset(S.indices()) for S in subs]
+    nested = np.fromiter((a < b for a in sets for b in sets), bool, len(sets) ** 2)
+    return nested.reshape(len(sets), -1)
 
 
 # --------------------------------------------------------------- checks
@@ -255,8 +268,7 @@ def check_hat_idempotents(ctx: VerifyContext) -> str:
     mul = partial(products, ctx.dihedral, field)
     subs = ctx.dihedral.all_subgroups()
     hats = np.array([hat(field, S).coeffs for S in subs])
-    sets = [frozenset(S.indices()) for S in subs]
-    nested = np.array([[si < sj for sj in sets] for si in sets])  # [i, j]: H_i < H_j
+    nested = _nesting(subs)
     absorbs = True
     for S, h, above in zip(subs, hats, nested):
         ys = np.vstack([h, hats[above]])
@@ -275,11 +287,11 @@ def check_hat_idempotents(ctx: VerifyContext) -> str:
 
 def _require_closed_form(ctx: VerifyContext, code, gen: str, j: int) -> None:
     """The eliminated code(gen) at component j must be, entry for entry,
-    the matrix `construct` writes from its closed form."""
+    the matrix `construct` writes from its closed form.  The code is the
+    canonical RREF of L(gen), so equal rows need no `closed_forms` proof."""
     H, K, twist = central_pair(ctx.dihedral, gen, j)
-    rows = canonical_rows(H, K, ctx.q, twist)
     _require(
-        code.generator_matrix.tolist() == rows,
+        code.generator_matrix.tolist() == label_rows(H, K, ctx.q, twist),
         f"code({gen}, j={j}) differs from its closed form",
     )
 
@@ -405,20 +417,18 @@ def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
     chain pair of H_j or H*_j, whose rows `canonical_rows` proves and
     `construct --gen pair` writes.  Every pair's weight is compared with
     2|H|, so the first failing pair is the one a scan of every pair would
-    report.
+    report.  Pairs come H-major, in `all_subgroups` order, each H with the
+    K above it in that order, read off one nesting matrix (`_nesting`).
     """
     q = field.q
     subs = [S for S in group.all_subgroups() if S.order % q != 0]
-    elements = {S: frozenset(S.indices()) for S in subs}
     # S^, and |S|^-1 on the elements the roots of S label 0
     hats = {S: hat(field, S).coeffs for S in subs}
     marks = {S: field.inv(S.order) * (np.array(S.roots()) == 0) for S in subs}
     scanned = {}  # (|H|, |K|) -> weight of its first pair, within the budget
     pairs = weights_checked = 0
-    for H in subs:
-        for K in subs:
-            if not elements[H] < elements[K]:
-                continue
+    for H, above in zip(subs, _nesting(subs)):
+        for K in itertools.compress(subs, above):
             k = len(pair_labels(H, K))
             _require(
                 np.array_equal((hats[H] - hats[K]) % q, (marks[H] - marks[K]) % q),
@@ -461,33 +471,32 @@ def check_powers_basis(ctx: VerifyContext) -> str:
 
 
 def check_abelian_images(ctx: VerifyContext) -> str:
-    """gamma maps e11 and e22 of each component to the members
-    (1 +/- t)/2 etil_j of the abelian catalog, and each row g x of L(x)
-    to gamma(g) gamma(x); only the members are built, and only the code
-    of (1 + t)/2 etil_j, for its ideal test."""
+    """gamma maps each row g x of L(x) to gamma(g) gamma(x), for x = e11
+    and e22 of each component, with gamma(x) the members (1 +/- t)/2
+    etil_j of the abelian catalog: one compare of L(x) with L(gamma(x)).
+    Row 1 of L(x) is x, so a difference there names the coefficient
+    vectors.  Equal matrices have one row space, and that of L(gamma(x))
+    is the abelian left ideal A gamma(x), so the image of each code is an
+    abelian ideal, with no elimination; only the members are built."""
     members = ctx.abelian_members
     for j in range(1, ctx.m + 1):
         u = ctx.units[j]
         plus, minus = members[2 * j], members[2 * j + 1]
         for x, image, name, sign in ((u.e11, plus, "e11", "+"), (u.e22, minus, "e22", "-")):
-            _require(
-                np.array_equal(x.coeffs, image.coeffs),
-                f"gamma({name}) != (1{sign}t)/2 etil_{j} as coefficient vectors",
-            )
             # row g of L(x) is g x, and gamma keeps canonical indices
             # (gamma-map), so gamma(g x) = gamma(g) gamma(x) for every g is one
-            # matrix identity; equal matrices have one RREF, so the codes of x
-            # over D and of its image over C_N x C_2 have one row space
+            # matrix identity; row 1 is x itself, the coefficient vectors
             differs = x.translates() != image.translates()
             bad = np.flatnonzero(differs.reshape(ctx.dihedral.order, -1).any(axis=1))
+            _require(
+                not bad.size or bad[0],
+                f"gamma({name}) != (1{sign}t)/2 etil_{j} as coefficient vectors",
+            )
             if bad.size:
                 g = ctx.dihedral.from_index(int(bad[0]))
                 raise CheckFailure(
                     f"gamma(g {name}) != gamma(g) (1{sign}t)/2 etil_{j} for g = {g!r}"
                 )
-        _require(
-            left_ideal_code(plus).is_left_ideal(), "gamma image of code(e11) not an abelian ideal"
-        )
     return f"vector identity for all {ctx.dihedral.order} g; row spaces match for j=1..{ctx.m}"
 
 

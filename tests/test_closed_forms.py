@@ -2,10 +2,10 @@ import pytest
 
 from dihedral_codes import DihedralGroup, LinearCode, Subgroup
 from dihedral_codes.closed_forms import (
-    _label_rows,
     _prove,
     canonical_rows,
     central_pair,
+    label_rows,
     parse_subgroup,
 )
 from dihedral_codes.gm import format_generator_matrix
@@ -87,7 +87,7 @@ def test_the_proof_rejects_wrong_rows():
     proof: echelon form, pivot columns, row count, membership in V."""
     q, group = 11, DihedralGroup(3, 2)
     H, K, _ = central_pair(group, "e11", 2)
-    rows = _label_rows(H, K, q)
+    rows = label_rows(H, K, q)
     _prove(rows, H, K, q, False)
     assert "echelon" in _proof_error(rows[::-1], H, K, q)
     # H-cosets a^c <b>, K-cosets c mod 3; label 5, not 8, taken as the last

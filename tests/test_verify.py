@@ -189,6 +189,21 @@ def test_suite_scans_once_per_conjugacy_class(monkeypatch, q, p, m, budget, scan
     assert len(calls) == scans
 
 
+@pytest.mark.parametrize("q, p, m", [(5, 3, 3), (13, 5, 2)])
+def test_suite_walks_nested_pairs_h_major(monkeypatch, q, p, m):
+    # H in `all_subgroups` order, and under each H the K that hold it in
+    # that order, so the first failing pair is the one the full walk meets
+    group, walked = DihedralGroup(p, m), []
+    labels = verify.pair_labels
+    monkeypatch.setattr(verify, "pair_labels", lambda H, K: walked.append((H, K)) or labels(H, K))
+    verify.subgroup_pair_suite(PrimeField(q), group, budget=0)
+    subs = group.all_subgroups()
+    assert all(S.order % q for S in subs)
+    assert walked == [
+        (H, K) for H in subs for K in subs if set(H.indices()) < set(K.indices())
+    ]
+
+
 def test_suite_runs_on_the_abelian_group_too():
     # H_j and H*_j = <t> H_j are subgroups of C_{p^m} x C_2 as well, so the
     # scanned chain pairs exist there; the counts are those of a scan of
@@ -419,6 +434,44 @@ def test_abelian_images_names_the_first_g_whose_translate_differs(monkeypatch):
         with pytest.raises(verify.CheckFailure) as exc:
             verify.check_abelian_images(ctx)
         assert str(exc.value) == f"gamma(g {name}) != gamma(g) (1{sign}t)/2 etil_1 for g = a^4"
+
+
+def test_central_checks_compare_the_code_with_its_closed_form(monkeypatch):
+    # the last entry of the closed form's last row moves by one: the first
+    # compare of each check, j = 1, names the code it read
+    real = verify.label_rows
+
+    def corrupted(H, K, q, twist=False):
+        rows = real(H, K, q, twist)
+        rows[-1][-1] = (rows[-1][-1] + 1) % q
+        return rows
+
+    monkeypatch.setattr(verify, "label_rows", corrupted)
+    results = run_checks(11, 3, 2, ["central-catalog", "central-codes"])
+    assert [tuple(r) for r in results] == [
+        ("central-catalog", False, "code(ej, j=1) differs from its closed form"),
+        ("central-codes", False, "code(e11, j=1) differs from its closed form"),
+    ]
+    monkeypatch.setattr(verify, "label_rows", real)
+    assert all(r.passed for r in run_checks(11, 3, 2, ["central-catalog", "central-codes"]))
+
+
+@pytest.mark.parametrize("member, name, sign", [(2, "e11", "+"), (3, "e22", "-")])
+def test_abelian_images_names_a_member_whose_coefficients_differ(member, name, sign):
+    # one coefficient of (1+t)/2 etil_1, or of (1-t)/2 etil_1, moves from
+    # a^4 to a^5: row 1 of its L already differs, so the coefficient
+    # vectors are named, not a translate
+    ctx = verify.VerifyContext(11, 3, 2)
+    members = list(ctx.abelian_members)
+    image = members[member]
+    c = image.coeffs.copy()
+    c[5], c[4] = (c[5] + c[4]) % 11, 0
+    assert not np.array_equal(c, image.coeffs)
+    members[member] = AlgebraElem(image.group, image.field, c)
+    ctx.abelian_members = tuple(members)
+    with pytest.raises(verify.CheckFailure) as exc:
+        verify.check_abelian_images(ctx)
+    assert str(exc.value) == f"gamma({name}) != (1{sign}t)/2 etil_1 as coefficient vectors"
 
 
 def test_hat_idempotents_names_the_first_subgroup_whose_average_fails(monkeypatch):
