@@ -16,7 +16,8 @@ writes for `construct --gen pair`, which equal the eliminated codes of
 e11 and e22.  Each run starts with an empty memo.  `subgroup-pairs`
 proves every nested pair on its coset labels in O(n) and writes rows
 only for the pairs it scans.  It and `hat-idempotents` read which
-subgroups nest from one matrix, built from element sets (`_nesting`).
+subgroups nest from one helper (`_nesting`), row by row, from element
+sets.
 
 Each fact is derived once.  `central-catalog` and `central-codes`
 compare each eliminated code, the canonical RREF of L(x), with the rows
@@ -140,11 +141,12 @@ def _require(cond: bool, msg: str):
         raise CheckFailure(msg)
 
 
-def _nesting(subs) -> np.ndarray:
-    """The bool matrix [i, j] = subs[i] < subs[j], from element sets."""
+def _nesting(subs):
+    """Row i of the bool matrix [i, j] = subs[i] < subs[j], one at a time,
+    from element sets."""
     sets = [frozenset(S.indices()) for S in subs]
-    nested = np.fromiter((a < b for a in sets for b in sets), bool, len(sets) ** 2)
-    return nested.reshape(len(sets), -1)
+    for a in sets:
+        yield np.fromiter((a < b for b in sets), bool, len(sets))
 
 
 # --------------------------------------------------------------- checks
@@ -268,20 +270,19 @@ def check_hat_idempotents(ctx: VerifyContext) -> str:
     mul = partial(products, ctx.dihedral, field)
     subs = ctx.dihedral.all_subgroups()
     hats = np.array([hat(field, S).coeffs for S in subs])
-    nested = _nesting(subs)
-    absorbs = True
-    for S, h, above in zip(subs, hats, nested):
+    absorbs, absorbed = True, 0
+    for S, h, above in zip(subs, hats, _nesting(subs)):
         ys = np.vstack([h, hats[above]])
         out = mul(np.broadcast_to(h, ys.shape), ys)
         square = np.array_equal(out[0], h)
         _require(square, f"hat of subgroup of order {S.order} is not idempotent")
         absorbs = absorbs and np.array_equal(out[1:], ys[1:])
+        absorbed += len(ys) - 1
     fixed = (hats[:, ctx.dihedral.inverse_indices()] == hats).all(axis=1)
     if not fixed.all():
         order = subs[fixed.argmin()].order
         raise CheckFailure(f"hat of subgroup of order {order} is not fixed by g -> g^-1")
     _require(absorbs, "hat absorption fails for nested subgroups")
-    absorbed = int(nested.sum())
     return f"{len(subs)} subgroup averages idempotent, {absorbed} absorption pairs"
 
 
@@ -418,7 +419,7 @@ def subgroup_pair_suite(field, group, budget=DEFAULT_BUDGET):
     `construct --gen pair` writes.  Every pair's weight is compared with
     2|H|, so the first failing pair is the one a scan of every pair would
     report.  Pairs come H-major, in `all_subgroups` order, each H with the
-    K above it in that order, read off one nesting matrix (`_nesting`).
+    K above it in that order, read off the rows of `_nesting`.
     """
     q = field.q
     subs = [S for S in group.all_subgroups() if S.order % q != 0]
@@ -483,9 +484,8 @@ def check_abelian_images(ctx: VerifyContext) -> str:
         u = ctx.units[j]
         plus, minus = members[2 * j], members[2 * j + 1]
         for x, image, name, sign in ((u.e11, plus, "e11", "+"), (u.e22, minus, "e22", "-")):
-            # row g of L(x) is g x, and gamma keeps canonical indices
-            # (gamma-map), so gamma(g x) = gamma(g) gamma(x) for every g is one
-            # matrix identity; row 1 is x itself, the coefficient vectors
+            # gamma keeps canonical indices (gamma-map), so gamma(g x) =
+            # gamma(g) gamma(x) for every g is one matrix identity
             differs = x.translates() != image.translates()
             bad = np.flatnonzero(differs.reshape(ctx.dihedral.order, -1).any(axis=1))
             _require(
